@@ -73,6 +73,7 @@ main(int argc, char **argv)
     }
     std::printf("\n(paper data sizes: CG 109MB/600KB, EP 1MB/512KB, "
                 "FT 269MB/1MB, IS 67MB/2MB, MG 454MB/64B, SP 2MB/0B; "
-                "model sizes are scaled per DESIGN.md)\n");
+                "model sizes are scaled down so a 64-core run takes "
+                "about a second)\n");
     return 0;
 }

@@ -48,6 +48,14 @@ echo "== result regression check (pipeline 8-core vs golden) =="
 python3 scripts/diff_results.py "$BUILD_DIR"/pipeline8.json \
     tests/golden/pipeline8_smoke.json
 
+echo "== result regression check (pipeline 64-core vs golden) =="
+# The 8-core golden probes 7 SPMDirs per FilterDir broadcast; this one
+# probes 63, the fan-out the benchmark's pipeline-hybrid run exercises.
+"$BUILD_DIR"/spmcoh_run --workload=pipeline --cores=64 --jobs=1 \
+    --format=json --no-stats > "$BUILD_DIR"/pipeline64.json
+python3 scripts/diff_results.py "$BUILD_DIR"/pipeline64.json \
+    tests/golden/pipeline64_smoke.json
+
 echo "== result regression check (stencil 8-core vs golden) =="
 "$BUILD_DIR"/spmcoh_run --workload=stencil --cores=8 \
     --wparam=grids=7 --jobs=2 --format=json --no-stats \

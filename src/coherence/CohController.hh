@@ -102,15 +102,8 @@ class CohController
     /** MemNet delivery entry point (Endpoint::Coh). */
     void handle(const Message &msg);
 
-    /** SPMDir CAM peek used by FilterDir broadcasts. */
-    std::optional<std::uint32_t>
-    spmDirLookup(Addr base) const
-    {
-        return spmDir.lookup(base);
-    }
-
-    /** Account the CAM energy of one broadcast probe. */
-    void countProbe() { ++stSpmdirProbes; }
+    /** Account the CAM energy of @p n broadcast probes. */
+    void countProbes(std::uint64_t n) { stSpmdirProbes += n; }
 
     Spm &spmRef() { return spm; }
     Filter &filterRef() { return filter; }

@@ -7,12 +7,14 @@
  * The FilterDir broadcast (Fig. 5c/5d) is simulated as one aggregate
  * event; the slice consults remote SPMDirs through this registry at
  * the probe-arrival instant while every probe/response packet is
- * accounted on the mesh (see DESIGN.md).
+ * accounted on the mesh (docs/architecture.md, "Aggregated FilterDir
+ * broadcast").
  */
 
 #ifndef SPMCOH_COHERENCE_COHFABRIC_HH
 #define SPMCOH_COHERENCE_COHFABRIC_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "coherence/BufferConfig.hh"
@@ -38,6 +40,13 @@ struct CohFabric
     Oracle oracle;
     /** True when running the ideal protocol. */
     bool ideal = false;
+    /**
+     * FilterDir broadcasts per requesting core. Every broadcast probes
+     * all other cores' SPMDirs, so core c's probe count is the total
+     * minus broadcastsBy[c]; System::run folds that into each
+     * controller's spmdirProbes counter once the run ends.
+     */
+    std::vector<std::uint64_t> broadcastsBy;
 
     /** FilterDir home slice for a GM base address. */
     CoreId

@@ -5,16 +5,20 @@
  *
  * A filter hit lets a potentially incoherent access proceed to the
  * cache hierarchy without any remote check, which is the common case
- * the protocol is optimized for.
+ * the protocol is optimized for. Like the SPMDir it is one flat base
+ * array with SpmDir::invalidBase marking free entries.
  */
 
 #ifndef SPMCOH_COHERENCE_FILTER_HH
 #define SPMCOH_COHERENCE_FILTER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "coherence/SpmDir.hh"
+#include "sim/Logging.hh"
 #include "sim/PseudoLru.hh"
 #include "sim/Types.hh"
 
@@ -26,34 +30,25 @@ class Filter
 {
   public:
     explicit Filter(std::uint32_t entries_ = 48)
-        : valid(entries_, false), bases(entries_, 0), lru(entries_)
+        : bases(entries_, SpmDir::invalidBase), lru(entries_)
     {}
 
     std::uint32_t entries() const
-    { return static_cast<std::uint32_t>(valid.size()); }
+    { return static_cast<std::uint32_t>(bases.size()); }
 
     /** Lookup; touches replacement state on hit. */
     bool
     lookup(Addr base)
     {
-        for (std::uint32_t i = 0; i < valid.size(); ++i) {
-            if (valid[i] && bases[i] == base) {
-                lru.touch(i);
-                return true;
-            }
-        }
-        return false;
+        const std::int32_t i = find(base);
+        if (i < 0)
+            return false;
+        lru.touch(static_cast<std::uint32_t>(i));
+        return true;
     }
 
     /** Lookup without touching replacement state. */
-    bool
-    contains(Addr base) const
-    {
-        for (std::uint32_t i = 0; i < valid.size(); ++i)
-            if (valid[i] && bases[i] == base)
-                return true;
-        return false;
-    }
+    bool contains(Addr base) const { return find(base) >= 0; }
 
     /**
      * Insert a base; no-op if present.
@@ -62,17 +57,18 @@ class Filter
     std::optional<Addr>
     insert(Addr base)
     {
+        if (base == SpmDir::invalidBase)
+            panic("Filter: base collides with the invalid sentinel");
         std::uint32_t free = entries();
-        for (std::uint32_t i = 0; i < valid.size(); ++i) {
-            if (valid[i] && bases[i] == base) {
+        for (std::uint32_t i = 0; i < bases.size(); ++i) {
+            if (bases[i] == base) {
                 lru.touch(i);
                 return std::nullopt;
             }
-            if (!valid[i] && free == entries())
+            if (bases[i] == SpmDir::invalidBase && free == entries())
                 free = i;
         }
         if (free != entries()) {
-            valid[free] = true;
             bases[free] = base;
             lru.touch(free);
             return std::nullopt;
@@ -88,33 +84,41 @@ class Filter
     bool
     invalidate(Addr base)
     {
-        for (std::uint32_t i = 0; i < valid.size(); ++i) {
-            if (valid[i] && bases[i] == base) {
-                valid[i] = false;
-                return true;
-            }
-        }
-        return false;
+        const std::int32_t i = find(base);
+        if (i < 0)
+            return false;
+        bases[static_cast<std::size_t>(i)] = SpmDir::invalidBase;
+        return true;
     }
 
     /** Drop everything (context switch / power gating). */
     void
     clear()
     {
-        std::fill(valid.begin(), valid.end(), false);
+        std::fill(bases.begin(), bases.end(), SpmDir::invalidBase);
     }
 
     std::uint32_t
     occupancy() const
     {
-        std::uint32_t n = 0;
-        for (bool v : valid)
-            n += v;
-        return n;
+        return static_cast<std::uint32_t>(
+            bases.size() - static_cast<std::size_t>(std::count(
+                               bases.begin(), bases.end(),
+                               SpmDir::invalidBase)));
     }
 
   private:
-    std::vector<bool> valid;
+    /** Lowest entry holding @p base, or -1. */
+    std::int32_t
+    find(Addr base) const
+    {
+        for (std::uint32_t i = 0; i < bases.size(); ++i)
+            if (bases[i] == base)
+                return static_cast<std::int32_t>(i);
+        return -1;
+    }
+
+    /** Cached bases; SpmDir::invalidBase marks a free entry. */
     std::vector<Addr> bases;
     PseudoLru lru;
 };

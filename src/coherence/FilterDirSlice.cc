@@ -14,6 +14,7 @@ FilterDirSlice::FilterDirSlice(MemNet &net_, CohFabric &fab_,
                                CoreId tile_, const FilterDirParams &p_,
                                const std::string &name)
     : net(net_), fab(fab_), tile(tile_), p(p_),
+      fanOutLatency(net_.noc().maxLatencyFrom(tile_, ctrlPacketBytes)),
       slots(p_.entriesPerSlice), lru(p_.entriesPerSlice), stats(name),
       stChecks(stats.counter("checks")),
       stCheckHits(stats.counter("checkHits")),
@@ -73,13 +74,33 @@ FilterDirSlice::handle(const Message &msg)
     }
 }
 
+FilterDirSlice::BusyBase *
+FilterDirSlice::findBusy(Addr base)
+{
+    for (BusyBase &b : busyBases)
+        if (b.base == base)
+            return &b;
+    return nullptr;
+}
+
+void
+FilterDirSlice::markBusy(Addr base)
+{
+    // Reuse a released entry (and its queue's capacity) if any.
+    if (BusyBase *b = findBusy(idleBase)) {
+        b->base = base;
+        return;
+    }
+    busyBases.push_back(BusyBase{base, {}});
+}
+
 bool
 FilterDirSlice::enqueueIfBusy(Addr base, const Message &msg)
 {
-    auto it = busyBases.find(base);
-    if (it == busyBases.end())
+    BusyBase *b = findBusy(base);
+    if (!b)
         return false;
-    it->second.push_back(msg);
+    b->waiting.push_back(net.msgPool().acquire(msg));
     ++stQueuedOps;
     return true;
 }
@@ -87,20 +108,19 @@ FilterDirSlice::enqueueIfBusy(Addr base, const Message &msg)
 void
 FilterDirSlice::releaseBase(Addr base)
 {
-    auto it = busyBases.find(base);
-    if (it == busyBases.end())
+    BusyBase *b = findBusy(base);
+    if (!b)
         panic("FilterDirSlice: releasing idle base");
-    std::vector<Message> q = std::move(it->second);
-    busyBases.erase(it);
-    // Re-inject queued operations in arrival order, each parked in a
-    // pooled slot so the closure stays inline-sized.
-    for (const Message &m : q) {
-        Message *pm = net.msgPool().acquire(m);
+    // Re-inject queued operations in arrival order. Scheduling runs
+    // no handler, so the entry cannot change under the loop.
+    for (Message *pm : b->waiting) {
         net.events().scheduleIn(1, [this, pm] {
             handle(*pm);
             net.msgPool().release(pm);
         });
     }
+    b->waiting.clear();
+    b->base = idleBase;
 }
 
 void
@@ -138,27 +158,14 @@ void
 FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
 {
     ++stBroadcasts;
-    busyBases.emplace(base, std::vector<Message>{});
-    const std::uint32_t n = net.cores();
+    markBusy(base);
 
-    // Account every probe and response packet; simulate the exchange
-    // as one aggregate event at the worst-case probe arrival time.
-    // The per-core probe counters live on other tiles' controllers,
-    // so a partitioned run bumps them inside the deferred evaluation
-    // (single-threaded at the epoch merge) instead of here.
-    for (CoreId c = 0; c < n; ++c) {
-        if (c == msg.requestor)
-            continue;
-        net.accountOnly(tile, c, TrafficClass::CohProt, false);
-        net.accountOnly(c, tile, TrafficClass::CohProt, false);
-        if (!net.partitioned())
-            fab.ctrls[c]->countProbe();
-    }
-    const Tick probe_arrive =
-        net.noc().maxLatencyFrom(tile, ctrlPacketBytes) +
-        p.probeLatency;
-    const Tick responses_back = probe_arrive +
-        net.noc().maxLatencyFrom(tile, ctrlPacketBytes);
+    // Account every probe and response packet in one tally; simulate
+    // the exchange as one aggregate event at the worst-case probe
+    // arrival time.
+    net.noc().accountBroadcast(tile, msg.requestor, net.cores(),
+                               TrafficClass::CohProt, ctrlPacketBytes);
+    const Tick probe_arrive = fanOutLatency + p.probeLatency;
 
     Message *pm = net.msgPool().acquire(msg);
     // The evaluation walks every core's SPMDir CAM — cross-region
@@ -166,22 +173,22 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
     // monolithic, a canonically-ordered merge operation when
     // partitioned.
     net.deferCross(net.events().now() + probe_arrive,
-                            [this, pm, base,
-                             resp_delay = responses_back - probe_arrive] {
+                   [this, pm, base, resp_delay = fanOutLatency] {
         const Message &req = *pm;
-        if (net.partitioned()) {
-            for (CoreId c = 0; c < net.cores(); ++c) {
-                if (c != req.requestor)
-                    fab.ctrls[c]->countProbe();
-            }
-        }
-        // Evaluate the SPMDir CAMs at probe-arrival time.
+        // Every other core's SPMDir is probed; the per-core probe
+        // counters are derived from this tally after the run. It is
+        // bumped here, where both engines are single-threaded.
+        ++fab.broadcastsBy[req.requestor];
+        // Evaluate the SPMDir CAMs at probe-arrival time: the
+        // lowest-id non-requestor owner serves. A core whose
+        // signature rules the base out cannot own it.
         CoreId owner = invalidCore;
         std::uint32_t buf_idx = 0;
         for (CoreId c = 0; c < net.cores(); ++c) {
-            if (c == req.requestor)
+            const SpmDir &dir = fab.ctrls[c]->spmDirRef();
+            if (c == req.requestor || !dir.mayHold(base))
                 continue;
-            if (auto idx = fab.ctrls[c]->spmDirLookup(base)) {
+            if (auto idx = dir.lookup(base)) {
                 owner = c;
                 buf_idx = *idx;
                 break;

@@ -74,15 +74,29 @@ class FilterDirSlice
         std::uint32_t pendingAcks = 0;
     };
 
+    /** A base with a broadcast in flight and the operations parked
+     *  behind it (pooled copies, in arrival order). */
+    struct BusyBase
+    {
+        Addr base;
+        std::vector<Message *> waiting;
+    };
+
+    /** Base of a released busyBases entry (never a buffer base). */
+    static constexpr Addr idleBase = ~Addr(0);
+
     void onFilterCheck(const Message &msg);
     void onFilterInval(const Message &msg);
+    BusyBase *findBusy(Addr base);
+    void markBusy(Addr base);
     /** Per-base serialization: true if queued behind a broadcast. */
     bool enqueueIfBusy(Addr base, const Message &msg);
     void releaseBase(Addr base);
     void onEvictNotify(const Message &msg);
     void onFwdAck(const Message &msg);
 
-    /** Broadcast SPMDir probe, aggregated (see DESIGN.md). */
+    /** Broadcast SPMDir probe, aggregated (docs/architecture.md,
+     *  "Aggregated FilterDir broadcast"). */
     void broadcastProbe(const Message &msg, Addr base);
 
     /** Install @p base for @p requestor, draining a victim if full. */
@@ -100,6 +114,9 @@ class FilterDirSlice
     CohFabric &fab;
     CoreId tile;
     FilterDirParams p;
+    /** Worst-case contention-free control-packet latency from this
+     *  tile to any tile: both legs of the broadcast take this long. */
+    Tick fanOutLatency;
     std::vector<Slot> slots;
     PseudoLru lru;
     /**
@@ -107,8 +124,10 @@ class FilterDirSlice
      * for the same base queue behind it; without this serialization a
      * mapping racing with a broadcast's conclusion could leave a
      * stale "not mapped" verdict in a filter (Sec. 3.3 invariant).
+     * A handful are in flight at once, so a linear scan over a flat
+     * table (released entries keep their queue capacity) beats a map.
      */
-    std::unordered_map<Addr, std::vector<Message>> busyBases;
+    std::vector<BusyBase> busyBases;
     std::unordered_map<std::uint64_t, PendingOp> ops;
     std::uint64_t nextOp = 1;
     StatGroup stats;

@@ -6,8 +6,7 @@
  * per-structure access energies and leakage; this model does exactly
  * that with CACTI-class per-event constants at a 22nm-like node. The
  * paper's Fig. 11 reports energies *normalized to the cache-based
- * system*, so only the relative magnitudes between components matter;
- * DESIGN.md discusses the calibration.
+ * system*, so only the relative magnitudes between components matter.
  *
  * Component grouping matches Fig. 11: CPUs, Caches (incl. TLBs,
  * MSHRs, prefetchers), NoC, Others (cache directory, DMACs, memory
@@ -52,7 +51,7 @@ struct RunCounters
 struct EnergyParams
 {
     // Dynamic, nJ per event (CACTI-class 22nm ballpark; only the
-    // ratios matter for the normalized Fig. 11 -- see DESIGN.md).
+    // ratios matter for the normalized Fig. 11).
     double cpuPerInstr = 0.032;
     double cpuPerSquash = 1.2;
     double l1Access = 0.090;      ///< 64KB/32KB 4-way incl. tags

@@ -7,9 +7,9 @@
  *
  * The slice is the ordering point for its lines: one transaction per
  * line at a time, later requests queue behind it (blocking states).
- * Owner data always returns through the slice ("scheme A" in
- * DESIGN.md), which makes every transaction terminate with a single
- * Data* message at the requestor.
+ * Owner data always returns through the slice, which makes every
+ * transaction terminate with a single Data* message at the requestor
+ * (docs/architecture.md, "How a memory access flows").
  *
  * Coherent DMA (Sec. 2.1): DmaRead snapshots the freshest copy
  * (forwarded from an owner if one exists) without disturbing cache

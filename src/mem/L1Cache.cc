@@ -437,8 +437,8 @@ L1Cache::onFwd(const Message &msg)
                " type " + std::to_string(int(msg.type)));
     }
 
-    // Scheme A: data returns to the directory, which responds to the
-    // requestor (see DESIGN.md).
+    // Data returns to the directory, which responds to the
+    // requestor (see DirectorySlice.hh).
     Message resp;
     resp.type = MsgType::FwdAckData;
     resp.addr = la;

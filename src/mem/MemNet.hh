@@ -365,8 +365,11 @@ class MemNet
     }
 
     /**
-     * Account traffic for one leg of an aggregated broadcast without
-     * scheduling a delivery event (see DESIGN.md).
+     * Account traffic for one packet without scheduling a delivery
+     * event (the ideal-coherence remote access, which is timed
+     * analytically). Aggregated FilterDir broadcasts charge all their
+     * legs at once through Mesh::accountBroadcast instead
+     * (docs/architecture.md, "Aggregated FilterDir broadcast").
      */
     void
     accountOnly(CoreId src_tile, CoreId dst_tile, TrafficClass cls,

@@ -7,12 +7,14 @@
  * serialization slots on every directional link it crosses; delivery
  * is a single scheduled event. Broadcasts (used by the FilterDir) are
  * accounted packet-exactly but simulated as one aggregate event to
- * bound event count (see DESIGN.md).
+ * bound event count (docs/architecture.md, "Aggregated FilterDir
+ * broadcast").
  */
 
 #ifndef SPMCOH_NOC_MESH_HH
 #define SPMCOH_NOC_MESH_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -73,7 +75,9 @@ class Mesh
           lastDelivery(static_cast<std::size_t>(p_.width) * p_.height *
                            (p_.chips ? p_.chips : 1) * p_.width *
                            p_.height * (p_.chips ? p_.chips : 1),
-                       0)
+                       0),
+          broadcastTallies(static_cast<std::size_t>(p_.width) *
+                           p_.height * (p_.chips ? p_.chips : 1))
     {
         if (p.width == 0 || p.height == 0)
             fatal("Mesh: zero dimension");
@@ -252,17 +256,63 @@ class Mesh
         return contentionFreeLatency(p, hops(src, dst), bytes);
     }
 
-    /** Worst-case contention-free latency from @p src to any tile. */
+    /**
+     * Worst-case contention-free latency from @p src to any tile: the
+     * farthest corner of its own chip or, on a multi-chip fabric, the
+     * corner of another chip farthest from that chip's gateway. All
+     * chips share one geometry, so no scan over the tiles is needed.
+     */
     Tick
     maxLatencyFrom(CoreId src, std::uint32_t bytes) const
     {
-        Tick worst = 0;
-        for (CoreId t = 0; t < numTiles(); ++t) {
-            const Tick l = routeLatency(src, t, bytes);
-            if (l > worst)
-                worst = l;
+        const CoreId local = src % tilesPerChip();
+        const std::uint32_t x = local % p.width;
+        const std::uint32_t y = local / p.width;
+        const std::uint32_t corner_hops =
+            std::max(x, p.width - 1 - x) + std::max(y, p.height - 1 - y);
+        Tick worst = contentionFreeLatency(p, corner_hops, bytes);
+        if (p.chips > 1) {
+            // Leg to the local gateway (local tile 0), the hub transit,
+            // then the full diameter of the destination chip.
+            const Tick cross = contentionFreeLatency(p, x + y, bytes) +
+                interChipTransitLatency(p, bytes) +
+                contentionFreeLatency(
+                    p, (p.width - 1) + (p.height - 1), bytes);
+            worst = std::max(worst, cross);
         }
         return worst;
+    }
+
+    /**
+     * Account one aggregated broadcast from @p src: a request to and
+     * a response from every tile in [0, @p n) except @p skip, each
+     * @p bytes long. Charges exactly what 2(n-1) account() calls
+     * would — packets, bytes and flits x hops — in one add. The
+     * round-trip hop sum over [0, n) is built on @p src's first
+     * broadcast; only @p src's own broadcasts touch its entry, so
+     * partitioned regions never share one.
+     */
+    void
+    accountBroadcast(CoreId src, CoreId skip, std::uint32_t n,
+                     TrafficClass cls, std::uint32_t bytes)
+    {
+        BroadcastTally &b = broadcastTallies[src];
+        if (b.n != n) {
+            b.n = n;
+            b.hopSum = 0;
+            for (CoreId c = 0; c < n; ++c)
+                b.hopSum += hops(src, c) + hops(c, src);
+        }
+        std::uint64_t legs = 2 * std::uint64_t(n);
+        std::uint64_t hop_sum = b.hopSum;
+        if (skip < n) {
+            legs -= 2;
+            hop_sum -= hops(src, skip) + hops(skip, src);
+        }
+        TrafficCounters &c = regional.empty()
+            ? counters : regional[tlsExecRegion];
+        c.add(cls, legs, legs * bytes,
+              static_cast<std::uint64_t>(flits(bytes)) * hop_sum);
     }
 
     const TrafficCounters &traffic() const { return counters; }
@@ -425,10 +475,19 @@ class Mesh
         return orderedDelivery(src, dst, t);
     }
 
+    /** Round-trip hops from one tile to every tile in [0, n). */
+    struct BroadcastTally
+    {
+        std::uint32_t n = 0;  ///< 0 = not built yet
+        std::uint64_t hopSum = 0;
+    };
+
     EventQueue &eq;
     MeshParams p;
     std::vector<Tick> linkNextFree;
     std::vector<Tick> lastDelivery;
+    /** Per-source broadcast tallies (accountBroadcast). */
+    std::vector<BroadcastTally> broadcastTallies;
     /** One link per chip, chip-indexed (empty when chips == 1). */
     std::vector<std::unique_ptr<InterChipLink>> icLinks;
     TrafficCounters counters;

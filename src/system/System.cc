@@ -192,6 +192,7 @@ System::System(const SystemParams &p_)
         fabric.ctrls.push_back(cohs[i].get());
     for (CoreId i = 0; i < p.numCores; ++i)
         fabric.slices.push_back(fslices[i].get());
+    fabric.broadcastsBy.assign(p.numCores, 0);
 
     for (CoreId i = 0; i < p.numCores; ++i) {
         cores.push_back(std::make_unique<CoreModel>(
@@ -216,19 +217,6 @@ System::System(const SystemParams &p_)
                     });
             });
     }
-}
-
-Barrier &
-System::barrier(std::uint32_t id)
-{
-    auto it = barriers.find(id);
-    if (it == barriers.end()) {
-        it = barriers
-                 .emplace(id, std::make_unique<Barrier>(
-                                  eq, p.numCores, p.barrierLatency))
-                 .first;
-    }
-    return *it->second;
 }
 
 Barrier &
@@ -284,17 +272,29 @@ System::run(std::vector<std::unique_ptr<OpSource>> sources)
     if (sources.size() != p.numCores)
         fatal("System: need one op source per core");
     running = std::move(sources);
-    if (!regions.empty())
-        return runPartitioned();
+    bool ok;
+    if (!regions.empty()) {
+        ok = runPartitioned();
+    } else {
+        for (CoreId i = 0; i < p.numCores; ++i)
+            cores[i]->start(running[i].get());
+        ok = eq.run(p.maxTicks);
+        for (CoreId i = 0; ok && i < p.numCores; ++i)
+            ok = cores[i]->finished();
+    }
+    foldProbeTallies();
+    return ok;
+}
+
+void
+System::foldProbeTallies()
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t b : fabric.broadcastsBy)
+        total += b;
     for (CoreId i = 0; i < p.numCores; ++i)
-        cores[i]->start(running[i].get());
-    const bool drained = eq.run(p.maxTicks);
-    if (!drained)
-        return false;
-    for (CoreId i = 0; i < p.numCores; ++i)
-        if (!cores[i]->finished())
-            return false;
-    return true;
+        cohs[i]->countProbes(total - fabric.broadcastsBy[i]);
+    std::fill(fabric.broadcastsBy.begin(), fabric.broadcastsBy.end(), 0);
 }
 
 bool

@@ -211,9 +211,6 @@ class System
     FilterDirSlice &filterDirAt(CoreId i) { return *fslices[i]; }
     CoreModel &coreAt(CoreId i) { return *cores[i]; }
 
-    /** Barrier registry: all-cores legacy barrier for @p id. */
-    Barrier &barrier(std::uint32_t id);
-
     /**
      * Barrier registry used by the cores' barrier hook: the scoped
      * barrier a Barrier op describes. The op's tag carries the
@@ -252,6 +249,10 @@ class System
   private:
     /** Epoch loop for the partitioned core (simThreads >= 1). */
     bool runPartitioned();
+
+    /** Fold the fabric's per-requestor broadcast tallies into every
+     *  controller's spmdirProbes counter, then reset them. */
+    void foldProbeTallies();
 
     SystemParams p;
     EventQueue eq;

@@ -7,9 +7,9 @@
  * count, number of SPM (strided) and guarded (random, alias-unknown)
  * references, the relative data-set sizes, EP's stack-dominated
  * profile, SP's 54 compute-heavy kernels -- with data sets scaled so
- * a 64-core simulation completes in about a second (DESIGN.md,
- * substitution #3). The paper's original sizes are kept alongside
- * for the Table 2 reproduction.
+ * a 64-core simulation completes in about a second
+ * (docs/architecture.md, "src/workloads/"). The paper's original
+ * sizes are kept alongside for the Table 2 reproduction.
  */
 
 #ifndef SPMCOH_WORKLOADS_NASBENCHMARKS_HH

@@ -3,11 +3,16 @@
  * Tests for the SPM coherence protocol (the paper's contribution):
  * the SPMDir / Filter structures, the four guarded-access cases of
  * Fig. 5, the filter invalidation and update flows of Fig. 6,
- * evictions at both levels, and the ideal-coherence oracle.
+ * evictions at both levels, the ideal-coherence oracle, and the
+ * host-side shortcuts of the FilterDir broadcast (SPMDir signatures,
+ * lowest-id owner, per-core probe counts folded after the run).
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "sim/Rng.hh"
 #include "system/System.hh"
 
 namespace spmcoh
@@ -47,6 +52,83 @@ TEST(SpmDir, CamSemantics)
     d.unmap(5);
     EXPECT_FALSE(d.lookup(0x2000).has_value());
     EXPECT_THROW(d.map(32, 0x0), PanicError);
+}
+
+TEST(SpmDir, LowestIndexWinsWhenABaseSitsInTwoBuffers)
+{
+    SpmDir d(32);
+    d.map(9, 0x3000);
+    d.map(4, 0x3000);
+    EXPECT_EQ(*d.lookup(0x3000), 4u);
+    d.unmap(4);
+    EXPECT_EQ(*d.lookup(0x3000), 9u);
+    d.map(2, 0x3000);
+    EXPECT_EQ(*d.lookup(0x3000), 2u);
+    d.map(2, 0x4000);  // remapping the lower buffer exposes the higher
+    EXPECT_EQ(*d.lookup(0x3000), 9u);
+    EXPECT_EQ(*d.lookup(0x4000), 2u);
+    // ~0 is the empty-entry sentinel, never a mappable base.
+    EXPECT_THROW(d.map(0, SpmDir::invalidBase), PanicError);
+}
+
+TEST(SpmDir, SignatureNeverMissesAMappedBase)
+{
+    SpmDir d(32);
+    std::map<std::uint32_t, Addr> model;  // buffer -> mapped base
+    Rng rng(7);
+    auto check = [&] {
+        for (const auto &[idx, base] : model) {
+            ASSERT_TRUE(d.mayHold(base)) << "base " << base;
+            // Lowest buffer holding the base answers the CAM.
+            std::uint32_t lowest = idx;
+            for (const auto &[i, b] : model)
+                if (b == base && i < lowest)
+                    lowest = i;
+            ASSERT_EQ(d.lookup(base), lowest);
+        }
+    };
+    for (int step = 0; step < 4000; ++step) {
+        const auto idx = static_cast<std::uint32_t>(rng.below(32));
+        // Few distinct bases, so remaps and duplicates are common.
+        const Addr base = (rng.below(48) + 1) << bufLog2;
+        const std::uint64_t op = rng.below(100);
+        if (op < 60) {
+            d.map(idx, base);
+            model[idx] = base;
+        } else if (op < 95) {
+            d.unmap(idx);
+            model.erase(idx);
+        } else {
+            d.clear();
+            model.clear();
+        }
+        check();
+    }
+    // An empty directory rules every base out.
+    d.clear();
+    for (Addr b = 1; b <= 64; ++b)
+        EXPECT_FALSE(d.mayHold(b << bufLog2));
+}
+
+TEST(Filter, HitBeatsAnEarlierFreeEntry)
+{
+    Filter f(4);
+    for (Addr a = 1; a <= 4; ++a)
+        f.insert(a * 0x1000);
+    EXPECT_TRUE(f.invalidate(0x1000));  // entry 0 is free now
+    // Re-inserting a cached base finds it instead of filling the
+    // free entry, so no duplicate appears.
+    EXPECT_FALSE(f.insert(0x4000).has_value());
+    EXPECT_EQ(f.occupancy(), 3u);
+    EXPECT_TRUE(f.invalidate(0x4000));
+    EXPECT_FALSE(f.contains(0x4000));
+    // The freed entries are reused before anything is evicted.
+    EXPECT_FALSE(f.insert(0x5000).has_value());
+    EXPECT_FALSE(f.insert(0x6000).has_value());
+    EXPECT_EQ(f.occupancy(), 4u);
+    f.clear();
+    EXPECT_EQ(f.occupancy(), 0u);
+    EXPECT_FALSE(f.contains(0x2000));
 }
 
 TEST(Filter, InsertLookupEvict)
@@ -168,6 +250,101 @@ TEST(GuardedAccess, RemoteSpmServesLoadAndStore)
     // The base must NOT have been inserted into core 0's filter.
     EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 0x40, false).kind,
               GuardProbe::Kind::Pending);
+}
+
+/** Fig. 5d with two owners: the lowest-id non-requestor serves. */
+TEST(GuardedAccess, LowestIdRemoteOwnerServesTheBroadcast)
+{
+    System sys(protoParams());
+    for (CoreId c = 0; c < 4; ++c)
+        sys.cohAt(c).setBufferConfig(bufLog2);
+    const Addr gm_base = 0x340000;
+    sys.cohAt(3).mapBuffer(0, gm_base, 0);
+    sys.cohAt(1).mapBuffer(2, gm_base, 0);
+    sys.events().run();
+    sys.spmAt(3).write(0x40, 8, 333);
+    sys.spmAt(1).write(2 * bufBytes + 0x40, 8, 111);
+
+    std::uint64_t val = 0;
+    sys.cohAt(0).resolveGuarded(gm_base + 0x40, 8, false, 0,
+                                [&](bool s, std::uint64_t v) {
+        EXPECT_TRUE(s);
+        val = v;
+    });
+    sys.events().run();
+    EXPECT_EQ(val, 111u);  // core 1, not core 3
+
+    // Core 1 asking skips itself: core 3 is the lowest other owner.
+    sys.cohAt(1).resolveGuarded(gm_base + 0x40, 8, false, 0,
+                                [&](bool s, std::uint64_t v) {
+        EXPECT_TRUE(s);
+        val = v;
+    });
+    sys.events().run();
+    EXPECT_EQ(val, 333u);
+    const CoreId home = sys.cohFabric().homeFor(gm_base);
+    EXPECT_EQ(sys.filterDirAt(home).statGroup().value("remoteHits"), 2u);
+}
+
+/** OpSource with nothing to run: the core finishes at once. */
+class EmptySource : public OpSource
+{
+  public:
+    bool next(MicroOp &) override { return false; }
+};
+
+/**
+ * Every broadcast probes each SPMDir except the requestor's, so a
+ * core's spmdirProbes is the number of broadcasts it did not request.
+ * The counts are folded in when System::run returns, on either engine.
+ */
+void
+expectProbesPerCore(std::uint32_t sim_threads)
+{
+    SystemParams p = protoParams();
+    p.simThreads = sim_threads;
+    System sys(p);
+    ASSERT_EQ(sys.numRegions() > 0, sim_threads > 0);
+    for (CoreId c = 0; c < 4; ++c)
+        sys.cohAt(c).setBufferConfig(bufLog2);
+    // Bases mapped in a remote SPM are never installed in the
+    // FilterDir, so every request for one broadcasts; so does the
+    // first request for an unmapped base.
+    const Addr mapped = 0x900000;
+    const Addr unmapped = 0xa00000;
+    sys.cohAt(3).mapBuffer(0, mapped, 0);
+    int done = 0;
+    auto cb = [&](bool, std::uint64_t) { ++done; };
+    sys.cohAt(0).resolveGuarded(mapped + 0x08, 8, false, 0, cb);
+    sys.cohAt(1).resolveGuarded(mapped + 0x10, 8, false, 0, cb);
+    sys.cohAt(1).resolveGuarded(mapped + 0x18, 8, false, 0, cb);
+    sys.cohAt(2).resolveGuarded(unmapped, 8, false, 0, cb);
+
+    std::vector<std::unique_ptr<OpSource>> sources;
+    for (CoreId c = 0; c < 4; ++c)
+        sources.push_back(std::make_unique<EmptySource>());
+    ASSERT_TRUE(sys.run(std::move(sources)));
+    EXPECT_EQ(done, 4);
+
+    std::uint64_t broadcasts = 0;
+    for (CoreId c = 0; c < 4; ++c)
+        broadcasts += sys.filterDirAt(c).statGroup().value("broadcasts");
+    EXPECT_EQ(broadcasts, 4u);
+    const std::uint64_t requested[4] = {1, 2, 1, 0};
+    for (CoreId c = 0; c < 4; ++c)
+        EXPECT_EQ(sys.cohAt(c).statGroup().value("spmdirProbes"),
+                  broadcasts - requested[c])
+            << "core " << c << ", sim-threads " << sim_threads;
+}
+
+TEST(FilterDirBroadcast, ProbesPerCoreMonolithic)
+{
+    expectProbesPerCore(0);
+}
+
+TEST(FilterDirBroadcast, ProbesPerCorePartitioned)
+{
+    expectProbesPerCore(2);
 }
 
 /** Fig. 6a: mapping invalidates remote filter entries. */

@@ -255,7 +255,7 @@ TEST_P(FilterInvariant, FilterSubsetOfFilterDir)
                 bool is_mapped = false;
                 for (CoreId o = 0; o < 4; ++o)
                     is_mapped = is_mapped ||
-                        f.sys.cohAt(o).spmDirLookup(b).has_value();
+                        f.sys.cohAt(o).spmDirRef().lookup(b).has_value();
                 EXPECT_FALSE(is_mapped)
                     << "filter caches a mapped base, step " << step;
                 // 2. Tracked at the home slice with us as sharer.

@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the mesh NoC: routing distances, latency model,
- * contention serialization and traffic accounting.
+ * contention serialization, traffic accounting and the aggregated
+ * broadcast tally.
  */
 
 #include <gtest/gtest.h>
 
 #include "noc/Mesh.hh"
+#include "system/Topology.hh"
 
 namespace spmcoh
 {
@@ -17,6 +19,26 @@ MeshParams
 params8x8()
 {
     return MeshParams{};
+}
+
+/** The mesh the topology layer derives for @p cores over @p chips. */
+MeshParams
+meshFor(std::uint32_t cores, std::uint32_t chips)
+{
+    MeshParams mp;
+    const Topology t = Topology::forSystem(cores, chips, mp);
+    mp.width = t.width;
+    mp.height = t.height;
+    mp.chips = t.chips;
+    return mp;
+}
+
+void
+expectSameTraffic(const TrafficCounters &a, const TrafficCounters &b)
+{
+    EXPECT_EQ(a.packets, b.packets);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.flitHops, b.flitHops);
 }
 
 TEST(Mesh, HopCounts)
@@ -143,6 +165,85 @@ TEST(Mesh, MaxLatencyFromCornerIsWorstCase)
     // From the center the worst case is nearer.
     EXPECT_LT(m.maxLatencyFrom(27, ctrlPacketBytes),
               m.maxLatencyFrom(0, ctrlPacketBytes));
+}
+
+TEST(Mesh, MaxLatencyMatchesScanOverEveryTile)
+{
+    for (auto [cores, chips] : {std::pair{8u, 1u}, std::pair{64u, 1u},
+                                std::pair{16u, 2u}, std::pair{64u, 4u}}) {
+        EventQueue eq;
+        Mesh m(eq, meshFor(cores, chips));
+        for (CoreId src = 0; src < m.numTiles(); ++src) {
+            for (std::uint32_t bytes : {ctrlPacketBytes, dataPacketBytes}) {
+                Tick worst = 0;
+                for (CoreId t = 0; t < m.numTiles(); ++t)
+                    worst = std::max(worst, m.routeLatency(src, t, bytes));
+                EXPECT_EQ(m.maxLatencyFrom(src, bytes), worst)
+                    << cores << "c/" << chips << "chip src " << src;
+            }
+        }
+    }
+}
+
+TEST(Mesh, BroadcastTallyEqualsPerLegAccounting)
+{
+    for (auto [cores, chips] : {std::pair{8u, 1u}, std::pair{64u, 1u},
+                                std::pair{16u, 2u}}) {
+        EventQueue eq;
+        Mesh legs(eq, meshFor(cores, chips));
+        Mesh tally(eq, meshFor(cores, chips));
+        ASSERT_EQ(legs.numTiles(), cores);
+        for (CoreId tile = 0; tile < cores; ++tile) {
+            for (CoreId req = 0; req < cores; ++req) {
+                legs.resetTraffic();
+                tally.resetTraffic();
+                for (CoreId c = 0; c < cores; ++c) {
+                    if (c == req)
+                        continue;
+                    legs.account(tile, c, TrafficClass::CohProt,
+                                 ctrlPacketBytes);
+                    legs.account(c, tile, TrafficClass::CohProt,
+                                 ctrlPacketBytes);
+                }
+                tally.accountBroadcast(tile, req, cores,
+                                       TrafficClass::CohProt,
+                                       ctrlPacketBytes);
+                SCOPED_TRACE(testing::Message()
+                             << cores << "c/" << chips << "chip tile "
+                             << tile << " requestor " << req);
+                expectSameTraffic(tally.traffic(), legs.traffic());
+                EXPECT_EQ(tally.traffic().classPackets(
+                              TrafficClass::CohProt),
+                          2u * (cores - 1));
+            }
+        }
+    }
+}
+
+TEST(Mesh, CrossChipHopsIncludeTheLinkHop)
+{
+    const MeshParams mp = meshFor(16, 2);
+    EventQueue eq;
+    Mesh m(eq, mp);
+    ASSERT_EQ(m.numChips(), 2u);
+    const CoreId far = m.tilesPerChip() - 1;      // chip 0's far corner
+    const CoreId other = m.tilesPerChip() + far;  // same spot, chip 1
+    const std::uint32_t diameter = (mp.width - 1) + (mp.height - 1);
+    EXPECT_EQ(m.hops(far, other), 2 * diameter + 1);
+    EXPECT_EQ(m.hops(other, far), 2 * diameter + 1);
+
+    // A broadcast that skips `other` charges exactly one 1-flit round
+    // trip of that length less than one that skips nobody.
+    Mesh all(eq, mp);
+    all.accountBroadcast(far, invalidCore, 16, TrafficClass::CohProt,
+                         ctrlPacketBytes);
+    Mesh skip(eq, mp);
+    skip.accountBroadcast(far, other, 16, TrafficClass::CohProt,
+                          ctrlPacketBytes);
+    EXPECT_EQ(all.traffic().totalPackets(), 32u);
+    EXPECT_EQ(skip.traffic().totalPackets(), 30u);
+    EXPECT_EQ(all.traffic().flitHops - skip.traffic().flitHops,
+              2u * (2 * diameter + 1));
 }
 
 TEST(Mesh, LocalDeliveryStillCostsARouter)
