@@ -47,19 +47,14 @@ struct Sample
 
 Sample
 measure(const std::string &workload, std::uint32_t reps,
-        std::uint32_t cores, std::uint32_t chips,
-        std::uint32_t sim_threads, Tick sim_window,
-        Tick sim_window_max)
+        std::uint32_t cores, std::uint32_t chips)
 {
-    ExperimentBuilder b = ExperimentBuilder()
-                              .workload(workload)
-                              .mode(SystemMode::HybridProto)
-                              .cores(cores)
-                              .chips(chips)
-                              .simThreads(sim_threads);
-    if (sim_window > 0 || sim_window_max > 0)
-        b.simWindow(sim_window, sim_window_max);
-    const ExperimentSpec spec = b.spec();
+    const ExperimentSpec spec = ExperimentBuilder()
+                                    .workload(workload)
+                                    .mode(SystemMode::HybridProto)
+                                    .cores(cores)
+                                    .chips(chips)
+                                    .spec();
     runExperiment(spec);  // warm-up: page in code + allocator state
     double best_ms = 0.0;
     std::uint64_t cycles = 0;
@@ -96,9 +91,6 @@ main(int argc, char **argv)
     std::uint32_t reps = 3;
     std::uint32_t cores = 8;
     std::uint32_t chips = 1;
-    std::uint32_t sim_threads = 0;
-    Tick sim_window = 0;
-    Tick sim_window_max = 0;
     std::string out_file;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -126,38 +118,13 @@ main(int argc, char **argv)
                 return 2;
             }
             chips = static_cast<std::uint32_t>(v);
-        } else if (std::strncmp(arg, "--sim-threads=", 14) == 0) {
-            const long v = std::strtol(arg + 14, nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr, "bad sim-thread count '%s'\n",
-                             arg + 14);
-                return 2;
-            }
-            sim_threads = static_cast<std::uint32_t>(v);
-        } else if (std::strncmp(arg, "--sim-window=", 13) == 0) {
-            if (std::strcmp(arg + 13, "auto") == 0) {
-                // Mirror the driver CLI: adaptive window, model-
-                // default base, 128-tick ceiling.
-                sim_window = 0;
-                sim_window_max = 128;
-            } else {
-                const long v = std::strtol(arg + 13, nullptr, 10);
-                if (v < 1) {
-                    std::fprintf(stderr, "bad sim-window '%s'\n",
-                                 arg + 13);
-                    return 2;
-                }
-                sim_window = static_cast<Tick>(v);
-                sim_window_max = 0;
-            }
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             out_file = arg + 6;
         } else if (std::strcmp(arg, "--help") == 0) {
             std::printf("simulator wall-clock per simulated cycle "
                         "on fixed CG/pipeline experiments\n"
                         "usage: %s [--reps=N] [--cores=N] "
-                        "[--chips=N] [--sim-threads=N] "
-                        "[--sim-window=W|auto] [--out=FILE]\n",
+                        "[--chips=N] [--out=FILE]\n",
                         argv[0]);
             return 0;
         } else {
@@ -185,27 +152,16 @@ main(int argc, char **argv)
         w.key("bench").value("selfperf");
         w.key("reps").value(reps);
         // Provenance: captures are only comparable within the same
-        // build type and experiment shape — which now includes the
-        // intra-run thread count (0 = monolithic event loop).
+        // build type, experiment shape and host shape (the hardware
+        // thread count; scripts/check_selfperf.py matches on it).
         w.key("buildType").value(SPMCOH_BUILD_TYPE);
         w.key("cores").value(std::uint64_t{cores});
         w.key("chips").value(std::uint64_t{chips});
-        w.key("simThreads").value(std::uint64_t{sim_threads});
-        // Worker threads only help when the host can actually run
-        // them: stamp the hardware thread count so baseline lookups
-        // (scripts/check_selfperf.py) never compare a parallel run
-        // on a wide host against one captured on a single-core box.
         const unsigned hw = std::thread::hardware_concurrency();
         w.key("hostThreads").value(std::uint64_t{hw ? hw : 1});
-        // Epoch window shape (partitioned runs): base width (0 =
-        // model default) and adaptive ceiling (0 = fixed window).
-        w.key("simWindow").value(std::uint64_t{sim_window});
-        w.key("simWindowMax").value(std::uint64_t{sim_window_max});
         w.key("experiments").beginArray();
         for (const char *wl : {"CG", "pipeline"}) {
-            const Sample s =
-                measure(wl, reps, cores, chips, sim_threads,
-                        sim_window, sim_window_max);
+            const Sample s = measure(wl, reps, cores, chips);
             w.beginObject();
             w.key("name").value(s.name);
             w.key("simCycles").value(s.simCycles);

@@ -3,8 +3,6 @@
 
 Usage: check_selfperf.py CANDIDATE.json [BASELINE.json]
            [--tolerance=FACTOR]
-       check_selfperf.py --parallel SERIAL.json PARALLEL.json
-           [--tolerance=FACTOR]
 
 CANDIDATE is a fresh ``bench_selfperf`` capture; BASELINE defaults to
 the repo-root ``BENCH_selfperf.json``. Each experiment (matched by
@@ -18,24 +16,16 @@ Improvements never fail.
 The baseline may be either a single capture (an object with an
 ``experiments`` array) or a trajectory (an object whose ``entries``
 array holds dated captures). Captures are stamped with their
-experiment shape (``cores``, ``simThreads``) and, since the PR 10
-captures, the machine shape (``hostThreads``): within a trajectory
-the reference is the LAST entry whose shape matches the candidate's,
-so a partitioned (simThreads > 0) capture gates against partitioned
-history — never against the monolithic event loop's numbers — and a
-run on a wide host never gates against a single-core box's wall
-clock (the PR 8 entries carried that caveat only in prose). When no
-entry matches the candidate's shape the last entry is used.
+experiment shape (``cores``) and the machine shape (``hostThreads``):
+within a trajectory the reference is the LAST entry whose shape
+matches the candidate's, so a run on a wide host never gates against
+a single-core box's wall clock. When no entry matches the candidate's
+shape the last entry is used.
 
-``--parallel`` compares two fresh captures of the same experiments —
-one monolithic (simThreads 0), one partitioned — and fails when the
-partitioned run is more than FACTOR times slower. This comparison
-uses wall time, not nsPerSimCycle: the partitioned core's windowed
-cross-region timing model can simulate a different cycle count for
-the same experiment (contended cross-region hops are priced
-contention-free), which would skew a per-cycle ratio. On multi-core
-machines the partitioned run should win outright; the tolerance
-keeps the gate meaningful on single-core CI runners.
+Trajectory entries captured on the retired partitioned engine carry a
+nonzero ``sim*`` execution stamp (its intra-run thread count or epoch
+window). They simulated a different machine, so they are never used
+as a reference.
 
 Exit status: 0 when every matched experiment is within tolerance,
 1 on any regression or missing experiment, 2 on malformed input.
@@ -57,14 +47,17 @@ def load(path):
 
 
 def shape_of(capture):
-    """(cores, simThreads, hostThreads) stamp of a capture.
+    """(cores, hostThreads) stamp of a capture.
 
-    None components mean the capture predates that stamp (cores and
-    simThreads arrived with PR 8, hostThreads with PR 10) and act as
+    None components mean the capture predates that stamp and act as
     wildcards during matching.
     """
-    return (capture.get("cores"), capture.get("simThreads"),
-            capture.get("hostThreads"))
+    return (capture.get("cores"), capture.get("hostThreads"))
+
+
+def partitioned(capture):
+    """True for a capture of the retired partitioned engine."""
+    return any(k.startswith("sim") and v for k, v in capture.items())
 
 
 def pick_entry(doc, path, want_shape=None):
@@ -74,7 +67,7 @@ def pick_entry(doc, path, want_shape=None):
     (ignoring None components), then the last entry outright.
     """
     if "entries" in doc:
-        entries = doc["entries"]
+        entries = [e for e in doc["entries"] if not partitioned(e)]
         if not entries:
             print(f"check_selfperf: {path} has no entries",
                   file=sys.stderr)
@@ -82,8 +75,7 @@ def pick_entry(doc, path, want_shape=None):
         doc = entries[-1]
         if want_shape is not None:
             def axis_ok(entry_v, want_v):
-                # Unstamped values (old captures, e.g. pre-simThreads
-                # or pre-hostThreads entries) act as wildcards on
+                # Unstamped values (old captures) act as wildcards on
                 # either side.
                 return (entry_v is None or want_v is None
                         or entry_v == want_v)
@@ -104,8 +96,7 @@ def experiments_of(capture):
     return {e["name"]: e for e in capture["experiments"]}
 
 
-def compare(base, cand, tolerance, base_desc,
-            metric="nsPerSimCycle", unit="ns/cycle"):
+def compare(base, cand, tolerance, base_desc):
     """Gate cand against base; returns True on any failure."""
     failed = False
     for name, b in sorted(base.items()):
@@ -114,11 +105,11 @@ def compare(base, cand, tolerance, base_desc,
             print(f"FAIL {name}: missing from candidate")
             failed = True
             continue
-        b_v = b[metric]
-        c_v = c[metric]
+        b_v = b["nsPerSimCycle"]
+        c_v = c["nsPerSimCycle"]
         limit = b_v * tolerance
         verdict = "FAIL" if c_v > limit else "ok"
-        print(f"{verdict:4} {name}: {c_v} {unit} vs {base_desc} "
+        print(f"{verdict:4} {name}: {c_v} ns/cycle vs {base_desc} "
               f"{b_v} (limit {limit:.0f})")
         if c_v > limit:
             failed = True
@@ -131,27 +122,7 @@ def main():
     ap.add_argument("baseline", nargs="?",
                     default="BENCH_selfperf.json")
     ap.add_argument("--tolerance", type=float, default=1.5)
-    ap.add_argument("--parallel", action="store_true",
-                    help="treat the two operands as fresh serial and "
-                         "partitioned captures of the same "
-                         "experiments")
     args = ap.parse_args()
-
-    if args.parallel:
-        serial_doc = pick_entry(load(args.candidate), args.candidate)
-        par_doc = pick_entry(load(args.baseline), args.baseline)
-        serial = experiments_of(serial_doc)
-        par = experiments_of(par_doc)
-        threads = par_doc.get("simThreads", "?")
-        failed = compare(serial, par, args.tolerance,
-                         f"serial (simThreads={threads} vs)",
-                         metric="wallUs", unit="us wall")
-        if failed:
-            print("check_selfperf: partitioned run is slower than "
-                  f"serial beyond the {args.tolerance}x tolerance",
-                  file=sys.stderr)
-            return 1
-        return 0
 
     cand_doc = pick_entry(load(args.candidate), args.candidate)
     base_doc = pick_entry(load(args.baseline), args.baseline,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build with warnings-as-errors, run the
 # full ctest suite, then smoke-test the spmcoh_run CLI (exercising
-# the thread-pool executor and JSON export on every push).
+# the thread-pool executor and JSON export on every push), then rerun
+# the suite under ASan+UBSan and the --jobs executor under TSan.
 # Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
 
@@ -55,6 +56,20 @@ echo "== result regression check (pipeline 64-core vs golden) =="
     --format=json --no-stats > "$BUILD_DIR"/pipeline64.json
 python3 scripts/diff_results.py "$BUILD_DIR"/pipeline64.json \
     tests/golden/pipeline64_smoke.json
+
+echo "== result regression check (CG 64-core vs golden) =="
+# The shape of the benchmark's cg-hybrid workload.
+"$BUILD_DIR"/spmcoh_run --workload=CG --cores=64 --jobs=1 \
+    --format=json --no-stats > "$BUILD_DIR"/cg64.json
+python3 scripts/diff_results.py "$BUILD_DIR"/cg64.json \
+    tests/golden/cg64_smoke.json
+
+echo "== result regression check (contend 64-core cache vs golden) =="
+# The shape of the benchmark's contend-cache workload.
+"$BUILD_DIR"/spmcoh_run --workload=contend --cores=64 --mode=cache \
+    --jobs=1 --format=json --no-stats > "$BUILD_DIR"/contend64cache.json
+python3 scripts/diff_results.py "$BUILD_DIR"/contend64cache.json \
+    tests/golden/contend64_cache_smoke.json
 
 echo "== result regression check (stencil 8-core vs golden) =="
 "$BUILD_DIR"/spmcoh_run --workload=stencil --cores=8 \
@@ -147,47 +162,10 @@ for run in 1b 4a 4b; do
         exit 1; }
 done
 
-echo "== determinism stress (sim-threads=1 vs 8, partitioned core) =="
-# The partitioned core must be byte-identical at every worker-thread
-# count: the region structure is derived from the topology and phase
-# graph alone, so thread scheduling can never leak into results.
-# The --chips=1,2 axis puts mandatory chip-boundary cuts under the
-# same gate, and --sim-window=auto exercises the adaptive epoch
-# window (its width sequence derives from simulation state only —
-# the 16-region cap and region skipping ride along at 8 threads).
-# (sim-threads >= 1 uses the windowed cross-region timing model and
-# is intentionally NOT compared against the monolithic goldens.)
-for st in 1 8; do
-    "$BUILD_DIR"/spmcoh_run --workload=gather,contend \
-        --protocol=spm-hybrid,mesi --scale=1.0,1.25 --cores=8 \
-        --chips=1,2 --jobs=2 --sim-threads="$st" \
-        --sim-window=auto --format=json --no-stats \
-        > "$BUILD_DIR"/determinism_st"$st".json
-done
-cmp "$BUILD_DIR"/determinism_st1.json \
-    "$BUILD_DIR"/determinism_st8.json || {
-    echo "determinism stress: sim-threads=8 diverged from =1"
-    exit 1; }
-
 echo "== selfperf regression gate (loose tolerance) =="
 "$BUILD_DIR"/bench_selfperf --reps=3 \
     --out="$BUILD_DIR"/selfperf.json
 python3 scripts/check_selfperf.py "$BUILD_DIR"/selfperf.json
-
-echo "== partitioned selfperf gate (parallel not slower) =="
-# Same experiment pair, monolithic vs partitioned, compared on wall
-# time (the windowed timing model simulates a different cycle count,
-# so per-cycle numbers do not line up). One sim thread isolates the
-# partitioned machinery's cost from host-dependent thread scaling —
-# runner core counts vary, and a single-core runner can only lose
-# from extra threads. Thread scaling itself is tracked by the
-# recorded BENCH_selfperf.json entries, not hard-gated here. The
-# adaptive window is the recommended partitioned configuration, so
-# the gate runs it (sharded delivery + window adaptation included).
-"$BUILD_DIR"/bench_selfperf --reps=3 --sim-threads=1 \
-    --sim-window=auto --out="$BUILD_DIR"/selfperf_par.json
-python3 scripts/check_selfperf.py --parallel --tolerance=1.5 \
-    "$BUILD_DIR"/selfperf.json "$BUILD_DIR"/selfperf_par.json
 
 echo "== large-mesh smoke test (256 cores, 16x16) =="
 "$BUILD_DIR"/spmcoh_run --workload=CG --cores=256 --jobs=auto \
@@ -195,38 +173,31 @@ echo "== large-mesh smoke test (256 cores, 16x16) =="
 grep -q '"cores":256' "$BUILD_DIR"/smoke256.json
 grep -q '"meshWidth":16' "$BUILD_DIR"/smoke256.json
 
-echo "== 16-region determinism (256 cores, sim-threads=1 vs 8) =="
-# A 16x16 mesh is the smallest machine that actually reaches the
-# raised defaultMaxRegions=16 cap (one cut every row); the 2-chip
-# point splits the same budget over two 16x8 chips with a mandatory
-# chip-boundary cut. Both must be byte-identical at 1 vs 8 worker
-# threads under the adaptive window.
-for st in 1 8; do
-    "$BUILD_DIR"/spmcoh_run --workload=CG --cores=256 --chips=1,2 \
-        --sim-threads="$st" --sim-window=auto --format=json \
-        --no-stats > "$BUILD_DIR"/determinism256_st"$st".json
-done
-cmp "$BUILD_DIR"/determinism256_st1.json \
-    "$BUILD_DIR"/determinism256_st8.json || {
-    echo "16-region determinism: sim-threads=8 diverged from =1"
-    exit 1; }
+echo "== ASan+UBSan build + full test suite =="
+# Memory and undefined-behaviour errors abort the test that hits them.
+# Excluded: the 128-core sharer-bit shift in DirectorySlice (ROADMAP
+# open item 1) trips UBSan in this one test until it is fixed.
+ASAN_DIR="$BUILD_DIR-asan"
+SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+cmake -B "$ASAN_DIR" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="$SAN_FLAGS -fno-omit-frame-pointer" \
+    -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
+cmake --build "$ASAN_DIR" -j "$(nproc)"
+GTEST_FILTER='-ExperimentTopology.LargeMeshJsonByteIdenticalAcrossWorkers' \
+    ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== ThreadSanitizer build + partitioned-core tests =="
-# TSan watches the epoch workers race-free end to end: the region
-# test suite plus partitioned CLI runs covering the sharded-delivery
-# merge — concurrent per-region inbox drains under the adaptive
-# window, single- and multi-chip. Scoped to the partitioned core
-# rather than the full suite to keep CI wall-clock bounded.
+echo "== ThreadSanitizer build + --jobs executor =="
+# The only threads left are the --jobs sweep workers: TSan runs the
+# executor tests and the jobs=4 determinism sweep.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPMCOH_TSAN=ON
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-    --target test_regions spmcoh_run
-"$TSAN_DIR"/test_regions
-"$TSAN_DIR"/spmcoh_run --workload=contend --cores=8 \
-    --sim-threads=4 --format=json --no-stats > /dev/null
-"$TSAN_DIR"/spmcoh_run --workload=gather --cores=8 --chips=2 \
-    --sim-threads=8 --sim-window=auto --format=json --no-stats \
-    > /dev/null
+    --target test_executor spmcoh_run
+"$TSAN_DIR"/test_executor
+"$TSAN_DIR"/spmcoh_run --workload=gather,contend \
+    --protocol=spm-hybrid,mesi --cores=8 --chips=1,2 --jobs=4 \
+    --format=json --no-stats > /dev/null
 echo "ok"

@@ -9,20 +9,12 @@
  * an offset (position inside the chunk) with two mask registers.
  * Fork-join parallelism guarantees all threads run with the same
  * buffer size, so one global configuration is valid chip-wide.
- *
- * That same guarantee is what makes the register safe under the
- * partitioned simulation core: every core programs the identical
- * value at a loop boundary, so concurrent set() calls from region
- * workers are same-value stores. The state is a single relaxed
- * atomic (the masks are derived on read), so those stores are
- * race-free without imposing any cross-region ordering that could
- * perturb determinism.
+ * Only the buffer size is stored; the masks are derived on read.
  */
 
 #ifndef SPMCOH_COHERENCE_BUFFERCONFIG_HH
 #define SPMCOH_COHERENCE_BUFFERCONFIG_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "sim/Logging.hh"
@@ -43,11 +35,10 @@ class BufferConfig
     {
         if (log2_bytes < lineShift || log2_bytes > 30)
             fatal("BufferConfig: unsupported buffer size");
-        log2.store(log2_bytes, std::memory_order_relaxed);
+        log2 = log2_bytes;
     }
 
-    std::uint32_t log2Bytes() const
-    { return log2.load(std::memory_order_relaxed); }
+    std::uint32_t log2Bytes() const { return log2; }
     std::uint64_t bytes() const { return Addr(1) << log2Bytes(); }
 
     /** GM base address of the chunk containing @p a. */
@@ -59,7 +50,7 @@ class BufferConfig
   private:
     Addr offMask() const { return (Addr(1) << log2Bytes()) - 1; }
 
-    std::atomic<std::uint32_t> log2{lineShift};
+    std::uint32_t log2 = lineShift;
 };
 
 } // namespace spmcoh

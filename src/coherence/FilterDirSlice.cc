@@ -168,16 +168,11 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
     const Tick probe_arrive = fanOutLatency + p.probeLatency;
 
     Message *pm = net.msgPool().acquire(msg);
-    // The evaluation walks every core's SPMDir CAM — cross-region
-    // state — so it goes through deferCross: a plain schedule when
-    // monolithic, a canonically-ordered merge operation when
-    // partitioned.
-    net.deferCross(net.events().now() + probe_arrive,
-                   [this, pm, base, resp_delay = fanOutLatency] {
+    net.events().scheduleIn(probe_arrive,
+                            [this, pm, base, resp_delay = fanOutLatency] {
         const Message &req = *pm;
         // Every other core's SPMDir is probed; the per-core probe
-        // counters are derived from this tally after the run. It is
-        // bumped here, where both engines are single-threaded.
+        // counters are derived from this tally after the run.
         ++fab.broadcastsBy[req.requestor];
         // Evaluate the SPMDir CAMs at probe-arrival time: the
         // lowest-id non-requestor owner serves. A core whose
@@ -202,9 +197,8 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
                 fab.config.offset(req.addr));
             const std::uint8_t size =
                 static_cast<std::uint8_t>(req.aux & 0xff);
-            // Touches the owner's SPM — another region's state —
-            // so this leg also routes through deferCross.
-            net.deferCross(net.events().now() + 1,
+            // The owner's SPM serves the access one cycle later.
+            net.events().scheduleIn(1,
                     [this, own = owner, spm_off, size,
                      addr = req.addr, aux = req.aux,
                      requestor = req.requestor,
@@ -228,10 +222,7 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
                          TrafficClass::CohProt);
             });
             // Informational NACK: the filter must not cache the base.
-            // Slice-local follow-up: schedule it on this slice's own
-            // queue (events() would name the merge thread's region
-            // when the evaluation runs at an epoch merge).
-            net.queueFor(tile).scheduleIn(resp_delay,
+            net.events().scheduleIn(resp_delay,
                     [this, base, requestor = req.requestor,
                      addr = req.addr, aux = req.aux] {
                 sendToCore(requestor, MsgType::FilterCheckNack,
@@ -240,9 +231,8 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
             });
         } else {
             // Fig. 5c: nobody maps it; install and ACK after all
-            // NACK responses are in. Slice-local, so again the
-            // slice's own queue.
-            net.queueFor(tile).scheduleIn(resp_delay,
+            // NACK responses are in.
+            net.events().scheduleIn(resp_delay,
                     [this, base, requestor = req.requestor,
                      aux = req.aux] {
                 // insertAndAck releases the base serialization once

@@ -19,10 +19,8 @@
  * (ownerKeepsDirtyOnGetS) and update-based protocols never shrink
  * the sharer set on writes (updateBased).
  *
- * Determinism: service() is called only from the monolithic event
- * loop or from the single-threaded epoch merge (chip boundaries are
- * always region boundaries in partitioned runs), so the agent's
- * state needs no locking.
+ * service() is called only from the System's event loop, so the
+ * agent's state needs no locking.
  */
 
 #ifndef SPMCOH_COHERENCE_HOMEAGENT_HH

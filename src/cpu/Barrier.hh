@@ -41,54 +41,25 @@ class Barrier
             fatal("Barrier: zero parties");
     }
 
-    /** Arrive; @p cb runs when the last party arrives. */
+    /**
+     * Arrive; @p cb runs when the last party arrives. The release is
+     * one event, releaseLatency after the last arrival, that runs
+     * every waiter's callback in arrival order. Arrivals after a
+     * release count toward the next generation.
+     */
     void
     arrive(std::function<void()> cb)
     {
-        arrive(eq, std::move(cb));
-    }
-
-    /**
-     * Queue-aware arrival for the partitioned core: @p cb is
-     * released on @p q (the waiter's region queue). The release
-     * schedules one event per distinct queue, in first-appearance
-     * order, each running its queue's callbacks in arrival order —
-     * so a monolithic run (one queue) schedules exactly the
-     * historical single event, and a partitioned run wakes every
-     * region at the same release tick. Partitioned arrivals happen
-     * at the single-threaded epoch merge, where every region queue
-     * sits at the same horizon; scheduling relative to each queue's
-     * now() therefore releases all waiters at one simulated tick.
-     */
-    void
-    arrive(EventQueue &q, std::function<void()> cb)
-    {
-        waiting.push_back(Waiter{&q, std::move(cb)});
+        waiting.push_back(std::move(cb));
         if (waiting.size() == parties) {
-            std::vector<Waiter> release;
+            std::vector<std::function<void()>> release;
             release.swap(waiting);
             ++generationCount;
-            std::vector<EventQueue *> queues;
-            for (const Waiter &w : release) {
-                bool seen = false;
-                for (EventQueue *known : queues)
-                    seen = seen || known == w.q;
-                if (!seen)
-                    queues.push_back(w.q);
-            }
-            for (EventQueue *rq : queues) {
-                std::vector<std::function<void()>> cbs;
-                for (Waiter &w : release)
-                    if (w.q == rq)
-                        cbs.push_back(std::move(w.cb));
-                rq->scheduleIn(releaseLatency,
-                               [cbs = std::move(cbs)] {
-                    for (const auto &f : cbs)
-                        f();
-                });
-            }
-        } else if (waiting.size() > parties) {
-            panic("Barrier: too many arrivals");
+            eq.scheduleIn(releaseLatency,
+                          [release = std::move(release)] {
+                for (const auto &f : release)
+                    f();
+            });
         }
     }
 
@@ -101,16 +72,10 @@ class Barrier
     Tick latency() const { return releaseLatency; }
 
   private:
-    struct Waiter
-    {
-        EventQueue *q;
-        std::function<void()> cb;
-    };
-
     EventQueue &eq;
     std::uint32_t parties;
     Tick releaseLatency;
-    std::vector<Waiter> waiting;
+    std::vector<std::function<void()>> waiting;
     std::uint64_t generationCount = 0;
 };
 

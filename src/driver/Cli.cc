@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
-#include <thread>
 
 #include "cpu/CoreModel.hh"
 #include "protocols/ProtocolFactory.hh"
@@ -98,22 +97,6 @@ cliUsage(const std::string &prog)
         "                    across-run parallelism; each point is\n"
         "                    still one simulation ('auto' = hardware\n"
         "                    threads; default 1)\n"
-        "  --sim-threads=N   worker threads inside each simulation\n"
-        "                    (partitioned core; 'auto' = hardware\n"
-        "                    threads, capped by the machine's region\n"
-        "                    count; default 0 = classic monolithic\n"
-        "                    event loop). Results are byte-identical\n"
-        "                    for every N >= 1. Composes with --jobs:\n"
-        "                    total threads ~ jobs x sim-threads\n"
-        "  --sim-window=W    epoch window for the partitioned core:\n"
-        "                    a fixed tick count, or 'auto' for the\n"
-        "                    adaptive window (starts at the model\n"
-        "                    default, doubles over quiet epochs up\n"
-        "                    to 128 ticks, snaps back on the first\n"
-        "                    cross-region deferral). Needs\n"
-        "                    --sim-threads >= 1; the window sequence\n"
-        "                    is a pure function of simulation state,\n"
-        "                    so any thread count stays byte-identical\n"
         "  --format=F        table | csv | json (default: table)\n"
         "  --out=FILE        write results to FILE instead of stdout\n"
         "  --title=STR       report title (default: generated)\n"
@@ -177,9 +160,6 @@ parseCli(const std::vector<std::string> &args,
     std::vector<std::pair<std::string, std::vector<double>>>
         wparamAxes;
     bool sawWorkload = false;
-    bool sawSimWindow = false;
-    /** --sim-window=auto ceiling (ISSUE 10: bounded, 128 ticks). */
-    constexpr Tick autoSimWindowMax = 128;
 
     opt.sweep.modes.clear();
     opt.sweep.coreCounts.clear();
@@ -346,44 +326,6 @@ parseCli(const std::vector<std::string> &args,
                 else
                     opt.jobs = static_cast<std::uint32_t>(*n);
             }
-        } else if ((v = flagValue(arg, "--sim-threads"))) {
-            if (*v == "auto") {
-                // The System clamps to its region count, so "all
-                // hardware threads" is a safe upper bound here.
-                const unsigned hw =
-                    std::thread::hardware_concurrency();
-                opt.sweep.simThreads = hw ? hw : 1;
-            } else {
-                const auto n = parseUint(*v);
-                if (!n)
-                    errs.push_back(
-                        "bad sim-thread count '" + *v +
-                        "' (expected a non-negative integer or "
-                        "'auto'; 0 = monolithic)");
-                else
-                    opt.sweep.simThreads =
-                        static_cast<std::uint32_t>(*n);
-            }
-        } else if ((v = flagValue(arg, "--sim-window"))) {
-            if (*v == "auto") {
-                // Adaptive: base width stays at the model default;
-                // quiet epochs double it up to the ceiling.
-                opt.sweep.simWindow = 0;
-                opt.sweep.simWindowMax = autoSimWindowMax;
-                sawSimWindow = true;
-            } else {
-                const auto n = parseUint(*v);
-                if (!n || *n == 0)
-                    errs.push_back(
-                        "bad sim-window width '" + *v +
-                        "' (expected a positive tick count or "
-                        "'auto')");
-                else {
-                    opt.sweep.simWindow = static_cast<Tick>(*n);
-                    opt.sweep.simWindowMax = 0;
-                    sawSimWindow = true;
-                }
-            }
         } else if ((v = flagValue(arg, "--format"))) {
             const auto f = resultFormatFromName(*v);
             if (!f)
@@ -411,10 +353,6 @@ parseCli(const std::vector<std::string> &args,
                        "--workload=all)");
     else if (opt.sweep.workloads.empty())
         errs.push_back("--workload lists no workloads");
-
-    if (sawSimWindow && opt.sweep.simThreads == 0)
-        errs.push_back("--sim-window configures the partitioned "
-                       "core; add --sim-threads=N (N >= 1)");
 
     if (opt.sweep.farMemLat > 0) {
         // expand() drops the far tier from single-chip points, so a

@@ -12,7 +12,6 @@
 #include "compiler/Compiler.hh"
 #include "runtime/Layout.hh"
 #include "sim/Logging.hh"
-#include "system/RegionMap.hh"
 
 namespace spmcoh
 {
@@ -207,16 +206,6 @@ validateExperiment(const ExperimentSpec &spec,
                        "multi-chip fabric (chips >= 2)");
     if (!(spec.scale > 0.0) || !std::isfinite(spec.scale))
         errs.push_back("workload scale must be positive and finite");
-    if ((spec.simWindow > 0 || spec.simWindowMax > 0) &&
-        spec.simThreads == 0)
-        errs.push_back("simWindow configures the partitioned core; "
-                       "it needs simThreads >= 1");
-    if (spec.simWindowMax > 0 && spec.simWindow > 0 &&
-        spec.simWindowMax < spec.simWindow)
-        errs.push_back("adaptive window ceiling (" +
-                       std::to_string(spec.simWindowMax) +
-                       ") is below the base width (" +
-                       std::to_string(spec.simWindow) + ")");
 
     if (spec.paramsOverride) {
         // An override carries its own topology; it must have been
@@ -285,25 +274,6 @@ runExperiment(const ExperimentSpec &spec, const WorkloadRegistry &reg,
         local = prepareProgram(prog, spec.cores,
                                out.params.spmBytes);
         prepared = &local;
-    }
-
-    // The partitioned core is an execution knob: stamp the thread
-    // count and the phase-graph-aligned region cuts onto the
-    // resolved params after resolution so they never differ between
-    // sweep points that share a spec. Results are byte-identical
-    // for every simThreads >= 1 (and differ from 0 only by the
-    // documented windowed cross-region timing model).
-    if (spec.simThreads > 0) {
-        out.params.simThreads = spec.simThreads;
-        out.params.regionCuts = deriveRegionCuts(
-            out.params.mesh.width, out.params.mesh.height,
-            defaultMaxRegions,
-            prepared->schedule.regionCutCandidates(),
-            out.params.mesh.chips);
-        if (spec.simWindow > 0)
-            out.params.simWindowTicks = spec.simWindow;
-        if (spec.simWindowMax > 0)
-            out.params.simWindowMaxTicks = spec.simWindowMax;
     }
 
     System sys(out.params);

@@ -98,27 +98,6 @@ struct ExperimentSpec
     /** Label for a parameter variant in sweeps ("" = baseline). */
     std::string variant;
     /**
-     * Intra-run simulation worker threads (SystemParams::simThreads).
-     * Deliberately excluded from label() and result serialization:
-     * any value >= 1 produces byte-identical output (the partition
-     * is derived from topology and phase graph, never from the
-     * thread count), so it is an execution knob, not an axis.
-     */
-    std::uint32_t simThreads = 0;
-    /**
-     * Epoch window width for partitioned runs (simThreads >= 1):
-     * SystemParams::simWindowTicks, and — when simWindowMax is also
-     * set — the adaptive ceiling simWindowMaxTicks. 0 keeps the
-     * model defaults. Like simThreads these are execution knobs,
-     * excluded from label() and serialization: the window sequence
-     * is a pure function of simulation state, so for a *given*
-     * window configuration every thread count produces identical
-     * output (different window widths are different timing models,
-     * though — callers comparing runs must hold the window fixed).
-     */
-    Tick simWindow = 0;
-    Tick simWindowMax = 0;
-    /**
      * Replaces the derived defaults when set. The mode is always
      * taken from the spec field above; the override must have been
      * built for exactly `cores` cores (its mesh and memory
@@ -261,24 +240,6 @@ class ExperimentBuilder
     variant(const std::string &name)
     {
         s.variant = name;
-        return *this;
-    }
-
-    /** Intra-run simulation worker threads (0 = monolithic). */
-    ExperimentBuilder &
-    simThreads(std::uint32_t n)
-    {
-        s.simThreads = n;
-        return *this;
-    }
-
-    /** Epoch window width (and adaptive ceiling) for partitioned
-     *  runs; 0 keeps the model defaults. */
-    ExperimentBuilder &
-    simWindow(Tick base, Tick max = 0)
-    {
-        s.simWindow = base;
-        s.simWindowMax = max;
         return *this;
     }
 

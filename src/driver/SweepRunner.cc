@@ -85,9 +85,6 @@ SweepRunner::expand(const SweepSpec &sweep) const
                         e.scale = s;
                         e.wparams = wp;
                         e.variant = v.name;
-                        e.simThreads = sweep.simThreads;
-                        e.simWindow = sweep.simWindow;
-                        e.simWindowMax = sweep.simWindowMax;
                         // Validate before resolving: the tweak
                         // needs resolvedParams, which derives a
                         // topology only defined for tileable core

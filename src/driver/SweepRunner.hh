@@ -53,21 +53,6 @@ struct SweepSpec
     /** Empty = single un-tweaked baseline point. */
     std::vector<SweepVariant> variants;
     /**
-     * Intra-run simulation worker threads, stamped onto every
-     * expanded spec (ExperimentSpec::simThreads). Not an axis:
-     * results are byte-identical for every value >= 1. Distinct from
-     * the executor's sweep-point parallelism (--jobs).
-     */
-    std::uint32_t simThreads = 0;
-    /**
-     * Epoch window width / adaptive ceiling for partitioned runs,
-     * stamped onto every expanded spec (ExperimentSpec::simWindow /
-     * simWindowMax); 0 keeps the model defaults. Not an axis, same
-     * rationale as simThreads.
-     */
-    Tick simWindow = 0;
-    Tick simWindowMax = 0;
-    /**
      * Pooled far-memory tier, stamped onto every expanded spec
      * (ExperimentSpec::farMemLat/farMemBw); meaningful only with a
      * chips >= 2 point on the chip axis. Not an axis itself.

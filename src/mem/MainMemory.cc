@@ -84,19 +84,15 @@ MemCtrl::servePooled(const Message &msg, bool is_write)
         resp.data = mem.readLine(msg.addr);
     const CoreId dst = msg.src;
     Message *pm = net.msgPool().acquire(resp);
-    // The pool's next-free slot is shared by every controller on
-    // every chip, so the reservation is routed through deferCross:
-    // monolithic runs execute it inline at the same tick, partitioned
-    // runs at the single-threaded epoch merge in canonical order.
+    // The far pool's queue is shared by every controller on every
+    // chip; it is reserved from a same-tick event, so requests queue
+    // in event order.
     const Tick at = eq.now();
-    net.deferCross(at, [this, pm, dst, at, is_write] {
-        Tick done = pool->serviceAt(at, is_write);
+    eq.schedule(at, [this, pm, dst, at, is_write] {
+        const Tick done = pool->serviceAt(at, is_write);
         if (HomeAgent *ha = net.homeAgent())
             ha->notePool(is_write);
-        EventQueue &q = net.queueFor(tile);
-        if (done < q.now())
-            done = q.now();
-        q.schedule(done, [this, pm, dst] {
+        eq.schedule(done, [this, pm, dst] {
             net.send(tile, Endpoint::Dir, dst, *pm, pm->cls);
             net.msgPool().release(pm);
         });

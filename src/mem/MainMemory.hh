@@ -7,24 +7,13 @@
  * writes with a fixed access latency plus a bandwidth-limited service
  * slot (one line per serviceCycles), modeling DDR contention at the
  * level the evaluation needs.
- *
- * The store is the one structure memory controllers in different
- * regions of a partitioned run share, so it is sharded by line
- * address with a mutex per shard. The locks protect only the hash
- * map structure (rehashes, bucket chains); per-line *value* ordering
- * needs none, because every line is served by exactly one controller
- * — the static nearestMemCtrl of the line's home directory slice —
- * and a controller's events all execute on one region's thread.
  */
 
 #ifndef SPMCOH_MEM_MAINMEMORY_HH
 #define SPMCOH_MEM_MAINMEMORY_HH
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "mem/Messages.hh"
 #include "sim/EventQueue.hh"
@@ -43,21 +32,15 @@ class MainMemory
     LineData
     readLine(Addr line_addr) const
     {
-        const Addr la = lineAlign(line_addr);
-        const Shard &s = shards[shardOf(la)];
-        std::lock_guard<std::mutex> lock(s.mtx);
-        auto it = s.lines.find(la);
-        return it == s.lines.end() ? LineData{} : it->second;
+        auto it = lines.find(lineAlign(line_addr));
+        return it == lines.end() ? LineData{} : it->second;
     }
 
     /** Write a full line. */
     void
     writeLine(Addr line_addr, const LineData &d)
     {
-        const Addr la = lineAlign(line_addr);
-        Shard &s = shards[shardOf(la)];
-        std::lock_guard<std::mutex> lock(s.mtx);
-        s.lines[la] = d;
+        lines[lineAlign(line_addr)] = d;
     }
 
     /** Functional 64-bit read (tests / reference model). */
@@ -76,33 +59,10 @@ class MainMemory
         writeLine(addr, d);
     }
 
-    std::size_t
-    linesTouched() const
-    {
-        std::size_t n = 0;
-        for (const Shard &s : shards) {
-            std::lock_guard<std::mutex> lock(s.mtx);
-            n += s.lines.size();
-        }
-        return n;
-    }
+    std::size_t linesTouched() const { return lines.size(); }
 
   private:
-    struct Shard
-    {
-        mutable std::mutex mtx;
-        std::unordered_map<Addr, LineData> lines;
-    };
-
-    static constexpr std::size_t numShards = 64;
-
-    static std::size_t
-    shardOf(Addr line_addr)
-    {
-        return (line_addr >> lineShift) & (numShards - 1);
-    }
-
-    std::array<Shard, numShards> shards;
+    std::unordered_map<Addr, LineData> lines;
 };
 
 /** Memory controller timing parameters. */
@@ -133,10 +93,8 @@ struct PooledMemoryParams
  * instead of local DRAM timing. Functional data still lives in
  * MainMemory — the pool only prices the access.
  *
- * Determinism: serviceAt() mutates one shared next-free slot, so it
- * is only ever called from the monolithic event loop or from the
- * single-threaded epoch merge (controllers route pooled accesses
- * through MemNet::deferCross).
+ * serviceAt() mutates one next-free slot shared by every controller
+ * on every chip, so requests queue in event order.
  */
 class PooledMemory
 {

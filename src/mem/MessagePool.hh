@@ -12,15 +12,9 @@
  * owning fabric dies, and recycles LIFO — all of which keeps its
  * behavior deterministic run-to-run. Nothing may key on the pointer
  * values themselves. A fresh System gets fresh pools, which is what
- * resets all slots between sweep experiments.
- *
- * A partitioned System keeps one pool per region, selected through
- * MemNet::msgPool(), and only the thread currently driving a region
- * (or the single-threaded epoch merge) touches that region's pool —
- * so no instance is ever accessed concurrently. Slots may migrate
- * between same-fabric pools when a cross-region delivery releases
- * into the destination's freelist; chunks stay owned by the pool
- * that allocated them, so lifetimes are unaffected.
+ * resets all slots between sweep experiments. A pool belongs to one
+ * System, so it is only ever touched by the thread running that
+ * System's event loop.
  */
 
 #ifndef SPMCOH_MEM_MESSAGEPOOL_HH

@@ -17,10 +17,8 @@
  *
  * Both link directions keep a next-free serialization slot, exactly
  * like the mesh's per-link reservation, so bursty cross-chip phases
- * queue realistically. Every reservation is made either from the
- * monolithic event loop or from the single-threaded epoch merge
- * (chip boundaries are always region boundaries in partitioned
- * runs), so the state needs no locking and stays deterministic.
+ * queue realistically. Every reservation is made from the System's
+ * event loop, so the state needs no locking and stays deterministic.
  */
 
 #ifndef SPMCOH_NOC_INTERCHIPLINK_HH

@@ -23,7 +23,6 @@
 #include "noc/Traffic.hh"
 #include "sim/EventQueue.hh"
 #include "sim/Logging.hh"
-#include "sim/Region.hh"
 #include "sim/Types.hh"
 
 namespace spmcoh
@@ -155,25 +154,10 @@ class Mesh
     send(CoreId src, CoreId dst, TrafficClass cls, std::uint32_t bytes,
          EventQueue::Callback onArrive)
     {
-        return sendOn(eq, src, dst, cls, bytes, std::move(onArrive));
-    }
-
-    /**
-     * Region-aware send: reserve from @p q's current time and
-     * schedule the delivery into @p q. The partitioned fabric uses
-     * this for intra-region packets — both endpoints sit in one row
-     * band, so the XY route touches only that band's links and the
-     * link state stays region-confined. The monolithic send() is the
-     * q == global-queue special case.
-     */
-    Tick
-    sendOn(EventQueue &q, CoreId src, CoreId dst, TrafficClass cls,
-           std::uint32_t bytes, EventQueue::Callback onArrive)
-    {
-        const Tick arrive = reserveFrom(q.now(), src, dst, bytes);
+        const Tick arrive = reserveFrom(eq.now(), src, dst, bytes);
         account(src, dst, cls, bytes);
         if (onArrive)
-            q.schedule(arrive, std::move(onArrive));
+            eq.schedule(arrive, std::move(onArrive));
         return arrive;
     }
 
@@ -188,11 +172,9 @@ class Mesh
     account(CoreId src, CoreId dst, TrafficClass cls,
             std::uint32_t bytes)
     {
-        TrafficCounters &c = regional.empty()
-            ? counters : regional[tlsExecRegion];
-        c.add(cls, 1, bytes,
-              static_cast<std::uint64_t>(flits(bytes)) *
-              hops(src, dst));
+        counters.add(cls, 1, bytes,
+                     static_cast<std::uint64_t>(flits(bytes)) *
+                         hops(src, dst));
     }
 
     /**
@@ -289,8 +271,7 @@ class Mesh
      * @p bytes long. Charges exactly what 2(n-1) account() calls
      * would — packets, bytes and flits x hops — in one add. The
      * round-trip hop sum over [0, n) is built on @p src's first
-     * broadcast; only @p src's own broadcasts touch its entry, so
-     * partitioned regions never share one.
+     * broadcast and reused while @p n stays the same.
      */
     void
     accountBroadcast(CoreId src, CoreId skip, std::uint32_t n,
@@ -309,56 +290,12 @@ class Mesh
             legs -= 2;
             hop_sum -= hops(src, skip) + hops(skip, src);
         }
-        TrafficCounters &c = regional.empty()
-            ? counters : regional[tlsExecRegion];
-        c.add(cls, legs, legs * bytes,
-              static_cast<std::uint64_t>(flits(bytes)) * hop_sum);
+        counters.add(cls, legs, legs * bytes,
+                     static_cast<std::uint64_t>(flits(bytes)) * hop_sum);
     }
 
     const TrafficCounters &traffic() const { return counters; }
     void resetTraffic() { counters = TrafficCounters{}; }
-
-    /**
-     * Partitioned-mode setup: give every region (plus the merge
-     * thread, which attributes as region 0) its own traffic counter
-     * set. Sums are commutative, so after foldRegionalTraffic() the
-     * totals are independent of worker count and interleaving.
-     */
-    void
-    setNumRegions(std::uint32_t r)
-    {
-        regional.assign(r, TrafficCounters{});
-    }
-
-    /** Fold per-region counters into the main set after a run. */
-    void
-    foldRegionalTraffic()
-    {
-        for (TrafficCounters &c : regional) {
-            counters.merge(c);
-            c = TrafficCounters{};
-        }
-    }
-
-    /**
-     * Merge-time point-to-point ordering for cross-region packets:
-     * bump @p t past the last delivery of the (src, dst) pair. The
-     * pair state is shared with reserveFrom(), which is sound
-     * because a given pair is either always intra-region (both
-     * tiles in one band, touched only by that band's worker) or
-     * always cross-region (touched only by the single-threaded
-     * epoch merge).
-     */
-    Tick
-    orderedDelivery(CoreId src, CoreId dst, Tick t)
-    {
-        Tick &last = lastDelivery[static_cast<std::size_t>(src) *
-                                      numTiles() + dst];
-        if (t <= last)
-            t = last + 1;
-        last = t;
-        return t;
-    }
 
     /**
      * Contended walk of one on-chip leg of a crossing (both tiles on
@@ -460,6 +397,21 @@ class Mesh
         return t;
     }
 
+    /**
+     * Point-to-point ordering: bump @p t past the last delivery of
+     * the (src, dst) pair and record it as the pair's new last.
+     */
+    Tick
+    orderedDelivery(CoreId src, CoreId dst, Tick t)
+    {
+        Tick &last = lastDelivery[static_cast<std::size_t>(src) *
+                                      numTiles() + dst];
+        if (t <= last)
+            t = last + 1;
+        last = t;
+        return t;
+    }
+
     /** Walk the XY path reserving link slots; returns delivery tick. */
     Tick
     reserveFrom(Tick now, CoreId src, CoreId dst, std::uint32_t bytes)
@@ -491,8 +443,6 @@ class Mesh
     /** One link per chip, chip-indexed (empty when chips == 1). */
     std::vector<std::unique_ptr<InterChipLink>> icLinks;
     TrafficCounters counters;
-    /** Per-region counter sets (empty = monolithic). */
-    std::vector<TrafficCounters> regional;
 };
 
 } // namespace spmcoh

@@ -70,18 +70,6 @@ struct TrafficCounters
         flitHops += flit_hops;
     }
 
-    /** Fold another counter set in (commutative, so per-region
-     *  partial sums merge to a thread-count-independent total). */
-    void
-    merge(const TrafficCounters &o)
-    {
-        for (std::size_t i = 0; i < numTrafficClasses; ++i) {
-            packets[i] += o.packets[i];
-            bytes[i] += o.bytes[i];
-        }
-        flitHops += o.flitHops;
-    }
-
     std::uint64_t
     totalPackets() const
     {

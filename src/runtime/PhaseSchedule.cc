@@ -205,19 +205,4 @@ PhaseSchedule::stepsFor(std::uint32_t core) const
     return out;
 }
 
-std::vector<std::uint32_t>
-PhaseSchedule::regionCutCandidates() const
-{
-    std::vector<std::uint32_t> out;
-    out.push_back(0);
-    out.push_back(cores);
-    for (const PhaseBarrier &b : barriers) {
-        out.push_back(b.loCore);
-        out.push_back(b.hiCore + 1);
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-}
-
 } // namespace spmcoh

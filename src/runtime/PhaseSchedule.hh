@@ -116,15 +116,6 @@ class PhaseSchedule
     /** Total dependency edges in the (lowered) graph. */
     std::uint32_t numEdges() const { return edges; }
 
-    /**
-     * Core indices at which some kernel's membership span begins or
-     * ends — the natural places to cut the machine into simulation
-     * regions, because cores on opposite sides of such a boundary
-     * interact mostly through phase barriers. Sorted, deduplicated,
-     * and always containing 0 and numCores().
-     */
-    std::vector<std::uint32_t> regionCutCandidates() const;
-
   private:
     std::uint32_t cores = 0;
     std::uint32_t steps_ = 1;

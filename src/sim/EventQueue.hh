@@ -111,38 +111,6 @@ class EventQueue
         return true;
     }
 
-    /**
-     * Earliest pending tick, or maxTick when the queue is empty.
-     * Used by the partitioned run loop to pick the next epoch
-     * horizon across regions.
-     */
-    Tick
-    nextTick() const
-    {
-        return pending() == 0 ? maxTick : nextEventTick();
-    }
-
-    /**
-     * Run every event strictly before @p end, then advance now() to
-     * @p end. Events scheduled exactly at @p end stay pending (they
-     * belong to the next window), so a region stopped at an epoch
-     * horizon can still accept merged cross-region deliveries at
-     * that horizon.
-     * @pre end >= now()
-     */
-    void
-    runUntil(Tick end)
-    {
-        while (pending() != 0) {
-            const Tick next = nextEventTick();
-            if (next >= end)
-                break;
-            advanceTo(next);
-            drainBucket(next & ringMask);
-        }
-        advanceTo(end);
-    }
-
     /** Execute a single event; returns false if none pending. */
     bool
     step()

@@ -58,7 +58,7 @@ fatal(const std::string &msg)
  * Serializes warn()/inform() lines. Each helper formats its whole
  * line in a single stdio call (which glibc already serializes), but
  * the explicit lock makes the no-interleaving guarantee independent
- * of the C library — region worker threads may warn concurrently.
+ * of the C library — --jobs workers may warn concurrently.
  */
 inline std::mutex &
 loggingMutex()

@@ -4,15 +4,9 @@
  *
  * Every workload thread seeds its own Rng from (benchmark seed, core
  * id, kernel id) so simulations are bit-reproducible regardless of
- * event interleaving.
- *
- * Thread-safety under the partitioned simulation core: an Rng
- * instance is mutable state and must stay confined to one region.
- * The only simulator-owned instances live in per-core kernel sources
- * (KernelSource), and a core's events execute exclusively on the
- * thread currently driving its region, so per-core streams are
- * per-region streams by construction. Never share one Rng across
- * cores that may land in different regions; seed a new one instead.
+ * event interleaving. The simulator-owned instances live in per-core
+ * kernel sources (KernelSource); never share one Rng across cores,
+ * seed a new one instead.
  */
 
 #ifndef SPMCOH_SIM_RNG_HH

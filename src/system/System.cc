@@ -6,10 +6,6 @@
 #include "system/System.hh"
 
 #include <algorithm>
-#include <exception>
-#include <thread>
-
-#include "system/RegionMap.hh"
 
 namespace spmcoh
 {
@@ -50,65 +46,6 @@ System::System(const SystemParams &p_)
 
     net = std::make_unique<MemNet>(eq, noc, p.numCores, p.mcTiles);
 
-    // Partitioned core setup. HybridIdeal stays monolithic: its
-    // oracle resolves same-window read-after-write against live
-    // remote mappings, which no deterministic cross-region merge
-    // order can reproduce (see docs/architecture.md).
-    std::uint32_t sim_threads =
-        p.mode == SystemMode::HybridIdeal ? 0 : p.simThreads;
-    if (p.simWindowTicks == 0)
-        fatal("System: simWindowTicks must be >= 1");
-    if (p.simWindowMaxTicks != 0 &&
-        p.simWindowMaxTicks < p.simWindowTicks)
-        fatal("System: simWindowMaxTicks (" +
-              std::to_string(p.simWindowMaxTicks) +
-              ") is below simWindowTicks (" +
-              std::to_string(p.simWindowTicks) + ")");
-    if (sim_threads > 0) {
-        std::vector<std::uint32_t> cuts = p.regionCuts;
-        if (cuts.empty())
-            cuts = evenRegionCuts(p.mesh.width, p.mesh.height,
-                                  defaultMaxRegions, p.mesh.chips);
-        std::uint32_t prev = 0;
-        for (std::uint32_t c : cuts) {
-            if (c % p.mesh.width != 0 || c <= prev || c >= tiles)
-                fatal("System: region cut " + std::to_string(c) +
-                      " is not an increasing interior row boundary");
-            prev = c;
-        }
-        // Multi-chip fabrics require every chip boundary cut: a
-        // region spanning chips would let a worker thread touch the
-        // inter-chip link/hub state that only the single-threaded
-        // epoch merge may mutate.
-        for (std::uint32_t c = 1; c < p.mesh.chips; ++c) {
-            const std::uint32_t boundary =
-                c * p.mesh.width * p.mesh.height;
-            if (std::find(cuts.begin(), cuts.end(), boundary) ==
-                cuts.end())
-                fatal("System: partitioned multi-chip run is missing "
-                      "the region cut at chip boundary tile " +
-                      std::to_string(boundary));
-        }
-        if (!cuts.empty()) {
-            std::uint32_t lo = 0, idx = 0;
-            for (std::uint32_t c : cuts) {
-                regions.push_back(
-                    std::make_unique<Region>(idx++, lo, c));
-                lo = c;
-            }
-            regions.push_back(std::make_unique<Region>(
-                idx, lo, static_cast<std::uint32_t>(tiles)));
-            std::vector<Region *> ptrs;
-            for (auto &r : regions)
-                ptrs.push_back(r.get());
-            net->bindRegions(ptrs);
-        }
-    }
-    effThreads = regions.empty()
-        ? 0
-        : std::min<std::uint32_t>(
-              sim_threads, static_cast<std::uint32_t>(regions.size()));
-
     // Fatal here (with the known-protocol list) rather than deep in
     // a controller when the name is mistyped.
     const CoherenceProtocol &proto =
@@ -131,11 +68,9 @@ System::System(const SystemParams &p_)
     }
 
     for (std::uint32_t i = 0; i < p.mcTiles.size(); ++i) {
-        // A controller's eq reference must be the queue its events
-        // execute on — its tile's region queue when partitioned.
         mcs.push_back(std::make_unique<MemCtrl>(
-            net->queueFor(p.mcTiles[i]), *net, mem, i, p.mcTiles[i],
-            p.mc, farMem.get(), noc.chipOf(p.mcTiles[i])));
+            eq, *net, mem, i, p.mcTiles[i], p.mc, farMem.get(),
+            noc.chipOf(p.mcTiles[i])));
         MemCtrl *mc = mcs.back().get();
         net->setHandler(Endpoint::MemCtrl, i,
                         [mc](const Message &m) { mc->handle(m); });
@@ -200,21 +135,8 @@ System::System(const SystemParams &p_)
             *cohs[i], amap, i, p.mode, p.core,
             "core" + std::to_string(i)));
         cores.back()->setBarrierHook(
-            [this, i](const MicroOp &op, std::function<void()> cb) {
-                if (regions.empty()) {
-                    barrierFor(op).arrive(std::move(cb));
-                    return;
-                }
-                // Barrier state is shared across regions, so the
-                // arrival is a cross-region operation: it runs at
-                // the epoch merge in canonical order, and the
-                // release lands back on this core's region queue.
-                net->deferCross(
-                    net->events().now(),
-                    [this, i, op, cb = std::move(cb)]() mutable {
-                        barrierFor(op).arrive(net->queueFor(i),
-                                              std::move(cb));
-                    });
+            [this](const MicroOp &op, std::function<void()> cb) {
+                barrierFor(op).arrive(std::move(cb));
             });
     }
 }
@@ -272,16 +194,11 @@ System::run(std::vector<std::unique_ptr<OpSource>> sources)
     if (sources.size() != p.numCores)
         fatal("System: need one op source per core");
     running = std::move(sources);
-    bool ok;
-    if (!regions.empty()) {
-        ok = runPartitioned();
-    } else {
-        for (CoreId i = 0; i < p.numCores; ++i)
-            cores[i]->start(running[i].get());
-        ok = eq.run(p.maxTicks);
-        for (CoreId i = 0; ok && i < p.numCores; ++i)
-            ok = cores[i]->finished();
-    }
+    for (CoreId i = 0; i < p.numCores; ++i)
+        cores[i]->start(running[i].get());
+    bool ok = eq.run(p.maxTicks);
+    for (CoreId i = 0; ok && i < p.numCores; ++i)
+        ok = cores[i]->finished();
     foldProbeTallies();
     return ok;
 }
@@ -295,198 +212,6 @@ System::foldProbeTallies()
     for (CoreId i = 0; i < p.numCores; ++i)
         cohs[i]->countProbes(total - fabric.broadcastsBy[i]);
     std::fill(fabric.broadcastsBy.begin(), fabric.broadcastsBy.end(), 0);
-}
-
-bool
-System::runPartitioned()
-{
-    // Seed each core's first event into its own region queue.
-    for (CoreId i = 0; i < p.numCores; ++i) {
-        tlsExecRegion = net->regionOfTile(i);
-        cores[i]->start(running[i].get());
-    }
-    tlsExecRegion = 0;
-
-    const auto r_count = static_cast<std::uint32_t>(regions.size());
-    const std::uint32_t t_count = std::max<std::uint32_t>(
-        1, std::min(effThreads, r_count));
-
-    // Epoch window width. Fixed at simWindowTicks unless adaptive
-    // (simWindowMaxTicks > 0): then it doubles after every quiet
-    // epoch — no cross-region entry merged, none pending — up to the
-    // ceiling, and snaps back to the base width the first time the
-    // merge touches work again. Both inputs are pure functions of
-    // simulation state, so the window (and horizon) sequence is
-    // identical at any thread count.
-    const Tick base_window = p.simWindowTicks;
-    const Tick max_window =
-        p.simWindowMaxTicks ? p.simWindowMaxTicks : base_window;
-    Tick window = base_window;
-
-    // Epoch observability, folded into epochStats after the loop.
-    std::uint64_t windows = 0, width_sum = 0, width_max = 0;
-    std::uint64_t widenings = 0, shrinks = 0;
-    std::uint64_t merge_entries = 0, skipped_regions = 0;
-
-    // A region participates in a window only when it has work below
-    // the horizon: an undrained inbox delivery or a pending event.
-    // Skipped regions cost their worker nothing — no inbox drain, no
-    // event loop — but their queue clocks are still advanced to the
-    // horizon (below, on this thread; an O(1) time bump since there
-    // is nothing to execute). Merge-time code relies on every region
-    // queue sitting at the merge horizon — barrier releases and
-    // follow-up operations schedule relative to queue clocks — so a
-    // parked region must not fall behind simulated time.
-    std::vector<std::uint8_t> active(r_count, 0);
-
-    // Conservative windowed loop: the horizon is the earliest
-    // pending work anywhere (region queues, undrained inboxes, or
-    // deferred cross-region entries) plus the window width. Every
-    // active region drains its inbox and runs to the horizon —
-    // events exactly at it wait for the next epoch — then the
-    // single-threaded merge prices cross-region traffic in canonical
-    // order into per-destination inboxes.
-    auto nextHorizon = [&](Tick &horizon) {
-        Tick nmin = net->crossPendingTick();
-        for (std::uint32_t r = 0; r < r_count; ++r) {
-            nmin = std::min(nmin, regions[r]->eq.nextTick());
-            nmin = std::min(nmin, net->inboxTick(r));
-        }
-        if (nmin == maxTick)
-            return false;  // drained
-        horizon = nmin + window;
-        for (std::uint32_t r = 0; r < r_count; ++r) {
-            active[r] = net->inboxTick(r) < horizon ||
-                        regions[r]->eq.nextTick() < horizon;
-            if (!active[r]) {
-                // Nothing below the horizon: advance the clock only
-                // (no events run), keeping the at-the-horizon
-                // invariant merge-time scheduling depends on.
-                regions[r]->eq.runUntil(horizon);
-                ++skipped_regions;
-            }
-        }
-        ++windows;
-        width_sum += window;
-        width_max = std::max<std::uint64_t>(width_max, window);
-        return true;
-    };
-
-    auto runRegion = [&](std::uint32_t idx, Tick horizon) {
-        if (!active[idx])
-            return;
-        net->drainInbox(idx);
-        tlsExecRegion = idx;
-        regions[idx]->eq.runUntil(horizon);
-        tlsExecRegion = 0;
-    };
-
-    // Merge, then adapt the window off what the merge saw.
-    auto mergeAndAdapt = [&](Tick horizon) {
-        const std::uint64_t merged = net->mergeEpoch(horizon);
-        merge_entries += merged;
-        if (max_window <= base_window)
-            return;
-        const bool quiet = merged == 0 &&
-                           net->crossPendingTick() == maxTick &&
-                           net->inboxPendingTick() == maxTick;
-        const Tick next_window =
-            quiet ? std::min<Tick>(window * 2, max_window)
-                  : base_window;
-        widenings += next_window > window ? 1 : 0;
-        shrinks += next_window < window ? 1 : 0;
-        window = next_window;
-    };
-
-    bool guard_tripped = false;
-
-    if (t_count == 1) {
-        Tick horizon = 0;
-        while (nextHorizon(horizon)) {
-            if (horizon > p.maxTicks + window) {
-                guard_tripped = true;
-                break;
-            }
-            for (std::uint32_t r = 0; r < r_count; ++r)
-                runRegion(r, horizon);
-            mergeAndAdapt(horizon);
-        }
-    } else {
-        // Persistent workers, static round-robin region assignment
-        // (worker w drives regions w, w + T, ...; worker 0 is this
-        // thread). Spin barriers bracket each window: epochs are a
-        // handful of simulated ticks, so parking in the kernel every
-        // window would dominate the run.
-        SpinBarrier start_gate(t_count);
-        SpinBarrier done_gate(t_count);
-        Tick horizon = 0;
-        bool stop = false;
-        std::vector<std::exception_ptr> errors(r_count);
-
-        auto windowFor = [&](std::uint32_t w) {
-            for (std::uint32_t r = w; r < r_count; r += t_count) {
-                try {
-                    runRegion(r, horizon);
-                } catch (...) {
-                    errors[r] = std::current_exception();
-                    tlsExecRegion = 0;
-                }
-            }
-        };
-
-        std::vector<std::thread> workers;
-        for (std::uint32_t w = 1; w < t_count; ++w) {
-            workers.emplace_back([&, w] {
-                for (;;) {
-                    start_gate.wait();
-                    if (stop)
-                        return;
-                    windowFor(w);
-                    done_gate.wait();
-                }
-            });
-        }
-
-        while (nextHorizon(horizon)) {
-            if (horizon > p.maxTicks + window) {
-                guard_tripped = true;
-                break;
-            }
-            start_gate.wait();
-            windowFor(0);
-            done_gate.wait();
-            bool failed = false;
-            for (const auto &e : errors)
-                failed = failed || static_cast<bool>(e);
-            if (failed)
-                break;
-            mergeAndAdapt(horizon);
-        }
-        stop = true;
-        start_gate.wait();
-        for (std::thread &t : workers)
-            t.join();
-        // Rethrow the lowest region's failure (a deterministic
-        // choice) once the workers are parked.
-        for (const auto &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-    }
-
-    noc.foldRegionalTraffic();
-    epochStats.counter("windows") += windows;
-    epochStats.counter("windowTicks") += width_sum;
-    epochStats.counter("windowMax") += width_max;
-    epochStats.counter("widenings") += widenings;
-    epochStats.counter("shrinks") += shrinks;
-    epochStats.counter("mergeEntries") += merge_entries;
-    epochStats.counter("skippedRegions") += skipped_regions;
-    if (guard_tripped)
-        return false;
-    for (CoreId i = 0; i < p.numCores; ++i)
-        if (!cores[i]->finished())
-            return false;
-    return true;
 }
 
 void
@@ -512,10 +237,6 @@ System::visitStats(StatVisitor &v) const
             noc.interChipLink(c).statGroup().accept(v);
     if (farMem)
         farMem->statGroup().accept(v);
-    // Partitioned runs only: the epoch loop's window/merge/skip
-    // counters (empty — and omitted — for monolithic runs).
-    if (!regions.empty())
-        epochStats.accept(v);
 }
 
 RunResults

@@ -34,7 +34,6 @@
 #include "spm/Dmac.hh"
 #include "spm/Spm.hh"
 #include "sim/EventQueue.hh"
-#include "sim/Region.hh"
 #include "sim/Stats.hh"
 #include "system/Topology.hh"
 
@@ -92,50 +91,6 @@ struct SystemParams
     /** Deadlock guard for event-loop runs. */
     Tick maxTicks = std::uint64_t(4) << 32;
     EnergyParams energy{};
-
-    /**
-     * Intra-run worker threads for the partitioned simulation core.
-     * 0 (the default) runs the exact legacy monolithic event loop.
-     * N >= 1 partitions the mesh into row-band regions, each with
-     * its own event queue, synchronized at epoch boundaries; the
-     * region structure depends only on the topology (and regionCuts),
-     * never on N, so any N >= 1 produces byte-identical results —
-     * N only caps how many regions execute concurrently.
-     * HybridIdeal mode always runs monolithic (its oracle has
-     * same-window read-after-write semantics that cannot be ordered
-     * deterministically across regions); the knob is ignored there.
-     */
-    std::uint32_t simThreads = 0;
-    /**
-     * Epoch window width in ticks: regions run ahead of the global
-     * minimum by at most this much before merging cross-region
-     * traffic. Smaller windows track the monolithic timing more
-     * closely; larger ones amortize barrier cost. Cross-region
-     * deliveries are never earlier than the epoch horizon, so the
-     * window bounds the added cross-band latency.
-     */
-    Tick simWindowTicks = 8;
-    /**
-     * Adaptive epoch windows: when > 0, the window starts at
-     * simWindowTicks and doubles after every *quiet* epoch — one
-     * that merged no cross-region entry and left none pending — up
-     * to this ceiling, snapping back to simWindowTicks on the first
-     * epoch that touches cross-region work. Quietness is a pure
-     * function of simulation state (the merged-entry count and the
-     * cross heap), so the horizon sequence — and therefore the
-     * output — stays byte-identical at any --sim-threads count.
-     * 0 (the default) keeps the fixed-width window. Must be >=
-     * simWindowTicks when set.
-     */
-    Tick simWindowMaxTicks = 0;
-    /**
-     * Interior region boundaries as tile indices (each a multiple of
-     * the mesh width: regions are whole row bands, which keeps XY
-     * routes and link state region-confined). Empty with
-     * simThreads > 0 derives even row cuts from the mesh; the driver
-     * passes phase-graph-aligned cuts (RegionMap) instead.
-     */
-    std::vector<std::uint32_t> regionCuts;
 
     /**
      * Canonical configuration for a mode and core count. The mesh,
@@ -228,13 +183,6 @@ class System
      */
     bool run(std::vector<std::unique_ptr<OpSource>> sources);
 
-    /** Regions the machine was partitioned into (0 = monolithic). */
-    std::uint32_t numRegions() const
-    { return static_cast<std::uint32_t>(regions.size()); }
-
-    /** Worker threads the partitioned run loop will use. */
-    std::uint32_t effectiveSimThreads() const { return effThreads; }
-
     /** Collect counters/energy/traffic after a run. */
     RunResults results() const;
 
@@ -247,9 +195,6 @@ class System
     void visitStats(StatVisitor &v) const;
 
   private:
-    /** Epoch loop for the partitioned core (simThreads >= 1). */
-    bool runPartitioned();
-
     /** Fold the fabric's per-requestor broadcast tallies into every
      *  controller's spmdirProbes counter, then reset them. */
     void foldProbeTallies();
@@ -264,15 +209,6 @@ class System
     /** Hub home agent + far-memory pool (multi-chip fabrics only). */
     std::unique_ptr<HomeAgent> hagent;
     std::unique_ptr<PooledMemory> farMem;
-    /** Row-band partitions (empty = monolithic run loop). */
-    std::vector<std::unique_ptr<Region>> regions;
-    std::uint32_t effThreads = 0;
-    /** Epoch-loop observability (partitioned runs only): windows
-     *  run, window-width sum/max, adaptive transitions, merge
-     *  entries, skipped region-windows. Filled once after the run
-     *  loop finishes; exported through visitStats so the
-     *  adaptivity is observable rather than inferred. */
-    StatGroup epochStats{"epochs"};
 
     std::vector<std::unique_ptr<MemCtrl>> mcs;
     std::vector<std::unique_ptr<DirectorySlice>> dirs;

@@ -145,6 +145,22 @@ TEST(Cli, AccumulatesEveryError)
     }
 }
 
+TEST(Cli, IntraRunThreadFlagsAreUnknown)
+{
+    // One event loop per simulation; --jobs is the only parallelism.
+    try {
+        parseCli({"--workload=CG", "--sim-threads=2",
+                  "--sim-window=auto"});
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("unknown argument '--sim-threads=2'"),
+                  std::string::npos);
+        EXPECT_NE(msg.find("unknown argument '--sim-window=auto'"),
+                  std::string::npos);
+    }
+}
+
 TEST(Cli, RequiresAWorkload)
 {
     try {

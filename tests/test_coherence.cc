@@ -296,15 +296,11 @@ class EmptySource : public OpSource
 /**
  * Every broadcast probes each SPMDir except the requestor's, so a
  * core's spmdirProbes is the number of broadcasts it did not request.
- * The counts are folded in when System::run returns, on either engine.
+ * The counts are folded in when System::run returns.
  */
-void
-expectProbesPerCore(std::uint32_t sim_threads)
+TEST(FilterDirBroadcast, ProbesPerCore)
 {
-    SystemParams p = protoParams();
-    p.simThreads = sim_threads;
-    System sys(p);
-    ASSERT_EQ(sys.numRegions() > 0, sim_threads > 0);
+    System sys(protoParams());
     for (CoreId c = 0; c < 4; ++c)
         sys.cohAt(c).setBufferConfig(bufLog2);
     // Bases mapped in a remote SPM are never installed in the
@@ -334,17 +330,7 @@ expectProbesPerCore(std::uint32_t sim_threads)
     for (CoreId c = 0; c < 4; ++c)
         EXPECT_EQ(sys.cohAt(c).statGroup().value("spmdirProbes"),
                   broadcasts - requested[c])
-            << "core " << c << ", sim-threads " << sim_threads;
-}
-
-TEST(FilterDirBroadcast, ProbesPerCoreMonolithic)
-{
-    expectProbesPerCore(0);
-}
-
-TEST(FilterDirBroadcast, ProbesPerCorePartitioned)
-{
-    expectProbesPerCore(2);
+            << "core " << c;
 }
 
 /** Fig. 6a: mapping invalidates remote filter entries. */

@@ -201,6 +201,36 @@ TEST(Core, BarrierSynchronizesAllCores)
     EXPECT_GE(t, 1000u);
 }
 
+TEST(Core, BarrierReleaseIsOneEventInArrivalOrder)
+{
+    EventQueue eq;
+    eq.schedule(100, [] {});
+    eq.run();
+    const std::uint64_t before = eq.executed();
+
+    Barrier bar(eq, 3, /*release_latency=*/7);
+    std::vector<int> order;
+    bar.arrive([&] { order.push_back(0); });
+    bar.arrive([&] { order.push_back(1); });
+    EXPECT_EQ(bar.pendingArrivals(), 2u);
+    EXPECT_EQ(eq.pending(), 0u);
+    bar.arrive([&] { order.push_back(2); });
+    EXPECT_EQ(bar.pendingArrivals(), 0u);
+    EXPECT_EQ(bar.generation(), 1u);
+    EXPECT_EQ(eq.pending(), 1u);
+
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(eq.executed(), before + 1);
+    EXPECT_EQ(eq.now(), 107u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+    // An arrival after the release opens the next generation.
+    bar.arrive([&] { order.push_back(3); });
+    EXPECT_EQ(bar.pendingArrivals(), 1u);
+    EXPECT_EQ(bar.generation(), 1u);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
 TEST(Core, DmaSyncBlocksUntilTransferDone)
 {
     System sys(params4());

@@ -1,22 +1,19 @@
 /**
  * @file
  * Tests of the multi-chip fabric: topology derivation and rejection
- * rules, mesh chip geometry, mandatory chip-boundary region cuts,
- * single-chip byte-identity against every checked-in golden,
- * cross-chip traffic through the home agent and inter-chip links,
- * the pooled far-memory tier, and determinism of multi-chip sweeps
- * across executor worker counts and sim-thread counts.
+ * rules, mesh chip geometry, single-chip byte-identity against every
+ * checked-in golden, cross-chip traffic through the home agent and
+ * inter-chip links, the pooled far-memory tier, and determinism of
+ * multi-chip sweeps across executor worker counts.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "driver/Cli.hh"
 #include "driver/Driver.hh"
-#include "system/RegionMap.hh"
 #include "system/Topology.hh"
 
 namespace spmcoh
@@ -125,37 +122,6 @@ TEST(MultiChipMesh, LinkReservationQueues)
     EXPECT_EQ(b, a + occ);
     // The down direction is independent.
     EXPECT_EQ(link.reserveDown(100, 64), a);
-}
-
-// ----------------------------------------------------- region cuts
-
-TEST(MultiChipRegions, ChipBoundariesAreAlwaysCut)
-{
-    // 4x4 chips, 2 and 4 of them: whatever the target region count
-    // or candidate set, every chip boundary must appear in the cuts.
-    for (std::uint32_t chips : {2u, 4u}) {
-        for (std::uint32_t target : {1u, 2u, 8u}) {
-            // Width and height describe ONE chip; the chip count
-            // stacks them in tile-id space.
-            const auto even = evenRegionCuts(4, 4, target, chips);
-            const auto derived =
-                deriveRegionCuts(4, 4, target, {8, 24}, chips);
-            for (std::uint32_t c = 1; c < chips; ++c) {
-                const std::uint32_t boundary = c * 16;
-                EXPECT_NE(std::find(even.begin(), even.end(),
-                                    boundary),
-                          even.end())
-                    << chips << " chips, target " << target;
-                EXPECT_NE(std::find(derived.begin(), derived.end(),
-                                    boundary),
-                          derived.end())
-                    << chips << " chips, target " << target;
-            }
-        }
-    }
-    // Single chip: unchanged semantics, no mandatory cut at 16.
-    const auto single = evenRegionCuts(4, 4, 1, 1);
-    EXPECT_TRUE(single.empty());
 }
 
 // --------------------------------- single-chip golden byte-identity
@@ -315,30 +281,6 @@ TEST(MultiChipDeterminism, JsonIdenticalAcrossJobsAndRepeats)
     ThreadPoolExecutor pool(4);
     EXPECT_EQ(serial, render(&pool));
     EXPECT_EQ(serial, render(&pool));
-}
-
-TEST(MultiChipDeterminism, PartitionedRunMatchesAcrossThreadCounts)
-{
-    // Chip boundaries are mandatory region cuts, so a 2-chip
-    // partitioned run must be byte-identical for every worker count.
-    auto run = [](std::uint32_t sim_threads) {
-        return ExperimentBuilder()
-            .workload("xpipeline")
-            .cores(16)
-            .chips(2)
-            .simThreads(sim_threads)
-            .run();
-    };
-    const ExperimentResult a = run(1);
-    const ExperimentResult b = run(4);
-    EXPECT_EQ(a.results.cycles, b.results.cycles);
-    EXPECT_EQ(a.results.traffic.totalPackets(),
-              b.results.traffic.totalPackets());
-    EXPECT_EQ(counterOf(a, "homeagent", "crossings"),
-              counterOf(b, "homeagent", "crossings"));
-    EXPECT_EQ(counterOf(a, "iclink", "upPackets"),
-              counterOf(b, "iclink", "upPackets"));
-    EXPECT_GT(counterOf(a, "homeagent", "crossings"), 0u);
 }
 
 } // namespace
