@@ -115,6 +115,17 @@ echo "== result regression check (contend 8-core vs golden) =="
 python3 scripts/diff_results.py "$BUILD_DIR"/contend8.json \
     tests/golden/contend8_smoke.json
 
+echo "== full-stats regression check (contend 8-core protocols vs golden) =="
+# The other goldens drop stats (--no-stats); this one keeps every
+# counter and histogram, including the mshrOccupancy/txnOccupancy
+# samples of the per-line tables' sizes, and must match byte for byte.
+"$BUILD_DIR"/spmcoh_run --workload=contend --cores=8 \
+    --mode=cache,hybrid-proto --protocol=spm-hybrid,moesi,mesi,dragon \
+    --jobs=2 --format=json > "$BUILD_DIR"/contend8_protocols_full.json
+cmp "$BUILD_DIR"/contend8_protocols_full.json \
+    tests/golden/contend8_protocols_full.json || {
+    echo "full-stats output diverged from the golden"; exit 1; }
+
 echo "== result regression check (pipeline 2-chip 16-core vs golden) =="
 "$BUILD_DIR"/spmcoh_run --workload=pipeline --cores=16 --chips=2 \
     --jobs=2 --format=json --no-stats > "$BUILD_DIR"/pipeline2x8.json

@@ -109,8 +109,8 @@ DirectorySlice::handle(const Message &msg)
       case MsgType::IfetchGet:
       case MsgType::DmaRead:
       case MsgType::DmaWrite:
-        if (auto it = busy.find(la); it != busy.end()) {
-            it->second->queued.push_back(msg);
+        if (Txn **t = busy.find(la)) {
+            (*t)->queued.push_back(msg);
             ++stQueuedRequests;
         } else {
             startTxn(msg);
@@ -129,11 +129,9 @@ DirectorySlice::handle(const Message &msg)
         break;
       case MsgType::MemWriteAck: {
         ++stMemWriteAcks;
-        auto it = memWb.find(la);
-        if (it == memWb.end())
-            panic("DirectorySlice: stray MemWriteAck");
-        if (--it->second.second == 0)
-            memWb.erase(it);
+        MemWb &wb = memWb.at(la, "DirectorySlice: stray MemWriteAck");
+        if (--wb.pending == 0)
+            memWb.erase(la);
         break;
       }
       case MsgType::Unblock:
@@ -151,7 +149,7 @@ DirectorySlice::startTxn(const Message &req)
     Txn *t = acquireTxn();
     t->startedAt = net.events().now();
     t->req = req;
-    busy.emplace(la, t);
+    busy.insert(la, t);
     sampleTxnOccupancy();
     net.events().scheduleIn(p.dirLatency, [this, la] { dispatch(la); });
 }
@@ -159,7 +157,7 @@ DirectorySlice::startTxn(const Message &req)
 void
 DirectorySlice::dispatch(Addr la)
 {
-    Txn &t = *busy.at(la);
+    Txn &t = *busy.at(la, "DirectorySlice: dispatch for an idle line");
     switch (t.req.type) {
       case MsgType::GetS:      handleGetS(la, t); break;
       case MsgType::GetX:      handleGetX(la, t); break;
@@ -526,9 +524,9 @@ DirectorySlice::handleDmaWrite(Addr la, Txn &t)
         w.hasData = true;
         w.data = tx.req.data;
         w.cls = TrafficClass::Dma;
-        auto &wb = memWb[la];
-        wb.first = tx.req.data;
-        ++wb.second;
+        MemWb &wb = memWb[la];
+        wb.data = tx.req.data;
+        ++wb.pending;
         net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
                  TrafficClass::Dma);
         respond(r, Endpoint::Dmac, MsgType::DmaWriteAck, la, nullptr,
@@ -542,10 +540,7 @@ void
 DirectorySlice::onAck(const Message &msg)
 {
     const Addr la = lineAlign(msg.addr);
-    auto it = busy.find(la);
-    if (it == busy.end())
-        panic("DirectorySlice: ack for idle line");
-    Txn &t = *it->second;
+    Txn &t = *busy.at(la, "DirectorySlice: ack for idle line");
     if (t.pendingAcks == 0)
         panic("DirectorySlice: unexpected ack");
     --t.pendingAcks;
@@ -561,10 +556,7 @@ void
 DirectorySlice::onFwdData(const Message &msg)
 {
     const Addr la = lineAlign(msg.addr);
-    auto it = busy.find(la);
-    if (it == busy.end())
-        panic("DirectorySlice: forward data for idle line");
-    Txn &t = *it->second;
+    Txn &t = *busy.at(la, "DirectorySlice: forward data for idle line");
     t.data = msg.data;
     t.haveData = true;
     t.dataDirty = msg.dirty;
@@ -575,10 +567,7 @@ void
 DirectorySlice::onMemResp(const Message &msg)
 {
     const Addr la = lineAlign(msg.addr);
-    auto it = busy.find(la);
-    if (it == busy.end())
-        panic("DirectorySlice: memory response for idle line");
-    Txn &t = *it->second;
+    Txn &t = *busy.at(la, "DirectorySlice: memory response for idle line");
     // Cache the fill in the NUCA slice; DMA fills are included by
     // default (the GM "includes caches and main memory", Sec. 2.1)
     // but can be excluded to study pollution.
@@ -593,13 +582,13 @@ DirectorySlice::onMemResp(const Message &msg)
 void
 DirectorySlice::fetchData(Addr la, TrafficClass cls)
 {
-    Txn &t = *busy.at(la);
+    Txn &t = *busy.at(la, "DirectorySlice: fetch for an idle line");
     Txn *tp = &t;
     t.wantData = true;
-    if (auto wit = memWb.find(la); wit != memWb.end()) {
+    if (const MemWb *wb = memWb.find(la)) {
         // Forward from the in-flight writeback (ordering safety).
         ++stMemWbForwards;
-        t.fill = wit->second.first;
+        t.fill = wb->data;
         net.events().scheduleIn(p.l2Latency, [this, tp, la] {
             Txn &tx = *tp;
             tx.data = tx.fill;
@@ -650,9 +639,9 @@ DirectorySlice::l2Insert(Addr la, const LineData &d, bool dirty)
         w.hasData = true;
         w.data = evicted->second.data;
         w.cls = TrafficClass::WbRepl;
-        auto &wb = memWb[evicted->first];
-        wb.first = evicted->second.data;
-        ++wb.second;
+        MemWb &wb = memWb[evicted->first];
+        wb.data = evicted->second.data;
+        ++wb.pending;
         net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
                  TrafficClass::WbRepl);
     }
@@ -662,7 +651,7 @@ bool
 DirectorySlice::allocEntry(Addr la, DirEntry e)
 {
     auto way = dir.allocWay(la, [this](Addr a) {
-        return busy.find(a) == busy.end();
+        return !busy.contains(a);
     });
     if (!way)
         return false;
@@ -678,7 +667,7 @@ DirectorySlice::allocEntry(Addr la, DirEntry e)
         rt->startedAt = net.events().now();
         rt->req.type = MsgType::Inv;
         rt->req.addr = va;
-        busy.emplace(va, rt);
+        busy.insert(va, rt);
         sampleTxnOccupancy();
         Txn &recall = *rt;
         std::uint64_t targets = snapshot.sharers;
@@ -752,8 +741,8 @@ void
 DirectorySlice::onUnblock(const Message &msg)
 {
     const Addr la = lineAlign(msg.addr);
-    auto it = busy.find(la);
-    if (it == busy.end() || !it->second->awaitingUnblock)
+    Txn **t = busy.find(la);
+    if (!t || !(*t)->awaitingUnblock)
         panic("DirectorySlice: unexpected Unblock");
     finishTxn(la);
 }
@@ -761,10 +750,8 @@ DirectorySlice::onUnblock(const Message &msg)
 void
 DirectorySlice::checkDone(Addr la)
 {
-    auto it = busy.find(la);
-    if (it == busy.end())
-        return;
-    checkDone(*it->second);
+    if (Txn **t = busy.find(la))
+        checkDone(**t);
 }
 
 void
@@ -784,9 +771,8 @@ DirectorySlice::checkDone(Txn &t)
 void
 DirectorySlice::finishTxn(Addr la)
 {
-    auto it = busy.find(la);
-    Txn *old = it->second;
-    busy.erase(it);
+    Txn *old = busy.at(la, "DirectorySlice: finish for an idle line");
+    busy.erase(la);
     txnLatency.sample(net.events().now() - old->startedAt);
     sampleTxnOccupancy();
     if (!old->queued.empty()) {
@@ -795,7 +781,9 @@ DirectorySlice::finishTxn(Addr la)
         std::vector<Message> rest = std::move(old->queued);
         releaseTxn(old);
         startTxn(next);
-        busy.at(lineAlign(next.addr))->queued = std::move(rest);
+        busy.at(lineAlign(next.addr),
+                "DirectorySlice: restarted line is idle")->queued =
+            std::move(rest);
     } else {
         releaseTxn(old);
     }

@@ -21,13 +21,13 @@
 #define SPMCOH_MEM_DIRECTORYSLICE_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/CacheArray.hh"
 #include "mem/MemNet.hh"
 #include "mem/Messages.hh"
 #include "protocols/ProtocolFactory.hh"
+#include "sim/LineMap.hh"
 #include "sim/SmallFunction.hh"
 #include "sim/Stats.hh"
 
@@ -85,7 +85,7 @@ class DirectorySlice
     };
     std::optional<EntrySnapshot> peekEntry(Addr line_addr) const;
     bool lineBusy(Addr line_addr) const
-    { return busy.count(lineAlign(line_addr)) != 0; }
+    { return busy.contains(lineAlign(line_addr)); }
     std::uint64_t l2ValidLines() const { return l2.validLines(); }
 
   private:
@@ -191,14 +191,20 @@ class DirectorySlice
     DirSliceParams p;
     CacheArray<L2Line> l2;
     CacheArray<DirEntry> dir;
-    std::unordered_map<Addr, Txn *> busy;
+    /** In-flight transaction of every blocked line. */
+    LineMap<Txn *> busy;
     std::vector<std::unique_ptr<Txn>> txnStore;
     std::vector<Txn *> txnFree;
+    /** Newest data of a line with MemWrites in flight. */
+    struct MemWb
+    {
+        LineData data{};
+        std::uint32_t pending = 0;  ///< MemWriteAcks outstanding
+    };
     /** Lines with a MemWrite in flight to the memory controller; a
      *  later MemRead could overtake the (larger) write packet, so
      *  reads are served from this buffer instead. */
-    std::unordered_map<Addr, std::pair<LineData, std::uint32_t>>
-        memWb;
+    LineMap<MemWb> memWb;
     StatGroup stats;
     /** Hot-path counters, resolved once at construction (the
      *  string-keyed map is registration/export only). */

@@ -148,7 +148,7 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
 
     if (MshrEntry *e = mshr.find(la)) {
         // Merge into the in-flight transaction.
-        e->targets.push_back(std::move(tgt));
+        mshr.push(e->targets, std::move(tgt));
         e->isPrefetch = false;
         if (is_write)
             e->wantExclusive = true;
@@ -165,7 +165,7 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
     e.wantExclusive = is_write;
     e.isPrefetch = false;
     e.issued = true;
-    e.targets.push_back(std::move(tgt));
+    mshr.push(e.targets, std::move(tgt));
     if (icache) {
         sendToDir(MsgType::IfetchGet, la, TrafficClass::Ifetch);
     } else if (is_write) {
@@ -173,7 +173,7 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
         const PState st =
             resident ? pstateOf(resident->state) : PState::I;
         if (proto.storeRequest(st) == MsgType::UpdX) {
-            sendUpdX(la, e.targets.front());
+            sendUpdX(la, mshr.front(e.targets));
         } else {
             // An upgrade from O must ship the dirty line with the
             // GetX so the directory holds authoritative data even if
@@ -198,7 +198,7 @@ L1Cache::issuePrefetch(Addr line_addr)
         return;
     line_addr = lineAlign(line_addr);
     if (array.peek(line_addr) || mshr.find(line_addr) ||
-        wbBuffer.count(line_addr))
+        wbBuffer.contains(line_addr))
         return;
     if (mshr.full() || prefetchesInFlight >= p.maxPrefetchInFlight)
         return;
@@ -243,12 +243,12 @@ L1Cache::handle(const Message &msg)
         onUpdate(msg);
         break;
       case MsgType::PutAck: {
-        auto it = wbBuffer.find(lineAlign(msg.addr));
-        if (it == wbBuffer.end()) {
+        const Addr la = lineAlign(msg.addr);
+        WbEntry *wb = wbBuffer.find(la);
+        if (!wb)
             ++stStalePutAcks;
-        } else if (--it->second.pendingPuts == 0) {
-            wbBuffer.erase(it);
-        }
+        else if (--wb->pendingPuts == 0)
+            wbBuffer.erase(la);
         break;
       }
       case MsgType::FwdGetS:
@@ -313,22 +313,21 @@ L1Cache::onFill(const Message &msg)
 void
 L1Cache::processTargets(Addr line_addr, bool first_write_done)
 {
-    MshrEntry e = mshr.release(line_addr);
+    MshrChain targets = mshr.release(line_addr);
     sampleMshrOccupancy();
     Line *line = array.lookup(line_addr);
     if (!line)
         panic("L1Cache: lost line while draining targets");
 
-    while (!e.targets.empty()) {
-        MshrTarget &t = e.targets.front();
-        if (t.isWrite) {
+    while (!targets.empty()) {
+        if (mshr.front(targets).isWrite) {
             if (first_write_done) {
                 // The home slice already applied this store as part
                 // of the update round that produced the fill.
                 first_write_done = false;
+                MshrTarget t = mshr.pop(targets);
                 if (t.onDone)
                     t.onDone(0);
-                e.targets.pop_front();
                 continue;
             }
             if (!proto.storeHits(pstateOf(line->state))) {
@@ -339,28 +338,29 @@ L1Cache::processTargets(Addr line_addr, bool first_write_done)
                 ne.wantExclusive = true;
                 ne.isPrefetch = false;
                 ne.issued = true;
-                ne.targets = std::move(e.targets);
+                ne.targets = targets;
                 ++stUpgrades;
                 if (proto.storeRequest(pstateOf(line->state)) ==
                     MsgType::UpdX) {
-                    sendUpdX(line_addr, ne.targets.front());
+                    sendUpdX(line_addr, mshr.front(ne.targets));
                 } else {
                     sendToDir(MsgType::GetX, line_addr,
                               TrafficClass::Write);
                 }
                 return;
             }
+            MshrTarget t = mshr.pop(targets);
             line->state = L1State::M;
             line->data.writeN(lineOffset(t.addr), t.size, t.wdata);
             if (t.onDone)
                 t.onDone(0);
         } else {
+            MshrTarget t = mshr.pop(targets);
             const std::uint64_t v =
                 line->data.readN(lineOffset(t.addr), t.size);
             if (t.onDone)
                 t.onDone(v);
         }
-        e.targets.pop_front();
     }
     notifyMshrFree();
 }
@@ -423,13 +423,13 @@ L1Cache::onFwd(const Message &msg)
             line->state =
                 l1stateOf(proto.afterFwdGetS(pstateOf(line->state)));
         }
-    } else if (auto it = wbBuffer.find(la); it != wbBuffer.end()) {
+    } else if (WbEntry *wb = wbBuffer.find(la)) {
         // Eviction raced with the forward: serve from the buffer.
-        data = it->second.data;
-        dirty = it->second.state == L1State::M ||
-                it->second.state == L1State::O;
+        data = wb->data;
+        dirty = wb->state == L1State::M ||
+                wb->state == L1State::O;
         if (is_getx)
-            it->second.state = L1State::S;  // data handed over
+            wb->state = L1State::S;  // data handed over
         ++stForwardsFromWbBuffer;
     } else {
         panic("L1Cache: forward for a line we do not own: core " +
@@ -461,11 +461,11 @@ L1Cache::onInv(const Message &msg)
         dirty = victim->state == L1State::M ||
                 victim->state == L1State::O;
         data = victim->data;
-    } else if (auto it = wbBuffer.find(la); it != wbBuffer.end()) {
-        dirty = it->second.state == L1State::M ||
-                it->second.state == L1State::O;
-        data = it->second.data;
-        it->second.state = L1State::S;  // data handed over
+    } else if (WbEntry *wb = wbBuffer.find(la)) {
+        dirty = wb->state == L1State::M ||
+                wb->state == L1State::O;
+        data = wb->data;
+        wb->state = L1State::S;  // data handed over
     }
     Message resp;
     resp.type = dirty ? MsgType::InvAckData : MsgType::InvAck;
@@ -490,10 +490,10 @@ L1Cache::onUpdate(const Message &msg)
         if (t.has(PAction::Apply))
             line->data = msg.data;
         line->state = l1stateOf(t.next);
-    } else if (auto it = wbBuffer.find(la); it != wbBuffer.end()) {
+    } else if (WbEntry *wb = wbBuffer.find(la)) {
         // Eviction raced with the update: patch the buffered copy so
         // a forward served from it still sees the latest data.
-        it->second.data = msg.data;
+        wb->data = msg.data;
     } else {
         ++stStaleUpdates;
     }
@@ -528,8 +528,8 @@ L1Cache::onDmaFwd(const Message &msg)
     LineData data;
     if (const Line *line = array.peek(la)) {
         data = line->data;
-    } else if (auto it = wbBuffer.find(la); it != wbBuffer.end()) {
-        data = it->second.data;
+    } else if (WbEntry *wb = wbBuffer.find(la)) {
+        data = wb->data;
     } else {
         panic("L1Cache: DMA forward for a line we do not own");
     }

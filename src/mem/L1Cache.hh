@@ -23,10 +23,8 @@
 #ifndef SPMCOH_MEM_L1CACHE_HH
 #define SPMCOH_MEM_L1CACHE_HH
 
-#include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/CacheArray.hh"
@@ -35,6 +33,7 @@
 #include "mem/Mshr.hh"
 #include "mem/StridePrefetcher.hh"
 #include "protocols/ProtocolFactory.hh"
+#include "sim/LineMap.hh"
 #include "sim/Stats.hh"
 
 namespace spmcoh
@@ -210,7 +209,7 @@ class L1Cache
     L1Params p;
     CacheArray<Line> array;
     MshrFile mshr;
-    std::unordered_map<Addr, WbEntry> wbBuffer;
+    LineMap<WbEntry> wbBuffer;
     StridePrefetcher prefetcher;
     std::uint32_t prefetchesInFlight = 0;
     std::function<void()> mshrFreeCb;

@@ -3,20 +3,22 @@
  * Main memory: sparse data-carrying line store plus the memory
  * controllers that front it on the mesh.
  *
- * Lines never touched read as zero. Controllers serve line reads and
- * writes with a fixed access latency plus a bandwidth-limited service
- * slot (one line per serviceCycles), modeling DDR contention at the
- * level the evaluation needs.
+ * The store is paged: a 4 KiB page of lines is allocated, zeroed, on
+ * the first write to it, so lines never written read as zero.
+ * Controllers serve line reads and writes with a fixed access latency
+ * plus a bandwidth-limited service slot (one line per serviceCycles),
+ * modeling DDR contention at the level the evaluation needs.
  */
 
 #ifndef SPMCOH_MEM_MAINMEMORY_HH
 #define SPMCOH_MEM_MAINMEMORY_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 
 #include "mem/Messages.hh"
 #include "sim/EventQueue.hh"
+#include "sim/LineMap.hh"
 #include "sim/Logging.hh"
 #include "sim/Stats.hh"
 #include "sim/Types.hh"
@@ -28,19 +30,31 @@ namespace spmcoh
 class MainMemory
 {
   public:
+    static constexpr unsigned pageShift = 12;
+    static constexpr Addr pageBytes = Addr(1) << pageShift;
+
     /** Read a full line (zero-filled if untouched). */
     LineData
     readLine(Addr line_addr) const
     {
-        auto it = lines.find(lineAlign(line_addr));
-        return it == lines.end() ? LineData{} : it->second;
+        const Page *pg = page(line_addr >> pageShift);
+        return pg ? pg->lines[lineIndex(line_addr)] : LineData{};
     }
 
     /** Write a full line. */
     void
     writeLine(Addr line_addr, const LineData &d)
     {
-        lines[lineAlign(line_addr)] = d;
+        const Addr pn = line_addr >> pageShift;
+        Page *pg = page(pn);
+        if (!pg) {
+            std::unique_ptr<Page> &slot = pages[pn];
+            slot = std::make_unique<Page>();
+            pg = slot.get();
+            lastNum = pn;
+            lastPage = pg;
+        }
+        pg->lines[lineIndex(line_addr)] = d;
     }
 
     /** Functional 64-bit read (tests / reference model). */
@@ -59,10 +73,38 @@ class MainMemory
         writeLine(addr, d);
     }
 
-    std::size_t linesTouched() const { return lines.size(); }
-
   private:
-    std::unordered_map<Addr, LineData> lines;
+    struct Page
+    {
+        LineData lines[pageBytes / lineBytes];
+    };
+
+    static std::size_t
+    lineIndex(Addr addr)
+    {
+        return static_cast<std::size_t>((addr & (pageBytes - 1)) >>
+                                        lineShift);
+    }
+
+    /** The page numbered @p pn, or nullptr if never written. A
+     *  one-page lookaside catches the common same-page run. */
+    Page *
+    page(Addr pn) const
+    {
+        if (pn == lastNum)
+            return lastPage;
+        const std::unique_ptr<Page> *slot = pages.find(pn);
+        if (!slot)
+            return nullptr;
+        lastNum = pn;
+        lastPage = slot->get();
+        return lastPage;
+    }
+
+    LineMap<std::unique_ptr<Page>> pages;
+    /** Lookaside: the last page found (lastNum starts as no page). */
+    mutable Addr lastNum = LineMap<std::unique_ptr<Page>>::emptyKey;
+    mutable Page *lastPage = nullptr;
 };
 
 /** Memory controller timing parameters. */

@@ -15,7 +15,6 @@
 #define SPMCOH_MEM_STRIDEPREFETCHER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/Types.hh"
@@ -50,7 +49,10 @@ class StridePrefetcher
     {
         if (!p.enabled)
             return;
-        Entry &e = table[ref_id % p.tableEntries];
+        const std::uint32_t idx = ref_id % p.tableEntries;
+        if (idx >= table.size())
+            table.resize(idx + 1);
+        Entry &e = table[idx];
         if (e.valid && e.refId == ref_id && addr == e.lastAddr) {
             // Replay of the same access (probe + issue); ignore so the
             // learned stride is not destroyed.
@@ -104,7 +106,9 @@ class StridePrefetcher
     };
 
     PrefetcherParams p;
-    std::unordered_map<std::uint32_t, Entry> table;
+    /** Indexed by ref_id % tableEntries, grown to the highest index
+     *  seen (reference ids are dense); empty while disabled. */
+    std::vector<Entry> table;
 };
 
 } // namespace spmcoh

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "compiler/Compiler.hh"
 #include "spm/AddressMap.hh"
@@ -25,26 +26,35 @@ namespace spmcoh
 /** Resolved addresses and (possibly padded) sizes of all arrays. */
 struct ProgramLayout
 {
-    std::unordered_map<std::uint32_t, Addr> arrayBase;
-    std::unordered_map<std::uint32_t, std::uint64_t> arrayBytes;
+    /** Base of an id no array declares. */
+    static constexpr Addr noArray = ~Addr(0);
+
+    /** Indexed by the dense array id; noArray marks a gap. */
+    std::vector<Addr> arrayBase;
+    std::vector<std::uint64_t> arrayBytes;
     Addr heapEnd = AddressMap::heapBase;
 
     Addr
     baseOf(std::uint32_t array_id) const
     {
-        auto it = arrayBase.find(array_id);
-        if (it == arrayBase.end())
-            panic("ProgramLayout: unknown array");
-        return it->second;
+        checkArray(array_id);
+        return arrayBase[array_id];
     }
 
     std::uint64_t
     bytesOf(std::uint32_t array_id) const
     {
-        auto it = arrayBytes.find(array_id);
-        if (it == arrayBytes.end())
+        checkArray(array_id);
+        return arrayBytes[array_id];
+    }
+
+  private:
+    void
+    checkArray(std::uint32_t array_id) const
+    {
+        if (array_id >= arrayBase.size() ||
+            arrayBase[array_id] == noArray)
             panic("ProgramLayout: unknown array");
-        return it->second;
     }
 };
 
@@ -93,6 +103,10 @@ layoutProgram(const ProgramPlan &plan, std::uint32_t num_cores,
             bytes = divCeil(bytes, lineBytes) * lineBytes;
         }
         cursor = divCeil(cursor, align) * align;
+        if (a.id >= l.arrayBase.size()) {
+            l.arrayBase.resize(a.id + 1, ProgramLayout::noArray);
+            l.arrayBytes.resize(a.id + 1, 0);
+        }
         l.arrayBase[a.id] = cursor;
         l.arrayBytes[a.id] = bytes;
         cursor += bytes;

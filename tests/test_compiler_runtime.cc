@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "runtime/ProgramSource.hh"
 #include "workloads/NasBenchmarks.hh"
 
@@ -145,6 +147,24 @@ TEST(Layout, AlignsSpmArraysToBuffers)
     }
     // Arrays do not overlap.
     EXPECT_GE(l.baseOf(1), l.baseOf(0) + l.bytesOf(0));
+}
+
+TEST(Layout, UnknownArrayIdsPanic)
+{
+    const std::uint32_t cores = 4;
+    Compiler comp(spmBytes, cores);
+    ProgramPlan plan = comp.compile(tinyProgram(cores));
+    // Leave a gap in the dense ids: id 2 is never laid out.
+    auto &arrays = plan.decl.arrays;
+    arrays.erase(std::remove_if(arrays.begin(), arrays.end(),
+                                [](const ArrayDecl &a) { return a.id == 2; }),
+                 arrays.end());
+    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    EXPECT_NO_THROW(l.baseOf(3));
+    EXPECT_THROW(l.baseOf(2), PanicError);
+    EXPECT_THROW(l.bytesOf(2), PanicError);
+    EXPECT_THROW(l.baseOf(4), PanicError);
+    EXPECT_THROW(l.bytesOf(1000), PanicError);
 }
 
 /** Collect the whole op stream of one core. */

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "mem/CacheArray.hh"
 #include "mem/DirectorySlice.hh"
@@ -17,6 +20,7 @@
 #include "mem/Mshr.hh"
 #include "mem/StridePrefetcher.hh"
 #include "mem/Tlb.hh"
+#include "sim/LineMap.hh"
 #include "sim/Rng.hh"
 
 namespace spmcoh
@@ -83,14 +87,96 @@ TEST(Mshr, MergeAndRelease)
     MshrFile f(2);
     EXPECT_FALSE(f.full());
     MshrEntry &e = f.alloc(0x1000);
-    e.targets.push_back(MshrTarget{});
+    f.push(e.targets, MshrTarget{});
     EXPECT_NE(f.find(0x1010), nullptr);  // same line
     f.alloc(0x2000);
     EXPECT_TRUE(f.full());
-    MshrEntry out = f.release(0x1000);
-    EXPECT_EQ(out.targets.size(), 1u);
+    MshrChain out = f.release(0x1000);
+    ASSERT_FALSE(out.empty());
+    f.pop(out);
+    EXPECT_TRUE(out.empty());
     EXPECT_FALSE(f.full());
     EXPECT_EQ(f.find(0x1000), nullptr);
+}
+
+/**
+ * LineMap against std::unordered_map: random insert/find/erase over a
+ * key pool where half the keys hash to the last bucket of the first
+ * allocation, hence into the same tail of the table at every size, so
+ * their probe runs collide and wrap past the end of the array. Each
+ * round starts from an empty table and grows it.
+ */
+TEST(LineMap, MatchesUnorderedMapUnderCollisionsAndGrowth)
+{
+    LineMap<std::uint64_t> probe;
+    probe[0];  // allocate buckets so homeBucket() can be asked
+    std::vector<Addr> pool;
+    for (Addr a = 0x40; pool.size() < 48; a += lineBytes)
+        if (probe.homeBucket(a) == probe.bucketCount() - 1)
+            pool.push_back(a);
+    Rng rng(7);
+    while (pool.size() < 96)
+        pool.push_back(lineAlign(rng.next() >> 8));
+
+    std::uint64_t ops = 0;
+    std::uint64_t wraps = 0;
+    std::size_t max_buckets = 0;
+    for (int round = 0; round < 12; ++round) {
+        LineMap<std::uint64_t> m;
+        std::unordered_map<Addr, std::uint64_t> ref;
+        // Early in a round inserts dominate (growth); later erases
+        // catch up (backward shifts across the wrap).
+        for (int i = 0; i < 10000; ++i, ++ops) {
+            const Addr k = pool[rng.below(pool.size())];
+            const std::uint64_t op = rng.below(100);
+            const std::uint64_t insert_pct = i < 2000 ? 70 : 40;
+            if (op < insert_pct) {
+                const std::uint64_t v = rng.next();
+                auto [slot, fresh] = m.tryEmplace(k);
+                EXPECT_EQ(fresh, ref.count(k) == 0);
+                *slot = v;
+                ref[k] = v;
+            } else if (op < insert_pct + 30) {
+                const std::uint64_t *v = m.find(k);
+                auto it = ref.find(k);
+                ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << k;
+                if (v) {
+                    EXPECT_EQ(*v, it->second);
+                }
+            } else {
+                EXPECT_EQ(m.erase(k), ref.erase(k) == 1);
+            }
+            ASSERT_EQ(m.size(), ref.size());
+            if (i % 500 == 0) {
+                std::size_t at_end = 0;
+                for (Addr a : pool) {
+                    const std::uint64_t *v = m.find(a);
+                    ASSERT_EQ(v != nullptr, ref.count(a) == 1);
+                    if (v) {
+                        EXPECT_EQ(*v, ref[a]);
+                    }
+                    if (v && m.homeBucket(a) == m.bucketCount() - 1)
+                        ++at_end;
+                }
+                // Two keys homed in the last bucket: one wrapped.
+                if (at_end >= 2)
+                    ++wraps;
+                max_buckets = std::max(max_buckets, m.bucketCount());
+            }
+        }
+    }
+    EXPECT_GE(ops, 100000u);
+    EXPECT_GT(wraps, 0u);
+    EXPECT_GE(max_buckets, 128u);  // doubled at least four times
+}
+
+TEST(LineMap, AtPanicsOnMissingKey)
+{
+    LineMap<int> m;
+    EXPECT_THROW(m.at(0x40, "missing"), PanicError);
+    m.insert(0x40, 3);
+    EXPECT_EQ(m.at(0x40, "missing"), 3);
+    EXPECT_THROW(m.insert(0x40, 4), PanicError);
 }
 
 TEST(StridePrefetcher, LearnsForwardStride)
@@ -159,6 +245,32 @@ TEST(MainMemory, DataRoundTrip)
     EXPECT_EQ(m.read64(0x2000), 0u);  // untouched reads as zero
     LineData d = m.readLine(0x1000);
     EXPECT_EQ(d.read64(0), 0xdeadbeefULL);
+}
+
+TEST(MainMemory, PagedStoreZeroFillAndPageBoundary)
+{
+    MainMemory m;
+    const Addr boundary = 0x40000 + MainMemory::pageBytes;
+    LineData lo, hi;
+    lo.write64(0, 0x1111);
+    lo.write64(56, 0x2222);
+    hi.write64(0, 0x3333);
+    hi.write64(56, 0x4444);
+    m.writeLine(boundary - lineBytes, lo);  // last line of one page
+    m.writeLine(boundary, hi);              // first line of the next
+    EXPECT_EQ(m.readLine(boundary - lineBytes).bytes, lo.bytes);
+    EXPECT_EQ(m.readLine(boundary).bytes, hi.bytes);
+    // Untouched lines inside both touched pages read as zero.
+    EXPECT_EQ(m.readLine(boundary - 2 * lineBytes).bytes,
+              LineData{}.bytes);
+    EXPECT_EQ(m.read64(boundary + lineBytes), 0u);
+    EXPECT_EQ(m.read64(boundary - MainMemory::pageBytes), 0u);
+    // Alternate pages so the lookaside misses and refills.
+    m.write64(boundary - 8, 0x5555);
+    EXPECT_EQ(m.read64(boundary + 56), 0x4444u);
+    EXPECT_EQ(m.read64(boundary - 8), 0x5555u);
+    EXPECT_EQ(m.read64(boundary - lineBytes), 0x1111u);
+    EXPECT_EQ(m.read64(0x7000000), 0u);  // untouched page
 }
 
 TEST(LineData, SubWordAccess)
@@ -307,6 +419,48 @@ TEST(Moesi, StoreToOwnedUpgradesAndInvalidates)
     EXPECT_EQ(*f.l1s[0]->peekState(0x10000), L1State::M);
     EXPECT_FALSE(f.l1s[1]->peekState(0x10000).has_value());
     EXPECT_EQ(f.load(1, 0x10000), 2u);
+}
+
+/**
+ * A store merged behind a load that fills Shared cannot complete: the
+ * drain re-issues a GetX from processTargets, carrying the remaining
+ * targets into a fresh MSHR, and they complete in their issue order.
+ */
+TEST(Moesi, MergedStoreBehindSharedFillReissuesInOrder)
+{
+    MiniFabric f;
+    const Addr a = 0x20000;
+    f.load(1, a);  // E at core 1, so core 0's GetS fills Shared
+    std::vector<int> order;
+    std::vector<std::uint64_t> loaded(5, ~0ull);
+    L1Cache &l1 = *f.l1s[0];
+    auto ld = [&](int id, Addr addr) {
+        EXPECT_TRUE(l1.startLoad(addr, 8, 1, [&, id](std::uint64_t v) {
+            order.push_back(id);
+            loaded[id] = v;
+        }));
+    };
+    auto st = [&](int id, Addr addr, std::uint64_t v) {
+        EXPECT_TRUE(l1.startStore(addr, 8, v, 1,
+                                  [&, id](std::uint64_t) {
+            order.push_back(id);
+        }));
+    };
+    ld(0, a);
+    st(1, a, 5);
+    ld(2, a);
+    st(3, a + 8, 7);
+    ld(4, a + 8);
+    f.eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(loaded[0], 0u);
+    EXPECT_EQ(loaded[2], 5u);
+    EXPECT_EQ(loaded[4], 7u);
+    EXPECT_EQ(l1.statGroup().value("upgrades"), 1u);
+    EXPECT_EQ(l1.statGroup().value("mshrMerges"), 4u);
+    EXPECT_EQ(*l1.peekState(a), L1State::M);
+    EXPECT_FALSE(f.l1s[1]->peekState(a).has_value());
+    EXPECT_FALSE(l1.mshrFull());
 }
 
 TEST(Moesi, WritebackReachesL2ThenMemoryPath)
