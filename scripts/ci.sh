@@ -126,6 +126,17 @@ cmp "$BUILD_DIR"/contend8_protocols_full.json \
     tests/golden/contend8_protocols_full.json || {
     echo "full-stats output diverged from the golden"; exit 1; }
 
+echo "== full-stats regression check (EP 8-core vs golden) =="
+# No other golden schedules an event beyond the event queue's
+# 4096-tick ring; EP at 8 cores schedules tens of thousands, so this
+# one covers the overflow heap and the migration of far events into
+# the ring.
+"$BUILD_DIR"/spmcoh_run --workload=EP --cores=8 \
+    --mode=cache,hybrid-proto --jobs=2 --format=json \
+    > "$BUILD_DIR"/ep8_full.json
+cmp "$BUILD_DIR"/ep8_full.json tests/golden/ep8_full.json || {
+    echo "EP full-stats output diverged from the golden"; exit 1; }
+
 echo "== result regression check (pipeline 2-chip 16-core vs golden) =="
 "$BUILD_DIR"/spmcoh_run --workload=pipeline --cores=16 --chips=2 \
     --jobs=2 --format=json --no-stats > "$BUILD_DIR"/pipeline2x8.json

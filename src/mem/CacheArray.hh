@@ -13,11 +13,16 @@
  * through the cache at sizeof(LineT) stride. A tag of badTag marks an
  * invalid way — ~0 can never be a line-aligned address, so no
  * separate valid bit is needed.
+ *
+ * Replacement state is one bare pseudo-LRU tree word per set, with
+ * the tree size kept once for the array (PseudoLru::touchWord /
+ * victimWord), so an array supports at most 64 ways.
  */
 
 #ifndef SPMCOH_MEM_CACHEARRAY_HH
 #define SPMCOH_MEM_CACHEARRAY_HH
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -51,10 +56,12 @@ class CacheArray
         : sets(num_sets), ways(num_ways), indexShift(index_shift),
           tags(static_cast<std::size_t>(num_sets) * num_ways, badTag),
           lines(static_cast<std::size_t>(num_sets) * num_ways),
-          lru(num_sets, PseudoLru(num_ways))
+          lruWays(std::bit_ceil(num_ways)), lru(num_sets, std::uint64_t{0})
     {
         if (!isPow2(num_sets))
             fatal("CacheArray: sets must be a power of two");
+        if (num_ways == 0 || lruWays > PseudoLru::maxWordWays)
+            fatal("CacheArray: ways must be 1..64");
     }
 
     std::uint32_t numSets() const { return sets; }
@@ -78,7 +85,7 @@ class CacheArray
         const std::size_t base = static_cast<std::size_t>(s) * ways;
         for (std::uint32_t w = 0; w < ways; ++w) {
             if (tags[base + w] == line_addr) {
-                lru[s].touch(w);
+                touch(s, w);
                 return &lines[base + w];
             }
         }
@@ -113,16 +120,16 @@ class CacheArray
             if (tags[base + w] == badTag) {
                 tags[base + w] = line_addr;
                 lines[base + w] = std::move(line);
-                lru[s].touch(w);
+                touch(s, w);
                 return std::nullopt;
             }
         }
-        const std::uint32_t v = lru[s].victim();
+        const std::uint32_t v = victim(s);
         std::pair<Addr, LineT> evicted{tags[base + v],
                                        std::move(lines[base + v])};
         tags[base + v] = line_addr;
         lines[base + v] = std::move(line);
-        lru[s].touch(v);
+        touch(s, v);
         return evicted;
     }
 
@@ -157,7 +164,7 @@ class CacheArray
         for (std::uint32_t w = 0; w < ways; ++w)
             if (tags[base + w] == badTag)
                 return w;
-        const std::uint32_t v = lru[s].victim();
+        const std::uint32_t v = victim(s);
         if (can_evict(tags[base + v]))
             return v;
         for (std::uint32_t w = 0; w < ways; ++w)
@@ -185,7 +192,7 @@ class CacheArray
         const std::size_t base = static_cast<std::size_t>(s) * ways;
         tags[base + way] = line_addr;
         lines[base + way] = std::move(line);
-        lru[s].touch(way);
+        touch(s, way);
     }
 
     /** Count of valid lines (tests / occupancy stats). */
@@ -213,12 +220,19 @@ class CacheArray
     /// Invalid-way sentinel; never a line-aligned address.
     static constexpr Addr badTag = ~Addr{0};
 
+    void touch(std::uint32_t s, std::uint32_t w)
+    { PseudoLru::touchWord(lru[s], lruWays, w); }
+
+    std::uint32_t victim(std::uint32_t s) const
+    { return PseudoLru::victimWord(lru[s], lruWays, ways); }
+
     std::uint32_t sets;
     std::uint32_t ways;
     std::uint32_t indexShift;
     std::vector<Addr> tags;   ///< badTag where the way is invalid
     std::vector<LineT> lines; ///< payload parallel to tags
-    std::vector<PseudoLru> lru;
+    std::uint32_t lruWays;    ///< ways rounded up to a power of two
+    std::vector<std::uint64_t> lru; ///< one pseudo-LRU tree per set
 };
 
 } // namespace spmcoh

@@ -6,14 +6,21 @@
  * Ties are broken by insertion order (FIFO among same-tick events),
  * which keeps the simulation deterministic.
  *
- * Internally this is a calendar queue: a power-of-two ring of
- * one-tick buckets covers the near future [now, now + ringSize), and
- * an overflow min-heap (keyed on {when, seq}) holds everything
+ * Internally this is a calendar queue over a node pool. Every pending
+ * callback lives in a node of a chunked pool: chunks never move, and
+ * freed nodes are recycled LIFO, so the next schedule() reuses a node
+ * that is still hot in the host cache and the pool only grows to the
+ * peak number of pending events. A power-of-two ring of one-tick
+ * buckets covers the near future [now, now + ringSize); each bucket
+ * is an intrusive FIFO list of nodes (a head and a tail index), so
+ * the ring itself is a fixed 32 KiB no matter how bursty a tick gets.
+ * An overflow min-heap of (when, seq, node) triples holds everything
  * farther out. Nearly all simulator events land a handful of ticks
  * ahead (link hops, cache latencies), so schedule() and the run loop
- * are O(1) appends and bucket drains; the heap is only touched for
+ * are O(1) list appends and list walks; the heap is only touched for
  * the rare long-delay event. Callbacks are SmallFunction, so captures
- * up to 48 bytes never heap-allocate.
+ * up to 48 bytes never heap-allocate; a callback is moved once, into
+ * its node, and invoked in place.
  *
  * FIFO-tie invariant: a ring bucket never stores a sequence number.
  * That is sound because (a) direct appends to a bucket happen in
@@ -31,6 +38,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -53,7 +61,7 @@ class EventQueue
   public:
     using Callback = SmallFunction<void()>;
 
-    EventQueue() : ring(ringSize) {}
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -67,6 +75,12 @@ class EventQueue
     std::uint64_t executed() const { return numExecuted; }
 
     /**
+     * Callback nodes held by the pool: the peak pending count rounded
+     * up to whole chunks. It never shrinks.
+     */
+    std::size_t capacity() const { return chunks.size() * chunkNodes; }
+
+    /**
      * Schedule @p cb to run at absolute tick @p when.
      * @pre when >= now()
      */
@@ -75,13 +89,12 @@ class EventQueue
     {
         if (when < _now)
             panic("EventQueue: scheduling in the past");
+        const std::uint32_t n = allocNode();
+        node(n).cb = std::move(cb);
         if (when - _now < ringSize) {
-            const std::size_t b = when & ringMask;
-            ring[b].push_back(std::move(cb));
-            occ[b >> 6] |= std::uint64_t{1} << (b & 63);
-            ++ringCount;
+            append(when & ringMask, n);
         } else {
-            overflow.push(FarEntry{when, nextSeq++, std::move(cb)});
+            overflow.push(FarEntry{when, nextSeq++, n});
         }
     }
 
@@ -106,7 +119,8 @@ class EventQueue
                 return false;
             }
             advanceTo(next);
-            drainBucket(next & ringMask);
+            while (runHead(next & ringMask)) {
+            }
         }
         return true;
     }
@@ -119,15 +133,7 @@ class EventQueue
             return false;
         const Tick next = nextEventTick();
         advanceTo(next);
-        const std::size_t b = next & ringMask;
-        auto &bucket = ring[b];
-        Callback cb = std::move(bucket.front());
-        bucket.erase(bucket.begin());
-        if (bucket.empty())
-            occ[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-        --ringCount;
-        ++numExecuted;
-        cb();
+        runHead(next & ringMask);
         return true;
     }
 
@@ -136,12 +142,35 @@ class EventQueue
     static constexpr std::size_t ringSize = 4096;
     static constexpr std::size_t ringMask = ringSize - 1;
     static constexpr std::size_t occWords = ringSize / 64;
+    /** Pool chunk size in nodes; power of two. */
+    static constexpr std::uint32_t chunkShift = 10;
+    static constexpr std::uint32_t chunkNodes = 1u << chunkShift;
+    /** Null node index (end of a list, empty bucket). */
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+
+    /**
+     * One pending callback. @c next links the node into its bucket's
+     * FIFO list, or into the free list while the node is unused (its
+     * callback is then empty).
+     */
+    struct Node
+    {
+        Callback cb;
+        std::uint32_t next = nil;
+    };
+
+    /** One tick's events, oldest at @c head. */
+    struct Bucket
+    {
+        std::uint32_t head = nil;
+        std::uint32_t tail = nil;
+    };
 
     struct FarEntry
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t node;
 
         bool
         operator>(const FarEntry &o) const
@@ -151,6 +180,57 @@ class EventQueue
             return seq > o.seq;
         }
     };
+
+    Node &
+    node(std::uint32_t n)
+    {
+        return chunks[n >> chunkShift][n & (chunkNodes - 1)];
+    }
+
+    /** Pop a node off the free list, adding a chunk if it is empty. */
+    std::uint32_t
+    allocNode()
+    {
+        if (freeHead == nil) {
+            const auto base =
+                static_cast<std::uint32_t>(chunks.size()) * chunkNodes;
+            chunks.push_back(std::make_unique<Node[]>(chunkNodes));
+            Node *chunk = chunks.back().get();
+            for (std::uint32_t i = chunkNodes; i-- > 0;) {
+                chunk[i].next = freeHead;
+                freeHead = base + i;
+            }
+        }
+        const std::uint32_t n = freeHead;
+        freeHead = node(n).next;
+        return n;
+    }
+
+    /** Destroy node @p n's callback and push it on the free list. */
+    void
+    freeNode(std::uint32_t n)
+    {
+        Node &nd = node(n);
+        nd.cb = nullptr;
+        nd.next = freeHead;
+        freeHead = n;
+    }
+
+    /** Link node @p n at the tail of bucket @p b. */
+    void
+    append(std::size_t b, std::uint32_t n)
+    {
+        Bucket &bucket = ring[b];
+        node(n).next = nil;
+        if (bucket.head == nil) {
+            bucket.head = n;
+            occ[b >> 6] |= std::uint64_t{1} << (b & 63);
+        } else {
+            node(bucket.tail).next = n;
+        }
+        bucket.tail = n;
+        ++ringCount;
+    }
 
     /**
      * Advance now() to @p t and eagerly pull every overflow event
@@ -164,11 +244,7 @@ class EventQueue
         _now = t;
         while (!overflow.empty() &&
                overflow.top().when - _now < ringSize) {
-            FarEntry &top = const_cast<FarEntry &>(overflow.top());
-            const std::size_t b = top.when & ringMask;
-            ring[b].push_back(std::move(top.cb));
-            occ[b >> 6] |= std::uint64_t{1} << (b & 63);
-            ++ringCount;
+            append(overflow.top().when & ringMask, overflow.top().node);
             overflow.pop();
         }
     }
@@ -201,26 +277,34 @@ class EventQueue
     }
 
     /**
-     * Execute every event in bucket @p b, including same-tick events
-     * appended by the callbacks themselves (the index re-checks the
-     * live size, and no other tick can map here while it is within
-     * the window).
+     * Run the oldest event of bucket @p b in place, then free its
+     * node. The node's link is read only after the callback returns,
+     * because the callback may append to its own tick (no other tick
+     * can map here while this one is within the window).
+     * @return whether bucket @p b still holds events
      */
-    void
-    drainBucket(std::size_t b)
+    bool
+    runHead(std::size_t b)
     {
-        auto &bucket = ring[b];
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            Callback cb = std::move(bucket[i]);
-            --ringCount;
-            ++numExecuted;
-            cb();
-        }
-        bucket.clear();
+        Bucket &bucket = ring[b];
+        const std::uint32_t n = bucket.head;
+        Node &nd = node(n);
+        --ringCount;
+        ++numExecuted;
+        nd.cb();
+        bucket.head = nd.next;
+        freeNode(n);
+        if (bucket.head != nil)
+            return true;
+        bucket.tail = nil;
         occ[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+        return false;
     }
 
-    std::vector<std::vector<Callback>> ring;
+    /// Node storage; a chunk never moves once allocated.
+    std::vector<std::unique_ptr<Node[]>> chunks;
+    std::uint32_t freeHead = nil;
+    std::array<Bucket, ringSize> ring{};
     std::array<std::uint64_t, occWords> occ{};
     std::size_t ringCount = 0;
     std::priority_queue<FarEntry, std::vector<FarEntry>,

@@ -16,10 +16,15 @@
  *  4. A randomized property test against a reference
  *     std::priority_queue model with explicit (tick, seq) keys,
  *     including re-scheduling from inside callbacks.
+ *  5. The node pool: a callback runs in place while it grows the
+ *     pool under itself, the pool stays at its high-water mark
+ *     however the ring is swept, and every callback is destroyed
+ *     exactly once whether it ran or was still pending.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -134,6 +139,130 @@ TEST(EventQueue, StepExecutesOneEvent)
     EXPECT_TRUE(eq.step());
     EXPECT_EQ(fired, 2);
     EXPECT_FALSE(eq.step());
+}
+
+TEST(EventQueue, CallbackGrowingThePoolRunsInPlace)
+{
+    // One callback schedules three chunks' worth of events into its
+    // own tick and the next, then reads its own captures: the pool
+    // grows under it while it runs, so its node must not move (an
+    // ASan build reports a use-after-free if it does).
+    EventQueue eq;
+    struct Ctx
+    {
+        EventQueue &eq;
+        std::vector<std::uint32_t> order;
+        std::size_t chunk = 0;
+        bool capturesIntact = false;
+    } ctx{eq, {}, 0, false};
+    const std::array<std::uint64_t, 4> sentinel{
+        0x0123456789abcdefull, 0xfedcba9876543210ull,
+        0x5555aaaa5555aaaaull, 0xdeadbeefcafef00dull};
+    auto grow = [c = &ctx, sentinel] {
+        for (std::uint32_t i = 0; i < 3 * c->chunk; ++i)
+            c->eq.schedule(10 + (i & 1),
+                           [c, i] { c->order.push_back(i); });
+        c->capturesIntact = sentinel[0] == 0x0123456789abcdefull &&
+                            sentinel[1] == 0xfedcba9876543210ull &&
+                            sentinel[2] == 0x5555aaaa5555aaaaull &&
+                            sentinel[3] == 0xdeadbeefcafef00dull;
+    };
+    // Inline, so the captures live in the node itself.
+    static_assert(sizeof(grow) <= EventQueue::Callback::inlineBytes);
+    eq.schedule(10, std::move(grow));
+    const std::size_t chunk = ctx.chunk = eq.capacity();
+    ASSERT_GT(chunk, 0u);
+    EXPECT_TRUE(eq.run());
+    EXPECT_TRUE(ctx.capturesIntact);
+    EXPECT_GE(eq.capacity(), 3 * chunk);
+    // Same-tick events first (even i), then the next tick (odd i),
+    // each in schedule order.
+    ASSERT_EQ(ctx.order.size(), 3 * chunk);
+    std::size_t k = 0;
+    for (std::uint32_t parity = 0; parity < 2; ++parity)
+        for (std::uint32_t i = parity; i < 3 * chunk; i += 2, ++k)
+            ASSERT_EQ(ctx.order[k], i) << "at position " << k;
+}
+
+TEST(EventQueue, PoolStaysAtBurstHighWaterMark)
+{
+    // A same-tick burst sizes the pool; afterwards three ring
+    // revolutions of one event per tick reuse the freed nodes and
+    // grow nothing, however many distinct ticks they touch.
+    EventQueue eq;
+    constexpr std::size_t burst = 5000;
+    for (std::size_t i = 0; i < burst; ++i)
+        eq.schedule(1, [] {});
+    EXPECT_TRUE(eq.run());
+    const std::size_t highWater = eq.capacity();
+    EXPECT_GE(highWater, burst);
+
+    std::uint64_t ticks = 0;
+    std::function<void()> tick = [&] {
+        if (++ticks < 3 * farAhead)
+            eq.scheduleIn(1, [&tick] { tick(); });
+    };
+    eq.scheduleIn(1, [&tick] { tick(); });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(ticks, 3 * farAhead);
+    EXPECT_EQ(eq.capacity(), highWater);
+}
+
+/**
+ * Counts its own destruction once: a moved-from copy hands the count
+ * on. @p Pad sizes the capture below or above SmallFunction's inline
+ * buffer.
+ */
+template <std::size_t Pad>
+struct Tracked
+{
+    explicit Tracked(int *d) : destroyed(d) {}
+    Tracked(Tracked &&o) noexcept : destroyed(o.destroyed), owner(o.owner)
+    {
+        o.owner = false;
+    }
+    Tracked(const Tracked &) = delete;
+    ~Tracked()
+    {
+        if (owner)
+            ++*destroyed;
+    }
+    int *destroyed;
+    bool owner = true;
+    std::array<char, Pad> pad{};
+};
+
+TEST(EventQueue, DestroysEveryCallbackExactlyOnce)
+{
+    // Heap-fallback (> 48 B) and inline captures, inside and beyond
+    // the ring; run(limit) stops with events still pending, and the
+    // queue's destructor must destroy each of those exactly once.
+    int destroyed = 0;
+    int ran = 0;
+    constexpr int perKind = 20;
+    {
+        EventQueue eq;
+        for (int i = 0; i < perKind; ++i) {
+            const Tick near = 1 + static_cast<Tick>(i);
+            const Tick far = farAhead + 100 + static_cast<Tick>(i);
+            for (const Tick when : {near, far}) {
+                Tracked<64> big(&destroyed);
+                static_assert(sizeof(big) > EventQueue::Callback::inlineBytes);
+                eq.schedule(when, [&ran, t = std::move(big)] { ++ran; });
+                Tracked<0> small(&destroyed);
+                static_assert(sizeof(small) <=
+                              EventQueue::Callback::inlineBytes);
+                eq.schedule(when, [&ran, t = std::move(small)] { ++ran; });
+            }
+        }
+        EXPECT_EQ(destroyed, 0);
+        EXPECT_FALSE(eq.run(perKind / 2));
+        EXPECT_EQ(ran, 2 * (perKind / 2));
+        EXPECT_EQ(destroyed, ran);
+        EXPECT_EQ(eq.pending(),
+                  static_cast<std::size_t>(4 * perKind - ran));
+    }
+    EXPECT_EQ(destroyed, 4 * perKind);
 }
 
 /**

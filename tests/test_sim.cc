@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -114,6 +116,25 @@ TEST(PseudoLru, TouchProtectsRecentlyUsed)
         lru.touch(v);
         // The victim right after a touch must differ.
         EXPECT_NE(lru.victim(), v);
+    }
+}
+
+TEST(PseudoLru, WordWalkMatchesObject)
+{
+    // CacheArray keeps bare tree words; their walks must pick exactly
+    // the victims a PseudoLru object would.
+    Rng rng(0x1a7e);
+    for (const std::uint32_t ways : {1u, 2u, 3u, 4u, 12u, 16u, 48u, 64u}) {
+        PseudoLru lru(ways);
+        std::uint64_t word = 0;
+        const std::uint32_t treeWays = std::bit_ceil(ways);
+        for (int i = 0; i < 500; ++i) {
+            ASSERT_EQ(PseudoLru::victimWord(word, treeWays, ways),
+                      lru.victim()) << ways << " ways, step " << i;
+            const std::uint32_t w = rng.next() % ways;
+            lru.touch(w);
+            PseudoLru::touchWord(word, treeWays, w);
+        }
     }
 }
 
