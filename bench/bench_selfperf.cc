@@ -2,12 +2,12 @@
  * @file
  * Simulator self-performance harness: wall-clock cost per simulated
  * cycle on a fixed experiment pair (CG and pipeline, 8 cores,
- * hybrid-proto). Unlike every other harness in bench/, this one
- * measures the simulator itself, not the simulated machine — it is
- * the regression baseline for "did this refactor slow the event
- * loop down". The checked-in BENCH_selfperf.json at the repo root
- * holds one reference capture; re-run after substantial core/mem
- * changes and compare nsPerSimCycle.
+ * hybrid-proto). It measures the simulator itself, not the
+ * simulated machine — it is the regression baseline for "did this
+ * refactor slow the event loop down". The checked-in
+ * BENCH_selfperf.json at the repo root holds one reference capture;
+ * re-run after substantial core/mem changes and compare
+ * nsPerSimCycle.
  *
  *   bench_selfperf [--reps=N] [--out=FILE]
  *
@@ -19,14 +19,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <thread>
 
+#include "driver/Cli.hh"
 #include "driver/Driver.hh"
 #include "driver/Json.hh"
+#include "system/Topology.hh"
 
 #ifndef SPMCOH_BUILD_TYPE
 #define SPMCOH_BUILD_TYPE "unknown"
@@ -92,32 +94,34 @@ main(int argc, char **argv)
     std::uint32_t cores = 8;
     std::uint32_t chips = 1;
     std::string out_file;
+    // A positive 32-bit count, or false after reporting why not.
+    const auto count = [](const char *what, const char *text,
+                          std::uint32_t &dst) {
+        const auto v = parseUint(text);
+        if (!v || *v == 0 ||
+            *v > std::numeric_limits<std::uint32_t>::max()) {
+            std::fprintf(stderr, "bad %s '%s'\n", what, text);
+            return false;
+        }
+        dst = static_cast<std::uint32_t>(*v);
+        return true;
+    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--reps=", 7) == 0) {
-            const long v = std::strtol(arg + 7, nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr, "bad rep count '%s'\n",
-                             arg + 7);
+            if (!count("rep count", arg + 7, reps))
                 return 2;
-            }
-            reps = static_cast<std::uint32_t>(v);
         } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-            const long v = std::strtol(arg + 8, nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr, "bad core count '%s'\n",
-                             arg + 8);
+            if (!count("core count", arg + 8, cores))
+                return 2;
+            if (const auto err = Topology::checkCores(cores)) {
+                std::fprintf(stderr, "--cores=%s: %s\n", arg + 8,
+                             err->c_str());
                 return 2;
             }
-            cores = static_cast<std::uint32_t>(v);
         } else if (std::strncmp(arg, "--chips=", 8) == 0) {
-            const long v = std::strtol(arg + 8, nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr, "bad chip count '%s'\n",
-                             arg + 8);
+            if (!count("chip count", arg + 8, chips))
                 return 2;
-            }
-            chips = static_cast<std::uint32_t>(v);
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             out_file = arg + 6;
         } else if (std::strcmp(arg, "--help") == 0) {

@@ -189,6 +189,30 @@ echo "== selfperf regression gate (loose tolerance) =="
     --out="$BUILD_DIR"/selfperf.json
 python3 scripts/check_selfperf.py "$BUILD_DIR"/selfperf.json
 
+echo "== selfperf rejects malformed counts (no simulation runs) =="
+# Trailing junk and counts past 32 bits must fail at parse time, not
+# run as --reps=1 or as an 8-core capture.
+for bad in --reps=1x --cores=4294967304; do
+    rc=0
+    "$BUILD_DIR"/bench_selfperf "$bad" > /dev/null 2>&1 || rc=$?
+    test "$rc" -eq 2 || {
+        echo "bench_selfperf $bad exited $rc, expected 2"; exit 1; }
+done
+
+echo "== figure presets (fig8 vs golden, table smokes) =="
+# Figure 8 is six 64-core points; its full JSON must match byte for
+# byte.
+"$BUILD_DIR"/spmcoh_run --figure=fig8 --format=json --jobs=auto \
+    > "$BUILD_DIR"/fig8.json
+cmp "$BUILD_DIR"/fig8.json tests/golden/fig8.json || {
+    echo "--figure=fig8 diverged from the golden"; exit 1; }
+# The tables run no simulation. Table 1 checks the built system and
+# table 2 the paper's program structure; both fail on a mismatch.
+"$BUILD_DIR"/spmcoh_run --figure=table1 > "$BUILD_DIR"/table1.txt
+grep -q '^config check: OK$' "$BUILD_DIR"/table1.txt
+"$BUILD_DIR"/spmcoh_run --figure=table2 > "$BUILD_DIR"/table2.txt
+grep -q '^SP ' "$BUILD_DIR"/table2.txt
+
 echo "== large-mesh smoke test (256 cores, 16x16) =="
 "$BUILD_DIR"/spmcoh_run --workload=CG --cores=256 --jobs=auto \
     --format=json > "$BUILD_DIR"/smoke256.json

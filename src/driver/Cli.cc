@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "cpu/CoreModel.hh"
+#include "driver/Figures.hh"
 #include "protocols/ProtocolFactory.hh"
 #include "sim/Logging.hh"
 #include "system/Topology.hh"
@@ -52,10 +53,22 @@ CliOptions::effectiveTitle() const
 std::string
 cliUsage(const std::string &prog)
 {
+    std::string figs;
+    for (const Figure &f : figures())
+        figs += "    " + std::string(f.name) + "\n        " +
+                f.description + "\n";
     return "usage: " + prog + " --workload=NAME[,NAME...] [options]\n"
+        "       " + prog + " --figure=NAME [options]\n"
         "\n"
         "Runs the cartesian product of the sweep axes through the\n"
         "experiment driver and streams results to a ResultSink.\n"
+        "\n"
+        "paper figures and tables:\n"
+        "  --figure=NAME     run the preset's sweep and print the\n"
+        "                    figure (--format=table) or export it;\n"
+        "                    only --jobs, --format, --out and\n"
+        "                    --no-stats may be given with it. NAME:\n" +
+        figs +
         "\n"
         "sweep axes:\n"
         "  --workload=LIST   workload names, or 'all' for every\n"
@@ -106,10 +119,6 @@ cliUsage(const std::string &prog)
         "  --help            this text\n";
 }
 
-namespace
-{
-
-/** Parse a whole-string unsigned integer; nullopt when malformed. */
 std::optional<std::uint64_t>
 parseUint(const std::string &s)
 {
@@ -122,6 +131,9 @@ parseUint(const std::string &s)
         return std::nullopt;
     return v;
 }
+
+namespace
+{
 
 /** Parse a whole-string double; nullopt when malformed. */
 std::optional<double>
@@ -150,11 +162,53 @@ flagValue(const std::string &arg, const std::string &flag)
 } // namespace
 
 CliOptions
-parseCli(const std::vector<std::string> &args,
+parseCli(const std::vector<std::string> &given,
          const WorkloadRegistry &reg)
 {
     CliOptions opt;
     std::vector<std::string> errs;
+
+    // --figure=NAME stands for its preset's axis arguments and title,
+    // parsed below like any others. The preset fixes those, so only
+    // the execution and output flags may come with it.
+    std::string figureArg;
+    std::vector<std::string> rest;
+    for (const std::string &arg : given) {
+        const auto v = flagValue(arg, "--figure");
+        if (!v) {
+            rest.push_back(arg);
+            continue;
+        }
+        if (!figureArg.empty())
+            errs.push_back("--figure given twice");
+        figureArg = arg;
+        opt.figure = findFigure(*v);
+        if (!opt.figure) {
+            std::string known;
+            for (const Figure &f : figures())
+                known += (known.empty() ? "" : ", ") +
+                         std::string(f.name);
+            errs.push_back("unknown figure '" + *v +
+                           "'; known figures: " + known);
+        }
+    }
+    std::vector<std::string> args;
+    if (opt.figure) {
+        args = opt.figure->args;
+        args.push_back(std::string("--title=") + opt.figure->title);
+    }
+    for (const std::string &arg : rest) {
+        const bool free = arg == "--no-stats" || arg == "--help" ||
+            arg == "-h" || arg == "--list-workloads" ||
+            arg == "--list-protocols" || flagValue(arg, "--jobs") ||
+            flagValue(arg, "--format") || flagValue(arg, "--out");
+        if (figureArg.empty() || free)
+            args.push_back(arg);
+        else
+            errs.push_back(figureArg + " fixes the sweep axes and "
+                           "title; drop '" + arg + "'");
+    }
+
     std::vector<std::uint32_t> filterEntries;
     std::vector<bool> prefetcher;
     std::vector<std::pair<std::string, std::vector<double>>>
@@ -348,10 +402,14 @@ parseCli(const std::vector<std::string> &args,
     if (opt.help || opt.listWorkloads || opt.listProtocols)
         return opt;
 
-    if (!sawWorkload)
+    if (opt.figure && opt.figure->args.empty() &&
+        opt.format != ResultFormat::Table)
+        errs.push_back(figureArg + " runs no simulation and prints "
+                       "only as a table; drop --format");
+    if (!sawWorkload && figureArg.empty())
         errs.push_back("no workload set (use --workload=NAME, or "
                        "--workload=all)");
-    else if (opt.sweep.workloads.empty())
+    else if (sawWorkload && opt.sweep.workloads.empty())
         errs.push_back("--workload lists no workloads");
 
     if (opt.sweep.farMemLat > 0) {

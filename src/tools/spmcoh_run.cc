@@ -1,11 +1,14 @@
 /**
  * @file
- * spmcoh_run: the single CLI driver for ad-hoc studies. Declares a
- * sweep from command-line axes, runs it (optionally on a worker
+ * spmcoh_run: the single CLI driver for the paper's figures and
+ * for ad-hoc studies. Declares a sweep from command-line axes or
+ * from a named figure preset, runs it (optionally on a worker
  * pool), and streams the results through a table/CSV/JSON sink to
- * stdout or a file. Subsumes the per-figure bench_* mains for
- * anything that does not need their figure-shaped rendering:
+ * stdout or a file. A figure preset in table format prints the
+ * figure-shaped table instead:
  *
+ *   spmcoh_run --figure=fig9 --jobs=auto
+ *   spmcoh_run --figure=fig8 --format=json --out=fig8.json
  *   spmcoh_run --workload=CG --cores=8 --format=json
  *   spmcoh_run --workload=all --mode=cache,hybrid-proto --jobs=8
  *   spmcoh_run --workload=CG,IS --filter-entries=4,16,48,128
@@ -22,7 +25,7 @@
 
 #include "driver/Cli.hh"
 #include "driver/Driver.hh"
-#include "driver/ThreadPool.hh"
+#include "driver/Figures.hh"
 #include "runtime/PhaseSchedule.hh"
 #include "sim/Logging.hh"
 
@@ -100,6 +103,14 @@ main(int argc, char **argv)
         ThreadPoolExecutor pool(opt.jobs);
         SweepRunner runner(WorkloadRegistry::global(),
                            opt.jobs != 1 ? &pool : nullptr);
+        if (opt.figure && opt.format == ResultFormat::Table) {
+            const std::vector<ExperimentResult> results =
+                opt.figure->args.empty()
+                    ? std::vector<ExperimentResult>{}
+                    : runner.run(opt.sweep);
+            opt.figure->render(os, opt.sweep, results);
+            return 0;
+        }
         const auto sink =
             makeResultSink(opt.format, os, opt.withStats);
         runner.run(opt.sweep, sink.get(), opt.effectiveTitle());

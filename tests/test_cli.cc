@@ -1,14 +1,19 @@
 /**
  * @file
  * Tests for the spmcoh_run command-line layer: axis parsing into a
- * SweepSpec, defaults, variant axes, error accumulation, and the
- * parsed sweep actually running through the driver.
+ * SweepSpec, defaults, variant axes, figure presets, error
+ * accumulation, and the parsed sweep actually running through the
+ * driver.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "driver/Cli.hh"
 #include "driver/Driver.hh"
+#include "driver/Figures.hh"
+#include "workloads/NasBenchmarks.hh"
 
 namespace spmcoh
 {
@@ -204,6 +209,147 @@ TEST(Cli, ParsedSweepRunsThroughTheDriver)
     EXPECT_EQ(results[0].results.cycles, direct.results.cycles);
     EXPECT_EQ(results[0].results.traffic.totalPackets(),
               direct.results.traffic.totalPackets());
+}
+
+TEST(CliFigure, EveryPresetParsesWithItsTitle)
+{
+    for (const Figure &f : figures()) {
+        SCOPED_TRACE(f.name);
+        const CliOptions opt = parseCli(
+            {std::string("--figure=") + f.name, "--jobs=auto",
+             "--out=fig.txt", "--no-stats"});
+        EXPECT_EQ(opt.figure, &f);
+        EXPECT_EQ(opt.effectiveTitle(), f.title);
+        EXPECT_EQ(opt.sweep.workloads.empty(), f.args.empty());
+        EXPECT_EQ(opt.jobs, 0u);
+        EXPECT_FALSE(opt.withStats);
+    }
+}
+
+// Reference: the SweepSpec each figure's standalone bench binary
+// built; a preset must expand to the same points in the same order.
+std::map<std::string, SweepSpec>
+harnessSweeps()
+{
+    const auto eval = [](std::vector<SystemMode> modes) {
+        SweepSpec s;
+        for (NasBench b : allNasBenchmarks())
+            s.workloads.push_back(nasBenchName(b));
+        s.modes = std::move(modes);
+        s.coreCounts = {64};
+        s.scales = {1.0};
+        return s;
+    };
+    std::map<std::string, SweepSpec> out;
+    out["fig7"] =
+        eval({SystemMode::HybridIdeal, SystemMode::HybridProto});
+    out["fig8"] = eval({SystemMode::HybridProto});
+    for (const char *n : {"fig9", "fig10", "fig11"})
+        out[n] = eval({SystemMode::CacheOnly, SystemMode::HybridProto});
+
+    SweepSpec filter;
+    filter.workloads = {"CG", "IS"};
+    filter.modes = {SystemMode::HybridProto};
+    for (std::uint32_t n : {4u, 16u, 48u, 128u})
+        filter.variants.push_back(SweepVariant{
+            "filter" + std::to_string(n),
+            [n](SystemParams &p) { p.coh.filterEntries = n; }});
+    out["ablation-filter"] = filter;
+
+    SweepSpec pf;
+    pf.workloads = {"FT", "MG", "SP"};
+    pf.modes = {SystemMode::CacheOnly};
+    pf.variants = {
+        SweepVariant{"pf-on", nullptr},
+        SweepVariant{"pf-off", [](SystemParams &p) {
+                         p.l1d.prefetcher.enabled = false;
+                     }},
+    };
+    out["ablation-prefetcher"] = pf;
+
+    SweepSpec scaling;
+    scaling.workloads = {"CG"};
+    scaling.modes = {SystemMode::CacheOnly, SystemMode::HybridIdeal,
+                     SystemMode::HybridProto};
+    scaling.coreCounts = {64, 128, 256, 512, 1024};
+    out["scaling"] = scaling;
+
+    SweepSpec chips;
+    chips.workloads = {"CG"};
+    chips.modes = {SystemMode::HybridProto};
+    chips.chipCounts = {1, 2, 4};
+    out["scaling-chips"] = chips;
+    return out;
+}
+
+TEST(CliFigure, SweepPresetsExpandLikeTheirOldHarnesses)
+{
+    const SweepRunner runner;
+    const auto old = harnessSweeps();
+    std::size_t sweeps = 0;
+    for (const Figure &f : figures()) {
+        if (f.args.empty())
+            continue;
+        SCOPED_TRACE(f.name);
+        ++sweeps;
+        ASSERT_EQ(old.count(f.name), 1u);
+        const auto got = runner.expand(
+            parseCli({std::string("--figure=") + f.name}).sweep);
+        const auto want = runner.expand(old.at(f.name));
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].label(), want[i].label());
+            const SystemParams gp = got[i].resolvedParams();
+            const SystemParams wp = want[i].resolvedParams();
+            EXPECT_EQ(gp.coh.filterEntries, wp.coh.filterEntries);
+            EXPECT_EQ(gp.l1d.prefetcher.enabled,
+                      wp.l1d.prefetcher.enabled);
+        }
+    }
+    EXPECT_EQ(sweeps, old.size());
+}
+
+// Expects parseCli(@p args) to fail with @p needle in its message.
+void
+expectRejected(const std::vector<std::string> &args,
+               const std::string &needle)
+{
+    try {
+        parseCli(args);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CliFigure, FigureFixesItsAxes)
+{
+    expectRejected({"--figure=fig9", "--workload=CG"},
+                   "--figure=fig9 fixes the sweep axes and title; "
+                   "drop '--workload=CG'");
+    expectRejected({"--figure=fig8", "--title=mine"},
+                   "drop '--title=mine'");
+}
+
+TEST(CliFigure, UnknownFigureListsTheKnownNames)
+{
+    expectRejected({"--figure=fig12"},
+                   "unknown figure 'fig12'; known figures: fig7, "
+                   "fig8, fig9, fig10, fig11, table1, table2, "
+                   "ablation-filter, ablation-prefetcher, scaling, "
+                   "scaling-chips");
+}
+
+TEST(CliFigure, TablesPrintOnlyAsTables)
+{
+    expectRejected({"--figure=table2", "--format=json"},
+                   "--figure=table2 runs no simulation");
+    expectRejected({"--figure=table1", "--format=csv"},
+                   "--figure=table1 runs no simulation");
+    EXPECT_NE(cliUsage("spmcoh_run").find("ablation-prefetcher"),
+              std::string::npos);
 }
 
 } // namespace
