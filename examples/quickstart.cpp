@@ -82,9 +82,10 @@ main()
 
     // 1. Register the loop as a named workload.
     WorkloadRegistry reg;
-    reg.add("quickstart", [](std::uint32_t n, double) {
-        return quickstartProgram(n);
-    });
+    reg.add({"quickstart", "one strip-mined loop", {},
+             [](std::uint32_t n, double, const WorkloadParams &) {
+                 return quickstartProgram(n);
+             }});
 
     // 2. Peek at the compiler's Sec. 2.4 classification + Fig. 3
     //    tiling of the program.

@@ -9,6 +9,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-ci}"
 
+echo "== no environment-variable hooks in the simulator =="
+# Configuration comes from the experiment spec; a getenv read at
+# static init is process-wide and can throw before main.
+if grep -rn 'getenv' src; then
+    echo "getenv found under src/"; exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPMCOH_WERROR=ON

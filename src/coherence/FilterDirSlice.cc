@@ -295,13 +295,9 @@ FilterDirSlice::insertAndAck(Addr base, CoreId requestor,
     // completes; onFwdAck releases it.
     Slot &v = slots[victim];
     v.st = SlotState::Draining;
-    const std::uint64_t op_id = nextOp++;
-    PendingOp op;
-    op.kind = PendingOp::Kind::Drain;
-    op.slot = victim;
-    op.newBase = base;
-    op.requestor = requestor;
-    op.aux = aux;
+    const std::uint64_t op_id = ops.acquire();
+    PendingOp &op = *ops.find(op_id);
+    op = PendingOp{PendingOp::Kind::Drain, victim, base, requestor, aux};
     std::uint64_t sharers = v.sharers;
     for (CoreId c = 0; sharers != 0; ++c, sharers >>= 1) {
         if (sharers & 1) {
@@ -310,14 +306,13 @@ FilterDirSlice::insertAndAck(Addr base, CoreId requestor,
         }
     }
     if (op.pendingAcks == 0) {
+        ops.release(op_id);
         v = Slot{SlotState::Valid, base, bit(requestor)};
         lru.touch(victim);
         ++stInserts;
         sendToCore(requestor, MsgType::FilterCheckAck, base, aux);
         releaseBase(base);
-        return;
     }
-    ops.emplace(op_id, std::move(op));
 }
 
 void
@@ -344,19 +339,15 @@ FilterDirSlice::onFilterInval(const Message &msg)
             return;
         }
         ++stSharerInvalidations;
-        const std::uint64_t op_id = nextOp++;
-        PendingOp op;
-        op.kind = PendingOp::Kind::MapInval;
-        op.requestor = requestor;
-        op.aux = aux;
-        std::uint64_t m = sharers;
-        for (CoreId c = 0; m != 0; ++c, m >>= 1) {
-            if (m & 1) {
+        const std::uint64_t op_id = ops.acquire();
+        PendingOp &op = *ops.find(op_id);
+        op = PendingOp{PendingOp::Kind::MapInval, 0, 0, requestor, aux};
+        for (CoreId c = 0; sharers != 0; ++c, sharers >>= 1) {
+            if (sharers & 1) {
                 ++op.pendingAcks;
                 sendToCore(c, MsgType::FilterInvalFwd, base, op_id);
             }
         }
-        ops.emplace(op_id, std::move(op));
     });
 }
 
@@ -373,16 +364,15 @@ FilterDirSlice::onEvictNotify(const Message &msg)
 void
 FilterDirSlice::onFwdAck(const Message &msg)
 {
-    auto it = ops.find(msg.aux);
-    if (it == ops.end())
+    PendingOp *op = ops.find(msg.aux);
+    if (!op)
         panic("FilterDirSlice: ack for unknown op");
-    PendingOp &op = it->second;
-    if (op.pendingAcks == 0)
+    if (op->pendingAcks == 0)
         panic("FilterDirSlice: ack underflow");
-    if (--op.pendingAcks != 0)
+    if (--op->pendingAcks != 0)
         return;
-    const PendingOp done = std::move(it->second);
-    ops.erase(it);
+    const PendingOp done = *op;
+    ops.release(msg.aux);
     if (done.kind == PendingOp::Kind::Drain) {
         slots[done.slot] =
             Slot{SlotState::Valid, done.newBase, bit(done.requestor)};

@@ -15,12 +15,12 @@
 #define SPMCOH_COHERENCE_FILTERDIRSLICE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/CohFabric.hh"
 #include "mem/MemNet.hh"
 #include "sim/PseudoLru.hh"
+#include "sim/SlotTable.hh"
 #include "sim/Stats.hh"
 
 namespace spmcoh
@@ -128,8 +128,8 @@ class FilterDirSlice
      * table (released entries keep their queue capacity) beats a map.
      */
     std::vector<BusyBase> busyBases;
-    std::unordered_map<std::uint64_t, PendingOp> ops;
-    std::uint64_t nextOp = 1;
+    /** Broadcast fan-outs awaiting acks; the id rides in aux. */
+    SlotTable<PendingOp> ops;
     StatGroup stats;
     /** Hot-path counters, resolved once at construction. */
     Counter &stChecks;

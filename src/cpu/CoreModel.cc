@@ -698,8 +698,6 @@ CoreModel::finish()
         if (kernelDma[k])
             stats.counter("phase" + std::to_string(k) + "Dma") +=
                 kernelDma[k];
-    if (finishedCb)
-        finishedCb();
 }
 
 } // namespace spmcoh

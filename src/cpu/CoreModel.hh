@@ -106,10 +106,6 @@ class CoreModel
         barrierArrive = std::move(f);
     }
 
-    /** Invoked when the op stream ends. */
-    void setFinishedCallback(std::function<void()> cb)
-    { finishedCb = std::move(cb); }
-
     /** Begin executing @p src (schedules the first run). */
     void start(OpSource *src);
 
@@ -244,7 +240,6 @@ class CoreModel
 
     std::function<void(const MicroOp &, std::function<void()>)>
         barrierArrive;
-    std::function<void()> finishedCb;
     StatGroup stats;
     /** Hot-path counters, resolved once at construction. The
      *  per-phase counters in finish() stay string-keyed (cold). */

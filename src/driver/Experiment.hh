@@ -228,14 +228,6 @@ class ExperimentBuilder
         return *this;
     }
 
-    /** Replace the whole workload parameter assignment. */
-    ExperimentBuilder &
-    workloadParams(const WorkloadParams &p)
-    {
-        s.wparams = p;
-        return *this;
-    }
-
     ExperimentBuilder &
     variant(const std::string &name)
     {

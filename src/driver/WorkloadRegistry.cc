@@ -176,21 +176,6 @@ WorkloadRegistry::add(WorkloadSpec spec)
     specs.emplace(name, std::move(spec));
 }
 
-void
-WorkloadRegistry::add(const std::string &name, WorkloadFactory factory)
-{
-    if (!factory)
-        fatal("WorkloadRegistry: null factory for '" + name + "'");
-    WorkloadSpec s;
-    s.name = name;
-    s.factory = [factory = std::move(factory)](
-                    std::uint32_t cores, double scale,
-                    const WorkloadParams &) {
-        return factory(cores, scale);
-    };
-    add(std::move(s));
-}
-
 bool
 WorkloadRegistry::contains(const std::string &name) const
 {

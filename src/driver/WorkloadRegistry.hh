@@ -90,10 +90,6 @@ class WorkloadParams
     std::map<std::string, double> vals;
 };
 
-/** Builds the program model for a core count and workload scale. */
-using WorkloadFactory =
-    std::function<ProgramDecl(std::uint32_t cores, double scale)>;
-
 /** Parameterized program factory (params arrive fully resolved). */
 using WorkloadSpecFactory = std::function<ProgramDecl(
     std::uint32_t cores, double scale, const WorkloadParams &params)>;
@@ -136,12 +132,6 @@ class WorkloadRegistry
 
     /** Register @p spec; fatal on duplicates or a null factory. */
     void add(WorkloadSpec spec);
-
-    /**
-     * Adapter for the old factory signature: registers a spec with
-     * no declared parameters whose factory ignores WorkloadParams.
-     */
-    void add(const std::string &name, WorkloadFactory factory);
 
     bool contains(const std::string &name) const;
 

@@ -206,16 +206,6 @@ class CacheArray
         return n;
     }
 
-    /** Visit every valid line (tests / invariant checks). */
-    template <typename F>
-    void
-    forEach(F &&f) const
-    {
-        for (std::size_t i = 0; i < tags.size(); ++i)
-            if (tags[i] != badTag)
-                f(tags[i], lines[i]);
-    }
-
   private:
     /// Invalid-way sentinel; never a line-aligned address.
     static constexpr Addr badTag = ~Addr{0};

@@ -5,9 +5,6 @@
 
 #include "mem/DirectorySlice.hh"
 
-#include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace spmcoh
@@ -52,31 +49,16 @@ DirectorySlice::DirectorySlice(MemNet &net_, CoreId tile_,
 {
 }
 
-DirectorySlice::Txn *
+DirectorySlice::Txn &
 DirectorySlice::acquireTxn()
 {
     if (txnFree.empty()) {
         txnStore.push_back(std::make_unique<Txn>());
-        return txnStore.back().get();
+        return *txnStore.back();
     }
     Txn *t = txnFree.back();
     txnFree.pop_back();
-    return t;
-}
-
-void
-DirectorySlice::releaseTxn(Txn *t)
-{
-    t->kind = TxnKind::Request;
-    t->startedAt = 0;
-    t->queued.clear();
-    t->pendingAcks = 0;
-    t->wantData = false;
-    t->haveData = false;
-    t->dataDirty = false;
-    t->onComplete = nullptr;
-    t->awaitingUnblock = false;
-    txnFree.push_back(t);
+    return *t;
 }
 
 std::optional<DirectorySlice::EntrySnapshot>
@@ -88,17 +70,10 @@ DirectorySlice::peekEntry(Addr line_addr) const
     return EntrySnapshot{de->state, de->owner, de->sharers};
 }
 
-static const char *trace_env = std::getenv("SPMCOH_TRACE_LINE");
-static const unsigned long long trace_line =
-    trace_env ? std::stoull(trace_env, nullptr, 0) : 0;
-
 void
 DirectorySlice::handle(const Message &msg)
 {
     const Addr la = lineAlign(msg.addr);
-    if (trace_line && la == trace_line)
-        std::fprintf(stderr, "[dir%u t%llu] msg type=%d src=%u req=%u hasData=%d dirty=%d\n",
-            tile, (unsigned long long)net.events().now(), int(msg.type), msg.src, msg.requestor, msg.hasData, msg.dirty);
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX:
@@ -113,7 +88,7 @@ DirectorySlice::handle(const Message &msg)
             (*t)->queued.push_back(msg);
             ++stQueuedRequests;
         } else {
-            startTxn(msg);
+            startTxn(acquireTxn(), msg);
         }
         break;
       case MsgType::InvAck:
@@ -143,165 +118,104 @@ DirectorySlice::handle(const Message &msg)
 }
 
 void
-DirectorySlice::startTxn(const Message &req)
+DirectorySlice::openTxn(Txn &t, Addr la)
 {
-    const Addr la = lineAlign(req.addr);
-    Txn *t = acquireTxn();
-    t->startedAt = net.events().now();
-    t->req = req;
-    busy.insert(la, t);
+    t.la = la;
+    t.startedAt = net.events().now();
+    t.pendingAcks = 0;
+    t.wantData = t.haveData = t.dataDirty = false;
+    t.awaitingUnblock = false;
+    t.done = Done::None;
+    busy.insert(la, &t);
     sampleTxnOccupancy();
-    net.events().scheduleIn(p.dirLatency, [this, la] { dispatch(la); });
 }
 
 void
-DirectorySlice::dispatch(Addr la)
+DirectorySlice::startTxn(Txn &t, const Message &req)
 {
-    Txn &t = *busy.at(la, "DirectorySlice: dispatch for an idle line");
+    t.req = req;
+    openTxn(t, lineAlign(req.addr));
+    Txn *tp = &t;
+    net.events().scheduleIn(p.dirLatency, [this, tp] { dispatch(*tp); });
+}
+
+void
+DirectorySlice::dispatch(Txn &t)
+{
     switch (t.req.type) {
-      case MsgType::GetS:      handleGetS(la, t); break;
-      case MsgType::GetX:      handleGetX(la, t); break;
-      case MsgType::UpdX:      handleUpdX(la, t); break;
-      case MsgType::PutM:      handlePutM(la, t); break;
+      case MsgType::GetS:      handleGetS(t); break;
+      case MsgType::GetX:      handleGetX(t); break;
+      case MsgType::UpdX:      handleUpdX(t); break;
+      case MsgType::PutM:      handlePutM(t); break;
       case MsgType::PutS:
-      case MsgType::PutE:      handlePutShared(la, t); break;
-      case MsgType::IfetchGet: handleIfetch(la, t); break;
-      case MsgType::DmaRead:   handleDmaRead(la, t); break;
-      case MsgType::DmaWrite:  handleDmaWrite(la, t); break;
+      case MsgType::PutE:      handlePutShared(t); break;
+      case MsgType::IfetchGet: handleIfetch(t); break;
+      case MsgType::DmaRead:   handleDmaRead(t); break;
+      case MsgType::DmaWrite:  handleDmaWrite(t); break;
       default:
         panic("DirectorySlice: bad transaction request");
     }
 }
 
 void
-DirectorySlice::handleGetS(Addr la, Txn &t)
+DirectorySlice::grantNewEntry(Txn &t, MsgType grant)
 {
-    ++stGetS;
-    const CoreId r = t.req.requestor;
-    const TrafficClass cls = t.req.cls;
-    Txn *tp = &t;
-    DirEntry *de = dir.lookup(la);
-
-    if (de && (de->state == DirState::Excl ||
-               de->state == DirState::Owned)) {
-        // Freshest copy is at the owner: forward.
-        ++stFwdGetS;
-        Message f;
-        f.type = MsgType::FwdGetS;
-        f.addr = la;
-        f.requestor = r;
-        f.cls = cls;
-        net.send(tile, Endpoint::L1D, de->owner, f, cls);
-        t.wantData = true;
-        t.onComplete = [this, tp, la, r, cls] {
-            Txn &tx = *tp;
-            DirEntry *e = dir.lookup(la);
-            if (!e)
-                panic("DirectorySlice: entry vanished during GetS");
-            if (tx.dataDirty && proto.ownerKeepsDirtyOnGetS()) {
-                // Owner keeps the dirty line: Excl -> Owned.
-                e->state = DirState::Owned;
-                e->sharers |= bit(r);
-            } else if (e->state == DirState::Excl) {
-                // Owner downgraded (E/M -> S); the L2 slice absorbs
-                // the data, dirty when the protocol has no Owned
-                // state to park a dirty line in.
-                e->sharers = bit(e->owner) | bit(r);
-                e->owner = invalidCore;
-                e->state = DirState::Shared;
-                l2Insert(la, tx.data, tx.dataDirty);
-            } else {
-                e->sharers |= bit(r);
-            }
-            respond(r, Endpoint::L1D, MsgType::DataS, la, &tx.data,
-                    cls);
-            tx.awaitingUnblock = true;
-        };
-        return;
-    }
-
-    if (de) {
-        // Shared: L2/memory data is valid.
-        de->sharers |= bit(r);
-        t.onComplete = [this, tp, la, r, cls] {
-            Txn &tx = *tp;
-            respond(r, Endpoint::L1D, MsgType::DataS, la, &tx.data,
-                    cls);
-            tx.awaitingUnblock = true;
-        };
-        fetchData(la, cls);
-        return;
-    }
-
-    // Untracked line: grant Exclusive.
-    DirEntry ne;
-    ne.state = DirState::Excl;
-    ne.owner = r;
-    if (!allocEntry(la, ne)) {
+    if (!allocEntry(t.la, DirEntry{.state = DirState::Excl,
+                                   .owner = t.req.requestor})) {
         ++stAllocRetries;
+        Txn *tp = &t;
         net.events().scheduleIn(p.retryDelay,
-                                [this, la] { dispatch(la); });
+                                [this, tp] { dispatch(*tp); });
         return;
     }
-    t.onComplete = [this, tp, la, r, cls] {
-        Txn &tx = *tp;
-        respond(r, Endpoint::L1D, MsgType::DataE, la, &tx.data, cls);
-        tx.awaitingUnblock = true;
-    };
-    fetchData(la, cls);
+    t.done = Done::Grant;
+    t.grant = grant;
+    fetchData(t, t.req.cls);
 }
 
 void
-DirectorySlice::handleGetX(Addr la, Txn &t)
+DirectorySlice::handleGetS(Txn &t)
+{
+    ++stGetS;
+    DirEntry *de = dir.lookup(t.la);
+    if (!de) {
+        grantNewEntry(t, MsgType::DataE);
+        return;
+    }
+    t.grant = MsgType::DataS;
+    if (de->state == DirState::Shared) {
+        // L2/memory data is valid.
+        de->sharers |= bit(t.req.requestor);
+        t.done = Done::Grant;
+        fetchData(t, t.req.cls);
+        return;
+    }
+    // Freshest copy is at the owner: forward.
+    ++stFwdGetS;
+    sendFwd(t, MsgType::FwdGetS, de->owner, t.req.cls);
+    t.done = Done::OwnerRead;
+}
+
+void
+DirectorySlice::handleGetX(Txn &t)
 {
     ++stGetX;
     const CoreId r = t.req.requestor;
-    const TrafficClass cls = t.req.cls;
-    Txn *tp = &t;
-    DirEntry *de = dir.lookup(la);
+    DirEntry *de = dir.lookup(t.la);
 
     if (!de) {
-        DirEntry ne;
-        ne.state = DirState::Excl;
-        ne.owner = r;
-        if (!allocEntry(la, ne)) {
-            ++stAllocRetries;
-            net.events().scheduleIn(p.retryDelay,
-                                    [this, la] { dispatch(la); });
-            return;
-        }
-        t.onComplete = [this, tp, la, r, cls] {
-            Txn &tx = *tp;
-            respond(r, Endpoint::L1D, MsgType::DataM, la, &tx.data,
-                    cls);
-            tx.awaitingUnblock = true;
-        };
-        fetchData(la, cls);
+        grantNewEntry(t, MsgType::DataM);
         return;
     }
+    t.done = Done::Exclusive;
+    t.grant = MsgType::DataM;
 
     if (de->state == DirState::Excl) {
         if (de->owner == r)
             panic("DirectorySlice: GetX from exclusive owner: addr " +
-                  std::to_string(la) + " core " + std::to_string(r));
+                  std::to_string(t.la) + " core " + std::to_string(r));
         ++stFwdGetX;
-        Message f;
-        f.type = MsgType::FwdGetX;
-        f.addr = la;
-        f.requestor = r;
-        f.cls = cls;
-        net.send(tile, Endpoint::L1D, de->owner, f, cls);
-        t.wantData = true;
-        t.onComplete = [this, tp, la, r, cls] {
-            Txn &tx = *tp;
-            DirEntry *e = dir.lookup(la);
-            e->state = DirState::Excl;
-            e->owner = r;
-            e->sharers = 0;
-            respond(r, Endpoint::L1D, MsgType::DataM, la, &tx.data,
-                    cls);
-            tx.awaitingUnblock = true;
-        };
+        sendFwd(t, MsgType::FwdGetX, de->owner, t.req.cls);
         return;
     }
 
@@ -315,7 +229,7 @@ DirectorySlice::handleGetX(Addr la, Txn &t)
         de->owner != invalidCore;
     for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
         if (targets & 1) {
-            sendInv(c, la, r, TrafficClass::WbRepl);
+            sendInv(c, t.la, r, TrafficClass::WbRepl);
             ++t.pendingAcks;
         }
     }
@@ -327,36 +241,23 @@ DirectorySlice::handleGetX(Addr la, Txn &t)
     } else if (owner_supplies) {
         t.wantData = true;   // dirty data arrives via InvAckData
     } else {
-        fetchData(la, cls);
+        fetchData(t, t.req.cls);
     }
-    t.onComplete = [this, tp, la, r, cls] {
-        Txn &tx = *tp;
-        DirEntry *e = dir.lookup(la);
-        e->state = DirState::Excl;
-        e->owner = r;
-        e->sharers = 0;
-        respond(r, Endpoint::L1D, MsgType::DataM, la, &tx.data, cls);
-        tx.awaitingUnblock = true;
-    };
     checkDone(t);
-    return;
 }
 
 void
-DirectorySlice::handleUpdX(Addr la, Txn &t)
+DirectorySlice::handleUpdX(Txn &t)
 {
     ++stUpdX;
-    const CoreId r = t.req.requestor;
-    const TrafficClass cls = t.req.cls;
-    Txn *tp = &t;
-    DirEntry *de = dir.lookup(la);
+    DirEntry *de = dir.lookup(t.la);
 
     if (!de || de->state == DirState::Excl) {
         // Nobody to update: the line is untracked, or one exclusive
         // holder owns it and migrating ownership (the GetX path) is
         // strictly cheaper than an update round. The requestor gets
         // DataM and applies its store locally.
-        handleGetX(la, t);
+        handleGetX(t);
         return;
     }
 
@@ -370,177 +271,107 @@ DirectorySlice::handleUpdX(Addr la, Txn &t)
         de->owner = invalidCore;
     }
     de->state = DirState::Shared;
-    de->sharers = sharers | bit(r);
-    t.onComplete = [this, tp, la, r, cls] {
-        // Stage 1: line data is here; apply the word, refresh the
-        // L2 copy, and fan the update out.
-        Txn &tx = *tp;
-        tx.data.writeN(lineOffset(tx.req.addr),
-                       static_cast<std::uint32_t>(tx.req.aux),
-                       tx.req.data.read64(0));
-        l2Insert(la, tx.data, true);
-        DirEntry *e = dir.lookup(la);
-        if (!e)
-            panic("DirectorySlice: entry vanished during UpdX");
-        std::uint64_t targets = e->sharers & ~bit(r);
-        for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
-            if (targets & 1) {
-                sendUpdate(c, la, r, tx.data, cls);
-                ++tx.pendingAcks;
-            }
-        }
-        // Stage 2: every UpdAck is in; hand the post-write line
-        // back to the writer, which stays Shared.
-        tx.onComplete = [this, tp, la, r, cls] {
-            Txn &tx2 = *tp;
-            respond(r, Endpoint::L1D, MsgType::UpdData, la, &tx2.data,
-                    cls);
-            tx2.awaitingUnblock = true;
-        };
-        checkDone(tx);
-    };
-    fetchData(la, cls);
+    de->sharers = sharers | bit(t.req.requestor);
+    t.done = Done::ApplyUpdate;
+    fetchData(t, t.req.cls);
 }
 
 void
-DirectorySlice::handlePutM(Addr la, Txn &t)
+DirectorySlice::handlePutM(Txn &t)
 {
     ++stPutM;
     const CoreId r = t.req.requestor;
-    DirEntry *de = dir.lookup(la);
+    DirEntry *de = dir.lookup(t.la);
     if (de && de->owner == r &&
         (de->state == DirState::Excl || de->state == DirState::Owned)) {
-        l2Insert(la, t.req.data, true);
+        l2Insert(t.la, t.req.data, true);
         if (de->state == DirState::Owned && de->sharers != 0) {
             de->state = DirState::Shared;
             de->owner = invalidCore;
         } else {
-            dir.invalidate(la);
+            dir.invalidate(t.la);
         }
     } else {
         ++stStalePuts;
     }
-    respond(r, Endpoint::L1D, MsgType::PutAck, la, nullptr,
+    respond(r, Endpoint::L1D, MsgType::PutAck, t.la, nullptr,
             TrafficClass::WbRepl);
-    finishTxn(la);
+    finishTxn(t);
 }
 
 void
-DirectorySlice::handlePutShared(Addr la, Txn &t)
+DirectorySlice::handlePutShared(Txn &t)
 {
     ++(t.req.type == MsgType::PutE ? stPutE : stPutS);
     const CoreId r = t.req.requestor;
-    DirEntry *de = dir.lookup(la);
+    DirEntry *de = dir.lookup(t.la);
     if (de) {
         if (t.req.type == MsgType::PutE) {
             if (de->state == DirState::Excl && de->owner == r)
-                dir.invalidate(la);
+                dir.invalidate(t.la);
         } else {
             de->sharers &= ~bit(r);
             if (de->owner == invalidCore && de->sharers == 0)
-                dir.invalidate(la);
+                dir.invalidate(t.la);
         }
     } else {
         ++stStalePuts;
     }
-    respond(r, Endpoint::L1D, MsgType::PutAck, la, nullptr,
+    respond(r, Endpoint::L1D, MsgType::PutAck, t.la, nullptr,
             TrafficClass::WbRepl);
-    finishTxn(la);
+    finishTxn(t);
 }
 
 void
-DirectorySlice::handleIfetch(Addr la, Txn &t)
+DirectorySlice::handleIfetch(Txn &t)
 {
     ++stIfetch;
-    const CoreId r = t.req.requestor;
-    Txn *tp = &t;
-    t.onComplete = [this, tp, la, r] {
-        Txn &tx = *tp;
-        respond(r, Endpoint::L1I, MsgType::DataS, la, &tx.data,
-                TrafficClass::Ifetch);
-        tx.awaitingUnblock = true;
-    };
-    fetchData(la, TrafficClass::Ifetch);
+    t.done = Done::Grant;
+    t.grant = MsgType::DataS;
+    fetchData(t, TrafficClass::Ifetch);
 }
 
 void
-DirectorySlice::handleDmaRead(Addr la, Txn &t)
+DirectorySlice::handleDmaRead(Txn &t)
 {
     ++stDmaRead;
-    const CoreId r = t.req.requestor;
-    const std::uint64_t tag = t.req.aux;
-    Txn *tp = &t;
-    DirEntry *de = dir.lookup(la);
-    t.onComplete = [this, tp, la, r, tag] {
-        Txn &tx = *tp;
-        respond(r, Endpoint::Dmac, MsgType::DmaReadResp, la, &tx.data,
-                TrafficClass::Dma, tag);
-        finishTxn(la);
-    };
+    DirEntry *de = dir.lookup(t.la);
+    t.done = Done::DmaRead;
     if (de && de->owner != invalidCore &&
         (de->state == DirState::Excl || de->state == DirState::Owned)) {
         // Snapshot the freshest copy without disturbing the owner.
-        Message f;
-        f.type = MsgType::FwdDmaRead;
-        f.addr = la;
-        f.requestor = r;
-        f.cls = TrafficClass::Dma;
-        net.send(tile, Endpoint::L1D, de->owner, f, TrafficClass::Dma);
-        t.wantData = true;
+        sendFwd(t, MsgType::FwdDmaRead, de->owner, TrafficClass::Dma);
     } else {
-        fetchData(la, TrafficClass::Dma);
+        fetchData(t, TrafficClass::Dma);
     }
 }
 
 void
-DirectorySlice::handleDmaWrite(Addr la, Txn &t)
+DirectorySlice::handleDmaWrite(Txn &t)
 {
     ++stDmaWrite;
-    const CoreId r = t.req.requestor;
-    const std::uint64_t tag = t.req.aux;
-    Txn *tp = &t;
-    DirEntry *de = dir.lookup(la);
-    if (de) {
+    if (DirEntry *de = dir.lookup(t.la)) {
         std::uint64_t targets = de->sharers;
         if (de->owner != invalidCore)
             targets |= bit(de->owner);
         for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
             if (targets & 1) {
-                sendInv(c, la, r, TrafficClass::WbRepl);
+                sendInv(c, t.la, t.req.requestor, TrafficClass::WbRepl);
                 ++t.pendingAcks;
             }
         }
-        dir.invalidate(la);
+        dir.invalidate(t.la);
     }
-    l2.invalidate(la);
-    t.onComplete = [this, tp, la, r, tag] {
-        Txn &tx = *tp;
-        // The whole line is overwritten; cached dirty data (if any
-        // arrived via InvAckData) is dead.
-        Message w;
-        w.type = MsgType::MemWrite;
-        w.addr = la;
-        w.requestor = tile;
-        w.hasData = true;
-        w.data = tx.req.data;
-        w.cls = TrafficClass::Dma;
-        MemWb &wb = memWb[la];
-        wb.data = tx.req.data;
-        ++wb.pending;
-        net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
-                 TrafficClass::Dma);
-        respond(r, Endpoint::Dmac, MsgType::DmaWriteAck, la, nullptr,
-                TrafficClass::Dma, tag);
-        finishTxn(la);
-    };
+    l2.invalidate(t.la);
+    t.done = Done::DmaWrite;
     checkDone(t);
 }
 
 void
 DirectorySlice::onAck(const Message &msg)
 {
-    const Addr la = lineAlign(msg.addr);
-    Txn &t = *busy.at(la, "DirectorySlice: ack for idle line");
+    Txn &t = *busy.at(lineAlign(msg.addr),
+                      "DirectorySlice: ack for idle line");
     if (t.pendingAcks == 0)
         panic("DirectorySlice: unexpected ack");
     --t.pendingAcks;
@@ -555,8 +386,8 @@ DirectorySlice::onAck(const Message &msg)
 void
 DirectorySlice::onFwdData(const Message &msg)
 {
-    const Addr la = lineAlign(msg.addr);
-    Txn &t = *busy.at(la, "DirectorySlice: forward data for idle line");
+    Txn &t = *busy.at(lineAlign(msg.addr),
+                      "DirectorySlice: forward data for idle line");
     t.data = msg.data;
     t.haveData = true;
     t.dataDirty = msg.dirty;
@@ -566,13 +397,13 @@ DirectorySlice::onFwdData(const Message &msg)
 void
 DirectorySlice::onMemResp(const Message &msg)
 {
-    const Addr la = lineAlign(msg.addr);
-    Txn &t = *busy.at(la, "DirectorySlice: memory response for idle line");
+    Txn &t = *busy.at(lineAlign(msg.addr),
+                      "DirectorySlice: memory response for idle line");
     // Cache the fill in the NUCA slice; DMA fills are included by
     // default (the GM "includes caches and main memory", Sec. 2.1)
     // but can be excluded to study pollution.
     if (t.req.type != MsgType::DmaRead || p.dmaFillsL2)
-        l2Insert(la, msg.data, false);
+        l2Insert(t.la, msg.data, false);
     t.data = msg.data;
     t.haveData = true;
     t.dataDirty = false;
@@ -580,42 +411,37 @@ DirectorySlice::onMemResp(const Message &msg)
 }
 
 void
-DirectorySlice::fetchData(Addr la, TrafficClass cls)
+DirectorySlice::fetchData(Txn &t, TrafficClass cls)
 {
-    Txn &t = *busy.at(la, "DirectorySlice: fetch for an idle line");
-    Txn *tp = &t;
     t.wantData = true;
-    if (const MemWb *wb = memWb.find(la)) {
+    const LineData *onChip = nullptr;
+    if (const MemWb *wb = memWb.find(t.la)) {
         // Forward from the in-flight writeback (ordering safety).
         ++stMemWbForwards;
-        t.fill = wb->data;
-        net.events().scheduleIn(p.l2Latency, [this, tp, la] {
-            Txn &tx = *tp;
-            tx.data = tx.fill;
-            tx.haveData = true;
-            checkDone(tx);
-        });
-        return;
-    }
-    if (const L2Line *l = l2.lookup(la)) {
+        onChip = &wb->data;
+    } else if (const L2Line *l = l2.lookup(t.la)) {
         ++stL2Hits;
-        t.fill = l->data;
-        net.events().scheduleIn(p.l2Latency, [this, tp, la] {
-            Txn &tx = *tp;
-            tx.data = tx.fill;
-            tx.haveData = true;
-            checkDone(tx);
-        });
-    } else {
+        onChip = &l->data;
+    }
+    if (!onChip) {
         ++stL2Misses;
         Message m;
         m.type = MsgType::MemRead;
-        m.addr = la;
+        m.addr = t.la;
         m.requestor = tile;
         m.cls = cls;
         net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), m,
                  cls);
+        return;
     }
+    // Snapshot now: the buffer or L2 line may change before the fill.
+    t.fill = *onChip;
+    Txn *tp = &t;
+    net.events().scheduleIn(p.l2Latency, [this, tp] {
+        tp->data = tp->fill;
+        tp->haveData = true;
+        checkDone(*tp);
+    });
 }
 
 void
@@ -661,34 +487,35 @@ DirectorySlice::allocEntry(Addr la, DirEntry e)
         // line; the new entry takes the slot immediately.
         const DirEntry snapshot = *dir.peek(*victim);
         ++stRecalls;
-        const Addr va = *victim;
-        Txn *rt = acquireTxn();
-        rt->kind = TxnKind::Recall;
-        rt->startedAt = net.events().now();
-        rt->req.type = MsgType::Inv;
-        rt->req.addr = va;
-        busy.insert(va, rt);
-        sampleTxnOccupancy();
-        Txn &recall = *rt;
+        Txn &recall = acquireTxn();
+        openTxn(recall, *victim);
         std::uint64_t targets = snapshot.sharers;
         if (snapshot.owner != invalidCore)
             targets |= bit(snapshot.owner);
         for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
             if (targets & 1) {
-                sendInv(c, va, invalidCore, TrafficClass::WbRepl);
+                sendInv(c, recall.la, invalidCore, TrafficClass::WbRepl);
                 ++recall.pendingAcks;
             }
         }
-        recall.onComplete = [this, rt, va] {
-            Txn &tx = *rt;
-            if (tx.dataDirty)
-                l2Insert(va, tx.data, true);
-            finishTxn(va);
-        };
+        recall.done = Done::Recall;
         checkDone(recall);
     }
     dir.fillWay(la, *way, e);
     return true;
+}
+
+void
+DirectorySlice::sendFwd(Txn &t, MsgType ty, CoreId owner,
+                        TrafficClass cls)
+{
+    Message m;
+    m.type = ty;
+    m.addr = t.la;
+    m.requestor = t.req.requestor;
+    m.cls = cls;
+    net.send(tile, Endpoint::L1D, owner, m, cls);
+    t.wantData = true;
 }
 
 void
@@ -740,53 +567,134 @@ DirectorySlice::respond(CoreId core, Endpoint ep, MsgType ty, Addr la,
 void
 DirectorySlice::onUnblock(const Message &msg)
 {
-    const Addr la = lineAlign(msg.addr);
-    Txn **t = busy.find(la);
+    Txn **t = busy.find(lineAlign(msg.addr));
     if (!t || !(*t)->awaitingUnblock)
         panic("DirectorySlice: unexpected Unblock");
-    finishTxn(la);
-}
-
-void
-DirectorySlice::checkDone(Addr la)
-{
-    if (Txn **t = busy.find(la))
-        checkDone(**t);
+    finishTxn(**t);
 }
 
 void
 DirectorySlice::checkDone(Txn &t)
 {
-    if (t.pendingAcks != 0)
+    if (t.pendingAcks != 0 || (t.wantData && !t.haveData) ||
+        t.done == Done::None)
         return;
-    if (t.wantData && !t.haveData)
-        return;
-    if (!t.onComplete)
-        return;
-    auto k = std::move(t.onComplete);
-    t.onComplete = nullptr;
-    k();
+    const Done step = t.done;
+    t.done = Done::None;
+    complete(t, step);
 }
 
 void
-DirectorySlice::finishTxn(Addr la)
+DirectorySlice::complete(Txn &t, Done step)
 {
-    Txn *old = busy.at(la, "DirectorySlice: finish for an idle line");
-    busy.erase(la);
-    txnLatency.sample(net.events().now() - old->startedAt);
-    sampleTxnOccupancy();
-    if (!old->queued.empty()) {
-        Message next = std::move(old->queued.front());
-        old->queued.erase(old->queued.begin());
-        std::vector<Message> rest = std::move(old->queued);
-        releaseTxn(old);
-        startTxn(next);
-        busy.at(lineAlign(next.addr),
-                "DirectorySlice: restarted line is idle")->queued =
-            std::move(rest);
-    } else {
-        releaseTxn(old);
+    const CoreId r = t.req.requestor;
+    switch (step) {
+      case Done::None:
+        panic("DirectorySlice: completing an unarmed transaction");
+      case Done::Grant:
+        break;
+      case Done::Exclusive: {
+        DirEntry *e = dir.lookup(t.la);
+        e->state = DirState::Excl;
+        e->owner = r;
+        e->sharers = 0;
+        break;
+      }
+      case Done::OwnerRead: {
+        DirEntry *e = dir.lookup(t.la);
+        if (!e)
+            panic("DirectorySlice: entry vanished during GetS");
+        if (t.dataDirty && proto.ownerKeepsDirtyOnGetS()) {
+            // Owner keeps the dirty line: Excl -> Owned.
+            e->state = DirState::Owned;
+            e->sharers |= bit(r);
+        } else if (e->state == DirState::Excl) {
+            // Owner downgraded (E/M -> S); the L2 slice absorbs the
+            // data, dirty when the protocol has no Owned state to
+            // park a dirty line in.
+            e->sharers = bit(e->owner) | bit(r);
+            e->owner = invalidCore;
+            e->state = DirState::Shared;
+            l2Insert(t.la, t.data, t.dataDirty);
+        } else {
+            e->sharers |= bit(r);
+        }
+        break;
+      }
+      case Done::ApplyUpdate: {
+        // The line data is here: apply the word, refresh the L2 copy
+        // and fan the update out; the Grant of UpdData waits for
+        // every UpdAck. The writer stays Shared.
+        t.data.writeN(lineOffset(t.req.addr),
+                      static_cast<std::uint32_t>(t.req.aux),
+                      t.req.data.read64(0));
+        l2Insert(t.la, t.data, true);
+        DirEntry *e = dir.lookup(t.la);
+        if (!e)
+            panic("DirectorySlice: entry vanished during UpdX");
+        std::uint64_t targets = e->sharers & ~bit(r);
+        for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
+            if (targets & 1) {
+                sendUpdate(c, t.la, r, t.data, t.req.cls);
+                ++t.pendingAcks;
+            }
+        }
+        t.done = Done::Grant;
+        t.grant = MsgType::UpdData;
+        checkDone(t);
+        return;
+      }
+      case Done::DmaRead:
+        respond(r, Endpoint::Dmac, MsgType::DmaReadResp, t.la, &t.data,
+                TrafficClass::Dma, t.req.aux);
+        finishTxn(t);
+        return;
+      case Done::DmaWrite: {
+        // The whole line is overwritten; cached dirty data (if any
+        // arrived via InvAckData) is dead.
+        Message w;
+        w.type = MsgType::MemWrite;
+        w.addr = t.la;
+        w.requestor = tile;
+        w.hasData = true;
+        w.data = t.req.data;
+        w.cls = TrafficClass::Dma;
+        MemWb &wb = memWb[t.la];
+        wb.data = t.req.data;
+        ++wb.pending;
+        net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
+                 TrafficClass::Dma);
+        respond(r, Endpoint::Dmac, MsgType::DmaWriteAck, t.la, nullptr,
+                TrafficClass::Dma, t.req.aux);
+        finishTxn(t);
+        return;
+      }
+      case Done::Recall:
+        if (t.dataDirty)
+            l2Insert(t.la, t.data, true);
+        finishTxn(t);
+        return;
     }
+    respond(r,
+            t.req.type == MsgType::IfetchGet ? Endpoint::L1I
+                                              : Endpoint::L1D,
+            t.grant, t.la, &t.data, t.req.cls);
+    t.awaitingUnblock = true;
+}
+
+void
+DirectorySlice::finishTxn(Txn &t)
+{
+    busy.erase(t.la);
+    txnLatency.sample(net.events().now() - t.startedAt);
+    sampleTxnOccupancy();
+    if (t.queued.empty()) {
+        txnFree.push_back(&t);
+        return;
+    }
+    const Message next = std::move(t.queued.front());
+    t.queued.erase(t.queued.begin());
+    startTxn(t, next);
 }
 
 } // namespace spmcoh

@@ -28,7 +28,6 @@
 #include "mem/Messages.hh"
 #include "protocols/ProtocolFactory.hh"
 #include "sim/LineMap.hh"
-#include "sim/SmallFunction.hh"
 #include "sim/Stats.hh"
 
 namespace spmcoh
@@ -84,9 +83,6 @@ class DirectorySlice
         std::uint64_t sharers;
     };
     std::optional<EntrySnapshot> peekEntry(Addr line_addr) const;
-    bool lineBusy(Addr line_addr) const
-    { return busy.contains(lineAlign(line_addr)); }
-    std::uint64_t l2ValidLines() const { return l2.validLines(); }
 
   private:
     struct DirEntry
@@ -102,11 +98,23 @@ class DirectorySlice
         LineData data{};
     };
 
-    enum class TxnKind : std::uint8_t { Request, Recall };
+    /** How a transaction ends once its acks and data are in
+     *  (docs/architecture.md, "Directory completion steps"). */
+    enum class Done : std::uint8_t
+    {
+        None,         ///< nothing armed yet (or already run)
+        Grant,        ///< send Txn::grant with the data, await Unblock
+        Exclusive,    ///< requestor becomes the sole owner, then Grant
+        OwnerRead,    ///< fold a forwarded read into the entry, then Grant
+        ApplyUpdate,  ///< write the word, push it to sharers, then Grant
+        DmaRead,      ///< return the snapshot to the DMAC and finish
+        DmaWrite,     ///< write memory, ack the DMAC and finish
+        Recall,       ///< absorb a dirty recalled copy and finish
+    };
 
     struct Txn
     {
-        TxnKind kind = TxnKind::Request;
+        Addr la = 0;         ///< the blocked line
         Tick startedAt = 0;  ///< for the txnLatency histogram
         Message req;
         std::vector<Message> queued;
@@ -114,53 +122,56 @@ class DirectorySlice
         bool wantData = false;
         bool haveData = false;
         bool dataDirty = false;
-        LineData data{};
-        /** Staging slot for a scheduled L2/WB-buffer fill, written at
-         *  schedule time so the fill closure capture stays
-         *  pointer-sized (snapshot semantics are preserved: the
-         *  closure copies fill into data at fire time, exactly like
-         *  the old by-value capture did). */
-        LineData fill{};
-        /** Runs when acks are in and data (if wanted) is present. */
-        SmallFunction<void()> onComplete;
-        /** Response sent; waiting for the requestor's Unblock. */
+        /** Response awaiting Unblock; set by every Grant. */
         bool awaitingUnblock = false;
+        Done done = Done::None;
+        MsgType grant = MsgType::DataS;  ///< response type of Grant
+        LineData data{};
+        /** Staging slot for a scheduled L2/WB-buffer fill, copied
+         *  into data when the fill fires. */
+        LineData fill{};
     };
 
     /**
      * Transactions are pooled: slots are recycled LIFO and keep
      * their queued-request capacity, so steady state allocates
-     * nothing per transaction. Closures may capture the Txn* — the
-     * address is stable until finishTxn() releases the slot.
+     * nothing per transaction. Scheduled closures capture the Txn*;
+     * the address is stable until finishTxn() releases the slot.
      */
-    Txn *acquireTxn();
-    void releaseTxn(Txn *t);
-
-    void startTxn(const Message &req);
-    void dispatch(Addr la);
-    void finishTxn(Addr la);
-    void checkDone(Addr la);
+    Txn &acquireTxn();
+    /** Block @p la on @p t with fresh per-request state. */
+    void openTxn(Txn &t, Addr la);
+    void startTxn(Txn &t, const Message &req);
+    void dispatch(Txn &t);
+    /** Run @p t's completion step once its acks and data are in. */
     void checkDone(Txn &t);
+    void complete(Txn &t, Done step);
+    /** Unblock the line; the next queued request reuses the slot. */
+    void finishTxn(Txn &t);
     void onUnblock(const Message &msg);
 
-    void handleGetS(Addr la, Txn &t);
-    void handleGetX(Addr la, Txn &t);
-    void handleUpdX(Addr la, Txn &t);
-    void handlePutM(Addr la, Txn &t);
-    void handlePutShared(Addr la, Txn &t);
-    void handleIfetch(Addr la, Txn &t);
-    void handleDmaRead(Addr la, Txn &t);
-    void handleDmaWrite(Addr la, Txn &t);
+    /** Track the untracked line as the requestor's (Excl) and arm a
+     *  Grant of @p grant; retries later when every way is pinned. */
+    void grantNewEntry(Txn &t, MsgType grant);
+    void handleGetS(Txn &t);
+    void handleGetX(Txn &t);
+    void handleUpdX(Txn &t);
+    void handlePutM(Txn &t);
+    void handlePutShared(Txn &t);
+    void handleIfetch(Txn &t);
+    void handleDmaRead(Txn &t);
+    void handleDmaWrite(Txn &t);
 
     void onAck(const Message &msg);
     void onFwdData(const Message &msg);
     void onMemResp(const Message &msg);
 
     /**
-     * Obtain the line's data from L2 or memory; when it arrives the
-     * transaction's data fields are filled and checkDone() runs.
+     * Obtain the line's data from the writeback buffer, L2 or
+     * memory; when it arrives the transaction's data fields are
+     * filled and checkDone() runs.
      */
-    void fetchData(Addr la, TrafficClass cls);
+    void fetchData(Txn &t, TrafficClass cls);
 
     /** Insert into L2, writing back any dirty victim. */
     void l2Insert(Addr la, const LineData &d, bool dirty);
@@ -173,6 +184,9 @@ class DirectorySlice
      */
     bool allocEntry(Addr la, DirEntry e);
 
+    /** Forward @p t's request to the line's owner; its data comes
+     *  back through this slice (FwdAckData). */
+    void sendFwd(Txn &t, MsgType ty, CoreId owner, TrafficClass cls);
     void sendInv(CoreId target, Addr la, CoreId requestor,
                  TrafficClass cls);
     /** Push the post-write line to a sharer (update-based). */

@@ -5,16 +5,10 @@
 
 #include "mem/L1Cache.hh"
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace spmcoh
 {
-
-static const char *trace_env = std::getenv("SPMCOH_TRACE_LINE");
-static const unsigned long long trace_line =
-    trace_env ? std::stoull(trace_env, nullptr, 0) : 0;
 
 L1Cache::L1Cache(MemNet &net_, CoreId core_, bool icache_,
                  const L1Params &p_, const std::string &name,
@@ -76,7 +70,7 @@ L1Cache::tryAccess(Addr addr, std::uint8_t size, bool is_write,
     trainPrefetcher(ref_id, addr, at);
     if (!line)
         return std::nullopt;
-    if (is_write && !proto.storeHits(pstateOf(line->state))) {
+    if (is_write && !proto.storeHits(line->state)) {
         // Needs an upgrade (or an update round); async path.
         return std::nullopt;
     }
@@ -87,7 +81,7 @@ L1Cache::tryAccess(Addr addr, std::uint8_t size, bool is_write,
     ++stHits;
     lat = p.hitLatency;
     if (is_write) {
-        line->state = L1State::M;
+        line->state = PState::M;
         line->data.writeN(lineOffset(addr), size, wdata);
         return 0;
     }
@@ -120,11 +114,11 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
     // complete inline without re-counting the access.
     (void)ref_id;
     if (Line *line = array.lookup(addr)) {
-        const bool writable = proto.storeHits(pstateOf(line->state));
+        const bool writable = proto.storeHits(line->state);
         if (!is_write || writable) {
             std::uint64_t v = 0;
             if (is_write) {
-                line->state = L1State::M;
+                line->state = PState::M;
                 line->data.writeN(lineOffset(addr), size, wdata);
             } else {
                 v = line->data.readN(lineOffset(addr), size);
@@ -136,9 +130,6 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
     }
 
     const Addr la = lineAlign(addr);
-    if (trace_line && la == trace_line)
-        std::fprintf(stderr, "[l1%s%u t%llu] startAccess w=%d\n", icache?"i":"d", core,
-            (unsigned long long)net.events().now(), int(is_write));
     MshrTarget tgt;
     tgt.addr = addr;
     tgt.size = size;
@@ -170,8 +161,7 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
         sendToDir(MsgType::IfetchGet, la, TrafficClass::Ifetch);
     } else if (is_write) {
         const Line *resident = array.peek(la);
-        const PState st =
-            resident ? pstateOf(resident->state) : PState::I;
+        const PState st = resident ? resident->state : PState::I;
         if (proto.storeRequest(st) == MsgType::UpdX) {
             sendUpdX(la, mshr.front(e.targets));
         } else {
@@ -179,7 +169,7 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
             // GetX so the directory holds authoritative data even if
             // we evict the line while the upgrade is in flight.
             const bool dirty_upgrade =
-                resident && resident->state == L1State::O;
+                resident && resident->state == PState::O;
             sendToDir(MsgType::GetX, la, TrafficClass::Write,
                       dirty_upgrade, dirty_upgrade ? &resident->data
                                                    : nullptr,
@@ -229,9 +219,6 @@ L1Cache::trainPrefetcher(std::uint32_t ref_id, Addr addr, Tick at)
 void
 L1Cache::handle(const Message &msg)
 {
-    if (trace_line && lineAlign(msg.addr) == trace_line)
-        std::fprintf(stderr, "[l1%s%u t%llu] msg type=%d\n", icache?"i":"d", core,
-            (unsigned long long)net.events().now(), int(msg.type));
     switch (msg.type) {
       case MsgType::DataS:
       case MsgType::DataE:
@@ -290,19 +277,19 @@ L1Cache::onFill(const Message &msg)
         // GetX was in flight and DataM carries authoritative data.
         if (msg.type != MsgType::DataM)
             panic("L1Cache: non-upgrade fill for resident line");
-        resident->state = L1State::M;
+        resident->state = PState::M;
         resident->data = msg.data;
         processTargets(la);
         return;
     }
 
-    L1State st = L1State::S;
+    PState st = PState::S;
     if (msg.type == MsgType::DataE)
-        st = e->wantExclusive ? L1State::M : L1State::E;
+        st = e->wantExclusive ? PState::M : PState::E;
     else if (msg.type == MsgType::DataM)
-        st = L1State::M;
+        st = PState::M;
     if (icache)
-        st = L1State::S;
+        st = PState::S;
 
     installLine(la, st, msg.data, e->isPrefetch);
     if (e->isPrefetch)
@@ -330,7 +317,7 @@ L1Cache::processTargets(Addr line_addr, bool first_write_done)
                     t.onDone(0);
                 continue;
             }
-            if (!proto.storeHits(pstateOf(line->state))) {
+            if (!proto.storeHits(line->state)) {
                 // Need write permission (or another update round):
                 // re-issue and keep the remaining targets buffered.
                 MshrEntry &ne = mshr.alloc(line_addr);
@@ -340,8 +327,7 @@ L1Cache::processTargets(Addr line_addr, bool first_write_done)
                 ne.issued = true;
                 ne.targets = targets;
                 ++stUpgrades;
-                if (proto.storeRequest(pstateOf(line->state)) ==
-                    MsgType::UpdX) {
+                if (proto.storeRequest(line->state) == MsgType::UpdX) {
                     sendUpdX(line_addr, mshr.front(ne.targets));
                 } else {
                     sendToDir(MsgType::GetX, line_addr,
@@ -350,7 +336,7 @@ L1Cache::processTargets(Addr line_addr, bool first_write_done)
                 return;
             }
             MshrTarget t = mshr.pop(targets);
-            line->state = L1State::M;
+            line->state = PState::M;
             line->data.writeN(lineOffset(t.addr), t.size, t.wdata);
             if (t.onDone)
                 t.onDone(0);
@@ -366,7 +352,7 @@ L1Cache::processTargets(Addr line_addr, bool first_write_done)
 }
 
 void
-L1Cache::installLine(Addr line_addr, L1State st, const LineData &d,
+L1Cache::installLine(Addr line_addr, PState st, const LineData &d,
                      bool prefetch_fill)
 {
     Line nl;
@@ -383,15 +369,12 @@ L1Cache::installLine(Addr line_addr, L1State st, const LineData &d,
 void
 L1Cache::evict(Addr line_addr, Line &&victim)
 {
-    if (trace_line && line_addr == trace_line)
-        std::fprintf(stderr, "[l1%s%u t%llu] evict state=%d\n", icache?"i":"d", core,
-            (unsigned long long)net.events().now(), int(victim.state));
     ++stEvictions;
     if (victim.prefetched && !victim.used)
         ++stWastedPrefetches;
     if (icache)
         return;     // untracked read-only lines vanish silently
-    const MsgType put = proto.replacement(pstateOf(victim.state));
+    const MsgType put = proto.replacement(victim.state);
     WbEntry &wb = wbBuffer[line_addr];
     wb.state = victim.state;
     wb.data = victim.data;
@@ -416,20 +399,19 @@ L1Cache::onFwd(const Message &msg)
     bool dirty = false;
     if (Line *line = array.lookup(la)) {
         data = line->data;
-        dirty = line->state == L1State::M || line->state == L1State::O;
+        dirty = line->state == PState::M || line->state == PState::O;
         if (is_getx) {
             array.invalidate(la);
         } else {
-            line->state =
-                l1stateOf(proto.afterFwdGetS(pstateOf(line->state)));
+            line->state = proto.afterFwdGetS(line->state);
         }
     } else if (WbEntry *wb = wbBuffer.find(la)) {
         // Eviction raced with the forward: serve from the buffer.
         data = wb->data;
-        dirty = wb->state == L1State::M ||
-                wb->state == L1State::O;
+        dirty = wb->state == PState::M ||
+                wb->state == PState::O;
         if (is_getx)
-            wb->state = L1State::S;  // data handed over
+            wb->state = PState::S;  // data handed over
         ++stForwardsFromWbBuffer;
     } else {
         panic("L1Cache: forward for a line we do not own: core " +
@@ -458,14 +440,14 @@ L1Cache::onInv(const Message &msg)
     LineData data;
     bool dirty = false;
     if (auto victim = array.invalidate(la)) {
-        dirty = victim->state == L1State::M ||
-                victim->state == L1State::O;
+        dirty = victim->state == PState::M ||
+                victim->state == PState::O;
         data = victim->data;
     } else if (WbEntry *wb = wbBuffer.find(la)) {
-        dirty = wb->state == L1State::M ||
-                wb->state == L1State::O;
+        dirty = wb->state == PState::M ||
+                wb->state == PState::O;
         data = wb->data;
-        wb->state = L1State::S;  // data handed over
+        wb->state = PState::S;  // data handed over
     }
     Message resp;
     resp.type = dirty ? MsgType::InvAckData : MsgType::InvAck;
@@ -486,10 +468,10 @@ L1Cache::onUpdate(const Message &msg)
     ++stUpdatesReceived;
     if (Line *line = array.lookup(la)) {
         const Transition &t =
-            proto.transition(pstateOf(line->state), PEvent::Update);
+            proto.transition(line->state, PEvent::Update);
         if (t.has(PAction::Apply))
             line->data = msg.data;
-        line->state = l1stateOf(t.next);
+        line->state = t.next;
     } else if (WbEntry *wb = wbBuffer.find(la)) {
         // Eviction raced with the update: patch the buffered copy so
         // a forward served from it still sees the latest data.

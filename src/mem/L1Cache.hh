@@ -39,36 +39,6 @@
 namespace spmcoh
 {
 
-/** Stable states tracked at the L1 (O only under MOESI tables). */
-enum class L1State : std::uint8_t { S, E, O, M };
-
-/** L1State -> protocol state (I is "not resident", never stored). */
-inline PState
-pstateOf(L1State s)
-{
-    switch (s) {
-      case L1State::S: return PState::S;
-      case L1State::E: return PState::E;
-      case L1State::O: return PState::O;
-      case L1State::M: return PState::M;
-    }
-    return PState::I;
-}
-
-/** Protocol state -> L1State; fatal for I (nothing to store). */
-inline L1State
-l1stateOf(PState s)
-{
-    switch (s) {
-      case PState::S: return L1State::S;
-      case PState::E: return L1State::E;
-      case PState::O: return L1State::O;
-      case PState::M: return L1State::M;
-      case PState::I: break;
-    }
-    fatal("l1stateOf: protocol state I is not a resident state");
-}
-
 /** L1 configuration (Table 1 defaults). */
 struct L1Params
 {
@@ -142,18 +112,19 @@ class L1Cache
     StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
-    /** Peek for tests: is the line valid, and in which state? */
-    std::optional<L1State>
+    /** Peek for tests: is the line valid, and in which state? A
+     *  resident line is never PState::I. */
+    std::optional<PState>
     peekState(Addr addr) const
     {
         const Line *l = array.peek(addr);
-        return l ? std::optional<L1State>(l->state) : std::nullopt;
+        return l ? std::optional<PState>(l->state) : std::nullopt;
     }
 
   private:
     struct Line
     {
-        L1State state = L1State::S;
+        PState state = PState::S;
         bool prefetched = false;
         bool used = true;
         LineData data{};
@@ -161,7 +132,7 @@ class L1Cache
 
     struct WbEntry
     {
-        L1State state = L1State::M;
+        PState state = PState::M;
         /** Puts in flight for this line; freed when all are acked.
          *  A line can be re-fetched and re-evicted before the first
          *  PutAck returns, so this can exceed one. */
@@ -189,7 +160,7 @@ class L1Cache
      *  applied at the directory (update-based UpdData fill). */
     void processTargets(Addr line_addr,
                         bool first_write_done = false);
-    void installLine(Addr line_addr, L1State st, const LineData &d,
+    void installLine(Addr line_addr, PState st, const LineData &d,
                      bool prefetch_fill);
     void evict(Addr line_addr, Line &&victim);
     void sendToDir(MsgType t, Addr line_addr, TrafficClass cls,

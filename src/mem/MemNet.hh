@@ -80,7 +80,6 @@ class MemNet
     void setHomeAgent(HomeAgent *a) { agent = a; }
     HomeAgent *homeAgent() { return agent; }
 
-    CoreId mcTile(std::uint32_t mc) const { return mcTiles[mc]; }
     std::uint32_t numMemCtrls() const
     { return static_cast<std::uint32_t>(mcTiles.size()); }
 

@@ -155,13 +155,6 @@ class CoherenceProtocol
         return MsgType::PutS;
     }
 
-    /** States whose data differs from memory (needs writeback). */
-    static bool
-    dirtyState(PState s)
-    {
-        return s == PState::O || s == PState::M;
-    }
-
     // ---------------------------------------- directory policy hooks
 
     /**

@@ -135,12 +135,13 @@ KernelSource::randomTarget(const ClassifiedRef &r)
     // cluster: IS key populations, CG row neighborhoods), with a
     // cold tail over the whole shared array. A shared hot set would
     // instead model an all-cores write ping-pong, which none of the
-    // evaluated benchmarks exhibits.
-    const std::uint64_t window = bytes / groupSize >= 8
-        ? bytes / groupSize : bytes;
+    // evaluated benchmarks exhibits. Windows stay 8-byte aligned for
+    // any group size, so no hot access straddles a line.
+    const std::uint64_t window = (bytes / groupSize >= 8
+        ? bytes / groupSize : bytes) & ~7ull;
     std::uint64_t hot = r.decl.hotBytes & ~7ull;
     if (hot > window)
-        hot = window & ~7ull;
+        hot = window;
     std::uint64_t off;
     if (hot >= 8 && rng.uniform() < r.decl.hotFraction) {
         const std::uint64_t w_start =

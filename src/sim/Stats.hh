@@ -151,8 +151,6 @@ class StatGroup
     }
 
     const std::map<std::string, Counter> &all() const { return counters; }
-    const std::map<std::string, Histogram> &allHistograms() const
-    { return hists; }
 
     void
     reset()

@@ -148,13 +148,14 @@ System::barrierFor(const MicroOp &op)
     if (it != barriers.end())
         return *it->second;
 
-    // Legacy streams (hand-rolled op sources) carry no scope
-    // metadata: tag == 0 means the all-cores barrier.
-    const std::uint32_t parties = op.tag ? op.tag : p.numCores;
+    // The op carries its scope: tag is the party count, addr the
+    // member span [lo, hi].
+    if (op.tag == 0)
+        panic("System: barrier op without a party count");
     const auto lo = static_cast<std::uint32_t>(op.addr);
     const auto hi = static_cast<std::uint32_t>(op.addr >> 32);
     Tick lat = p.barrierLatency;
-    if (op.tag != 0 && !(lo == 0 && hi + 1 >= p.numCores)) {
+    if (!(lo == 0 && hi + 1 >= p.numCores)) {
         const std::uint32_t w = p.mesh.width;
         const std::uint32_t per_chip = w * p.mesh.height;
         if (p.mesh.chips > 1 && lo / per_chip != hi / per_chip) {
@@ -183,7 +184,7 @@ System::barrierFor(const MicroOp &op)
     }
     it = barriers
              .emplace(op.count,
-                      std::make_unique<Barrier>(eq, parties, lat))
+                      std::make_unique<Barrier>(eq, op.tag, lat))
              .first;
     return *it->second;
 }

@@ -191,6 +191,8 @@ TEST(Core, BarrierSynchronizesAllCores)
     MicroOp bar;
     bar.kind = OpKind::Barrier;
     bar.count = 0;
+    bar.tag = 4;                 // parties
+    bar.addr = 0 | 3ull << 32;   // member span: cores 0..3
     // Core 0 reaches the barrier immediately; others compute first.
     std::vector<std::unique_ptr<OpSource>> others;
     for (int c = 1; c < 4; ++c)

@@ -154,7 +154,7 @@ TEST(Directory, DmaReadForwardsFromDirtyOwner)
     ASSERT_TRUE(sys.dmacAt(3).enqueue(c));
     sys.events().run();
     EXPECT_EQ(sys.spmAt(3).read(lineOffset(a), 8), 7777u);
-    EXPECT_EQ(*sys.l1dAt(2).peekState(a), L1State::M);
+    EXPECT_EQ(*sys.l1dAt(2).peekState(a), PState::M);
     EXPECT_GT(sys.dirAt(sys.memNet().homeSlice(a))
                   .statGroup()
                   .value("dmaRead"),
@@ -187,7 +187,7 @@ TEST(Directory, UpgradeFromSharedInvalidatesOtherSharer)
     // Core 1 upgrades: core 0 must lose its copy.
     doStore(sys, 1, a, 6);
     EXPECT_FALSE(sys.l1dAt(0).peekState(a).has_value());
-    EXPECT_EQ(*sys.l1dAt(1).peekState(a), L1State::M);
+    EXPECT_EQ(*sys.l1dAt(1).peekState(a), PState::M);
     const CoreId home = sys.memNet().homeSlice(a);
     auto e = sys.dirAt(home).peekEntry(a);
     ASSERT_TRUE(e.has_value());
@@ -246,7 +246,7 @@ TEST(Directory, BlockingSerializesConflictingRequests)
     std::uint32_t owners = 0;
     for (CoreId c = 0; c < 4; ++c) {
         auto st = sys.l1dAt(c).peekState(a);
-        if (st && (*st == L1State::M || *st == L1State::E))
+        if (st && (*st == PState::M || *st == PState::E))
             ++owners;
     }
     EXPECT_EQ(owners, 1u);

@@ -44,6 +44,23 @@ TEST(WorkloadRegistry, GlobalCarriesTheKernelWorkloads)
     }
 }
 
+TEST(WorkloadRegistry, EveryWorkloadRunsOnTwelveCores)
+{
+    // Twelve cores split a thread group's hot windows into sizes that
+    // are not powers of two; every access must still stay inside its
+    // line in every mode.
+    for (const std::string &w : WorkloadRegistry::global().names())
+        for (SystemMode m : {SystemMode::CacheOnly, SystemMode::HybridIdeal,
+                             SystemMode::HybridProto})
+            EXPECT_NO_THROW(ExperimentBuilder()
+                                .workload(w)
+                                .mode(m)
+                                .cores(12)
+                                .scale(0.25)
+                                .run())
+                << w << " " << systemModeName(m);
+}
+
 TEST(WorkloadRegistry, UnknownNameListsKnownWorkloads)
 {
     try {
@@ -60,11 +77,13 @@ TEST(WorkloadRegistry, UnknownNameListsKnownWorkloads)
 TEST(WorkloadRegistry, RejectsDuplicatesAndEmptyNames)
 {
     WorkloadRegistry reg;
-    auto factory = [](std::uint32_t, double) { return ProgramDecl{}; };
-    reg.add("w", factory);
-    EXPECT_THROW(reg.add("w", factory), FatalError);
-    EXPECT_THROW(reg.add("", factory), FatalError);
-    EXPECT_THROW(reg.add("null", nullptr), FatalError);
+    auto factory = [](std::uint32_t, double, const WorkloadParams &) {
+        return ProgramDecl{};
+    };
+    reg.add({"w", "", {}, factory});
+    EXPECT_THROW(reg.add({"w", "", {}, factory}), FatalError);
+    EXPECT_THROW(reg.add({"", "", {}, factory}), FatalError);
+    EXPECT_THROW(reg.add({"null", "", {}, nullptr}), FatalError);
 }
 
 // ----------------------------------------------------------- builder

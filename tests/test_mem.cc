@@ -375,7 +375,7 @@ TEST(Moesi, ColdLoadGetsExclusive)
     f.load(0, 0x10000);
     auto st = f.l1s[0]->peekState(0x10000);
     ASSERT_TRUE(st.has_value());
-    EXPECT_EQ(*st, L1State::E);
+    EXPECT_EQ(*st, PState::E);
 }
 
 TEST(Moesi, SecondReaderSharesAndDowngradesOwner)
@@ -384,19 +384,19 @@ TEST(Moesi, SecondReaderSharesAndDowngradesOwner)
     f.mem.write64(0x10000, 7);
     f.load(0, 0x10000);
     EXPECT_EQ(f.load(1, 0x10000), 7u);
-    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), L1State::S);
-    EXPECT_EQ(*f.l1s[1]->peekState(0x10000), L1State::S);
+    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), PState::S);
+    EXPECT_EQ(*f.l1s[1]->peekState(0x10000), PState::S);
 }
 
 TEST(Moesi, DirtyForwardOnRead)
 {
     MiniFabric f;
     f.store(0, 0x10000, 99);
-    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), L1State::M);
+    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), PState::M);
     EXPECT_EQ(f.load(1, 0x10000), 99u);
     // Dirty owner downgrades to Owned (MOESI), not S.
-    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), L1State::O);
-    EXPECT_EQ(*f.l1s[1]->peekState(0x10000), L1State::S);
+    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), PState::O);
+    EXPECT_EQ(*f.l1s[1]->peekState(0x10000), PState::S);
 }
 
 TEST(Moesi, WriteInvalidatesSharers)
@@ -405,7 +405,7 @@ TEST(Moesi, WriteInvalidatesSharers)
     f.load(0, 0x10000);
     f.load(1, 0x10000);
     f.store(0, 0x10000, 5);
-    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), L1State::M);
+    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), PState::M);
     EXPECT_FALSE(f.l1s[1]->peekState(0x10000).has_value());
     EXPECT_EQ(f.load(1, 0x10000), 5u);
 }
@@ -416,7 +416,7 @@ TEST(Moesi, StoreToOwnedUpgradesAndInvalidates)
     f.store(0, 0x10000, 1);  // M at core 0
     f.load(1, 0x10000);      // O at 0, S at 1
     f.store(0, 0x10000, 2);  // upgrade from O
-    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), L1State::M);
+    EXPECT_EQ(*f.l1s[0]->peekState(0x10000), PState::M);
     EXPECT_FALSE(f.l1s[1]->peekState(0x10000).has_value());
     EXPECT_EQ(f.load(1, 0x10000), 2u);
 }
@@ -458,7 +458,7 @@ TEST(Moesi, MergedStoreBehindSharedFillReissuesInOrder)
     EXPECT_EQ(loaded[4], 7u);
     EXPECT_EQ(l1.statGroup().value("upgrades"), 1u);
     EXPECT_EQ(l1.statGroup().value("mshrMerges"), 4u);
-    EXPECT_EQ(*l1.peekState(a), L1State::M);
+    EXPECT_EQ(*l1.peekState(a), PState::M);
     EXPECT_FALSE(f.l1s[1]->peekState(a).has_value());
     EXPECT_FALSE(l1.mshrFull());
 }

@@ -98,7 +98,7 @@ TEST(DmaGet, SnoopsDirtyCacheData)
     sys.events().run();
     EXPECT_EQ(sys.spmAt(2).read(0, 8), 4242u);
     // The owner keeps its dirty copy (snapshot semantics).
-    EXPECT_EQ(*sys.l1dAt(0).peekState(gm), L1State::M);
+    EXPECT_EQ(*sys.l1dAt(0).peekState(gm), PState::M);
 }
 
 TEST(DmaPut, WritesMemoryAndInvalidatesCaches)

@@ -2,14 +2,11 @@
  * @file
  * Tests for the workload authoring API: ProgramBuilder validation
  * (every diagnostic class fires), WorkloadSpec parameter defaulting
- * and range rejection, legacy-factory adapter equivalence (JSON
- * byte-identical to the spec path), --wparam CLI parsing, and the
- * parameter axis threaded through sweeps.
+ * and range rejection, --wparam CLI parsing, and the parameter axis
+ * threaded through sweeps.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "driver/Cli.hh"
 #include "driver/Driver.hh"
@@ -312,47 +309,17 @@ TEST(WorkloadSpec, RegistryRejectsMisdeclaredSpecs)
     EXPECT_THROW(reg.add(std::move(s)), FatalError);
 }
 
-// ---------------------------------------------------------- adapter
-
-TEST(WorkloadAdapter, LegacyFactoryMatchesSpecPathByteForByte)
+TEST(WorkloadSpec, ParameterlessSpecRejectsParameters)
 {
-    // The old (cores, scale) signature registers through the
-    // adapter; a run through it must serialize identically to the
-    // spec-registered NAS entry in the global registry.
-    WorkloadRegistry legacy;
-    legacy.add("CG", [](std::uint32_t cores, double scale) {
-        return buildNasBenchmark(NasBench::CG, cores, scale);
-    });
-
-    const auto json = [](const WorkloadRegistry &reg) {
-        const ExperimentResult r = ExperimentBuilder(reg)
-                                       .workload("CG")
-                                       .mode(SystemMode::HybridProto)
-                                       .cores(4)
-                                       .scale(0.25)
-                                       .run();
-        std::ostringstream os;
-        auto sink = makeResultSink(ResultFormat::Json, os);
-        sink->begin("adapter");
-        sink->add(r);
-        sink->end();
-        return os.str();
-    };
-
-    EXPECT_EQ(json(legacy), json(WorkloadRegistry::global()));
-}
-
-TEST(WorkloadAdapter, LegacySpecDeclaresNoParameters)
-{
-    WorkloadRegistry legacy;
-    legacy.add("w", [](std::uint32_t, double) {
-        return ProgramDecl{};
-    });
-    EXPECT_TRUE(legacy.spec("w").params.empty());
+    WorkloadRegistry reg;
+    reg.add({"w", "", {},
+             [](std::uint32_t, double, const WorkloadParams &) {
+                 return ProgramDecl{};
+             }});
+    EXPECT_TRUE(reg.spec("w").params.empty());
     // Passing any parameter to a parameterless workload is an error.
-    EXPECT_THROW(
-        legacy.build("w", 4, 1.0, WorkloadParams().set("x", 1)),
-        FatalError);
+    EXPECT_THROW(reg.build("w", 4, 1.0, WorkloadParams().set("x", 1)),
+                 FatalError);
 }
 
 // ------------------------------------------------- experiment layer
