@@ -226,6 +226,21 @@ echo "== large-mesh smoke test (256 cores, 16x16) =="
 grep -q '"cores":256' "$BUILD_DIR"/smoke256.json
 grep -q '"meshWidth":16' "$BUILD_DIR"/smoke256.json
 
+echo "== host memory guard (256-core pipeline peak RSS) =="
+# The L2 slices store line data only for the lines they hold. This run
+# peaks near 88 MB that way and near 142 MB when every slice's 4,096
+# payloads are allocated up front, so eager allocation fails here.
+python3 - "$BUILD_DIR"/spmcoh_run <<'PY'
+import resource, subprocess, sys
+LIMIT_MB = 115
+subprocess.run([sys.argv[1], "--workload=pipeline", "--cores=256",
+                "--mode=hybrid-proto", "--jobs=1", "--format=json"],
+               stdout=subprocess.DEVNULL, check=True)
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"peak RSS {mb:.1f} MB (limit {LIMIT_MB} MB)")
+sys.exit(mb > LIMIT_MB)
+PY
+
 echo "== ASan+UBSan build + full test suite =="
 # Memory and undefined-behaviour errors abort the test that hits them.
 # Excluded: the 128-core sharer-bit shift in DirectorySlice (ROADMAP

@@ -362,7 +362,8 @@ DirectorySlice::handleDmaWrite(Txn &t)
         }
         dir.invalidate(t.la);
     }
-    l2.invalidate(t.la);
+    if (const auto gone = l2.invalidate(t.la))
+        l2FreeSlots.push_back(gone->slot);
     t.done = Done::DmaWrite;
     checkDone(t);
 }
@@ -399,11 +400,10 @@ DirectorySlice::onMemResp(const Message &msg)
 {
     Txn &t = *busy.at(lineAlign(msg.addr),
                       "DirectorySlice: memory response for idle line");
-    // Cache the fill in the NUCA slice; DMA fills are included by
-    // default (the GM "includes caches and main memory", Sec. 2.1)
-    // but can be excluded to study pollution.
-    if (t.req.type != MsgType::DmaRead || p.dmaFillsL2)
-        l2Insert(t.la, msg.data, false);
+    // Cache the fill in the NUCA slice, DMA fills included: the GM
+    // "includes caches and main memory" (Sec. 2.1), so DMA re-reads
+    // hit on-chip.
+    l2Insert(t.la, msg.data, false);
     t.data = msg.data;
     t.haveData = true;
     t.dataDirty = false;
@@ -421,7 +421,7 @@ DirectorySlice::fetchData(Txn &t, TrafficClass cls)
         onChip = &wb->data;
     } else if (const L2Line *l = l2.lookup(t.la)) {
         ++stL2Hits;
-        onChip = &l->data;
+        onChip = &l2Data(l->slot);
     }
     if (!onChip) {
         ++stL2Misses;
@@ -448,29 +448,43 @@ void
 DirectorySlice::l2Insert(Addr la, const LineData &d, bool dirty)
 {
     if (L2Line *l = l2.lookup(la)) {
-        l->data = d;
+        l2Data(l->slot) = d;
         l->dirty = l->dirty || dirty;
         return;
     }
-    L2Line nl;
-    nl.data = d;
-    nl.dirty = dirty;
-    auto evicted = l2.insert(la, std::move(nl));
-    if (evicted && evicted->second.dirty) {
-        ++stL2DirtyEvictions;
-        Message w;
-        w.type = MsgType::MemWrite;
-        w.addr = evicted->first;
-        w.requestor = tile;
-        w.hasData = true;
-        w.data = evicted->second.data;
-        w.cls = TrafficClass::WbRepl;
-        MemWb &wb = memWb[evicted->first];
-        wb.data = evicted->second.data;
-        ++wb.pending;
-        net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
-                 TrafficClass::WbRepl);
+    // The way insert() would pick: the first invalid one, else the
+    // pseudo-LRU victim.
+    const std::uint32_t way = *l2.allocWay(la, [](Addr) { return true; });
+    std::uint32_t slot;
+    if (const auto victim = l2.occupant(la, way)) {
+        const L2Line &v = *l2.peek(*victim);
+        slot = v.slot;
+        if (v.dirty) {
+            ++stL2DirtyEvictions;
+            const LineData &old = l2Data(slot);
+            Message w;
+            w.type = MsgType::MemWrite;
+            w.addr = *victim;
+            w.requestor = tile;
+            w.hasData = true;
+            w.data = old;
+            w.cls = TrafficClass::WbRepl;
+            MemWb &wb = memWb[*victim];
+            wb.data = old;
+            ++wb.pending;
+            net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
+                     TrafficClass::WbRepl);
+        }
+    } else if (!l2FreeSlots.empty()) {
+        slot = l2FreeSlots.back();
+        l2FreeSlots.pop_back();
+    } else {
+        slot = l2Slots++;
+        if ((slot >> l2ChunkShift) == l2Chunks.size())
+            l2Chunks.push_back(std::make_unique<L2Chunk>());
     }
+    l2Data(slot) = d;
+    l2.fillWay(la, way, L2Line{.slot = slot, .dirty = dirty});
 }
 
 bool

@@ -20,6 +20,7 @@
 #ifndef SPMCOH_MEM_DIRECTORYSLICE_HH
 #define SPMCOH_MEM_DIRECTORYSLICE_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -53,9 +54,6 @@ struct DirSliceParams
     std::uint32_t dirWays = 4;
     Tick dirLatency = 2;
     Tick retryDelay = 64;  ///< backoff when a set is fully pinned
-    /** dma-get fills flow through the NUCA slice (GM includes the
-     *  caches, Fig. 1), so DMA re-reads hit on-chip. */
-    bool dmaFillsL2 = true;
 };
 
 /** L2 slice + directory slice controller for one tile. */
@@ -83,6 +81,9 @@ class DirectorySlice
         std::uint64_t sharers;
     };
     std::optional<EntrySnapshot> peekEntry(Addr line_addr) const;
+    /** L2 payload slots allocated so far (the slice's peak number of
+     *  valid L2 lines). */
+    std::size_t l2PayloadSlots() const { return l2Slots; }
 
   private:
     struct DirEntry
@@ -92,10 +93,11 @@ class DirectorySlice
         std::uint64_t sharers = 0;  ///< bitmask, excludes owner
     };
 
+    /** The line's payload is l2Data(slot). */
     struct L2Line
     {
+        std::uint32_t slot = 0;
         bool dirty = false;
-        LineData data{};
     };
 
     /** How a transaction ends once its acks and data are in
@@ -173,7 +175,8 @@ class DirectorySlice
      */
     void fetchData(Txn &t, TrafficClass cls);
 
-    /** Insert into L2, writing back any dirty victim. */
+    /** Insert into L2, writing back any dirty victim; the new line
+     *  takes the victim's payload slot, a freed slot or a new one. */
     void l2Insert(Addr la, const LineData &d, bool dirty);
 
     /**
@@ -204,6 +207,26 @@ class DirectorySlice
     const CoherenceProtocol &proto;
     DirSliceParams p;
     CacheArray<L2Line> l2;
+    /** Payloads of the valid L2 lines only, in 64-line (4 KiB)
+     *  chunks that never move. A line installed into an invalid way
+     *  takes a slot freed by a DMA write, else the next new one; a
+     *  chunk is added when the slots run out. */
+    static constexpr std::uint32_t l2ChunkShift = 6;
+    /** Host-cache-line aligned, so reading a payload touches one
+     *  host line. */
+    struct alignas(64) L2Chunk
+    {
+        std::array<LineData, 1u << l2ChunkShift> lines;
+    };
+    std::vector<std::unique_ptr<L2Chunk>> l2Chunks;
+    std::uint32_t l2Slots = 0;  ///< slots handed out so far
+    std::vector<std::uint32_t> l2FreeSlots;
+    LineData &
+    l2Data(std::uint32_t slot)
+    {
+        return l2Chunks[slot >> l2ChunkShift]
+            ->lines[slot & ((1u << l2ChunkShift) - 1)];
+    }
     CacheArray<DirEntry> dir;
     /** In-flight transaction of every blocked line. */
     LineMap<Txn *> busy;

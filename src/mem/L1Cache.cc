@@ -205,14 +205,13 @@ L1Cache::issuePrefetch(Addr line_addr)
 void
 L1Cache::trainPrefetcher(std::uint32_t ref_id, Addr addr, Tick at)
 {
-    static thread_local std::vector<Addr> cands;
-    cands.clear();
-    prefetcher.observe(ref_id, addr, cands);
-    if (cands.empty())
+    prefetchCands.clear();
+    prefetcher.observe(ref_id, addr, prefetchCands);
+    if (prefetchCands.empty())
         return;
     EventQueue &eq = net.events();
     const Tick when = at > eq.now() ? at : eq.now();
-    for (Addr a : cands)
+    for (Addr a : prefetchCands)
         eq.schedule(when, [this, a] { issuePrefetch(a); });
 }
 

@@ -182,6 +182,8 @@ class L1Cache
     MshrFile mshr;
     LineMap<WbEntry> wbBuffer;
     StridePrefetcher prefetcher;
+    /** trainPrefetcher's candidate buffer, kept for its capacity. */
+    std::vector<Addr> prefetchCands;
     std::uint32_t prefetchesInFlight = 0;
     std::function<void()> mshrFreeCb;
     StatGroup stats;

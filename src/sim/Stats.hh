@@ -150,8 +150,6 @@ class StatGroup
         return it->second;
     }
 
-    const std::map<std::string, Counter> &all() const { return counters; }
-
     void
     reset()
     {

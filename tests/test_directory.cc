@@ -201,26 +201,55 @@ TEST(Directory, L2DirtyVictimReachesMemory)
     SystemParams p = smallParams();
     p.dir.l2SizeBytes = 1024;  // 16 lines per slice
     System sys(p);
+    const std::size_t capacity = p.dir.l2SizeBytes / lineBytes;
     // Dirty lines all homed at slice 0; force them through the tiny
     // L2 via L1 evictions, then verify memory-level durability.
     std::vector<std::pair<Addr, std::uint64_t>> writes;
     const Addr set_stride = (32 * 1024) / 4;
     for (int i = 0; i < 24; ++i) {
         const Addr a = 0x700000 + static_cast<Addr>(i) * 4 * lineBytes;
-        const std::uint64_t v = 31337 + i;
-        doStore(sys, 0, a, v);
-        writes.push_back({a, v});
-        // Evict from L1 promptly.
-        for (int w = 1; w <= 4; ++w)
-            doStore(sys, 0, a + static_cast<Addr>(w) * set_stride, w);
+        // One store, then four that evict it from L1 promptly.
+        for (int w = 0; w <= 4; ++w) {
+            const Addr aw = a + static_cast<Addr>(w) * set_stride;
+            const std::uint64_t v = w == 0 ? 31337 + i : w;
+            doStore(sys, 0, aw, v);
+            writes.push_back({aw, v});
+        }
+        // The payload pool never outgrows the slice.
+        for (CoreId s = 0; s < 4; ++s)
+            EXPECT_LE(sys.dirAt(s).l2PayloadSlots(), capacity);
     }
     sys.events().run();
-    for (auto &[a, v] : writes)
-        EXPECT_EQ(doLoad(sys, 3, a), v);
+    EXPECT_EQ(sys.dirAt(0).l2PayloadSlots(), capacity);
     std::uint64_t wb = 0;
     for (CoreId i = 0; i < 4; ++i)
         wb += sys.dirAt(i).statGroup().value("l2DirtyEvictions");
     EXPECT_GT(wb, 0u);
+    // Each line is written once and not yet re-read, so every dirty
+    // L2 victim is a distinct line whose value is now in memory.
+    std::uint64_t in_memory = 0;
+    for (auto &[a, v] : writes) {
+        if (const std::uint64_t m = sys.memory().read64(a)) {
+            EXPECT_EQ(m, v);
+            ++in_memory;
+        }
+    }
+    EXPECT_EQ(in_memory, wb);
+    for (auto &[a, v] : writes)
+        EXPECT_EQ(doLoad(sys, 3, a), v);
+}
+
+TEST(Directory, FreshSliceHoldsNoL2Payload)
+{
+    System sys(smallParams());
+    for (CoreId i = 0; i < 4; ++i)
+        EXPECT_EQ(sys.dirAt(i).l2PayloadSlots(), 0u);
+    // The first fill allocates exactly one payload, at the home slice.
+    const Addr a = 0x560000;
+    doLoad(sys, 1, a);
+    const CoreId home = sys.memNet().homeSlice(a);
+    for (CoreId i = 0; i < 4; ++i)
+        EXPECT_EQ(sys.dirAt(i).l2PayloadSlots(), i == home ? 1u : 0u);
 }
 
 TEST(Directory, BlockingSerializesConflictingRequests)

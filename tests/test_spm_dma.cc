@@ -139,6 +139,26 @@ TEST(DmaPut, WritesMemoryAndInvalidatesCaches)
     // ...and memory updated.
     EXPECT_EQ(sys.memory().read64(gm), 1000u);
     EXPECT_EQ(sys.memory().read64(gm + 56), 1007u);
+
+    // The put dropped the L2 copy and freed its payload slot; the
+    // reload refills the line from memory into that slot.
+    const DirectorySlice &home = sys.dirAt(sys.memNet().homeSlice(gm));
+    EXPECT_EQ(home.l2PayloadSlots(), 1u);
+    auto load = [&sys](Addr a) {
+        std::uint64_t out = 0;
+        bool done = false;
+        EXPECT_TRUE(sys.l1dAt(0).startLoad(a, 8, 1,
+                                           [&](std::uint64_t v) {
+            out = v;
+            done = true;
+        }));
+        sys.events().run();
+        EXPECT_TRUE(done);
+        return out;
+    };
+    EXPECT_EQ(load(gm), 1000u);
+    EXPECT_EQ(load(gm + 56), 1007u);
+    EXPECT_EQ(home.l2PayloadSlots(), 1u);
 }
 
 TEST(Dmac, SyncWaitsForAllTagsInMask)
