@@ -437,21 +437,25 @@ CoreModel::issueAsyncGm()
             onMemComplete(seq, v);
         });
     } else {
+        // Listed before the issue: a store that completes inline
+        // (the line became writable since the probe) removes its
+        // entry in onMemComplete.
         const std::uint64_t val = storeValue();
+        storeFwd.push_back(StoreFwdEntry{seq, a, sz, val});
         ok = l1d.startStore(a, sz, val, cur.refId,
                             [this, seq](std::uint64_t) {
             onMemComplete(seq, 0);
         });
-        if (ok)
-            storeFwd.push_back(StoreFwdEntry{seq, a, sz, val});
     }
     if (!ok) {
         // Roll the window allocation back; we retry on MSHR free.
         window.pop_back();
-        if (is_load)
+        if (is_load) {
             --pendingLoads;
-        else
+        } else {
             --pendingStores;
+            storeFwd.pop_back();
+        }
     }
     return ok;
 }

@@ -170,6 +170,28 @@ TEST(Core, StoreForwardingHidesPendingStore)
     EXPECT_EQ(*v, 42u);
 }
 
+TEST(Core, LoadDoesNotForwardFromACompletedStore)
+{
+    // The fourth load trains the stride prefetcher; its fill of the
+    // store's line lands between the store's probe and its issue, so
+    // the store completes inline. The later load must then go to the
+    // L1 and hit, not forward from the completed store.
+    System sys(params4(SystemMode::CacheOnly));
+    const Addr target = 0x400000 + 15 * 64;
+    std::vector<MicroOp> ops;
+    for (Addr i = 0; i < 4; ++i)
+        ops.push_back(load(0x400000 + i * 64));
+    ops.push_back(nonMem(300));
+    ops.push_back(store(target, 42));
+    ops.push_back(nonMem(3000));
+    MicroOp late = load(target);
+    late.refId = 3;
+    ops.push_back(late);
+    runOps(sys, std::move(ops));
+    EXPECT_EQ(sys.coreAt(0).statGroup().value("storeForwards"), 0u);
+    EXPECT_EQ(sys.l1dAt(0).statGroup().value("hits"), 1u);
+}
+
 TEST(Core, SpmAccessesBypassCachesAndTlb)
 {
     System sys(params4());
