@@ -119,24 +119,22 @@ CohController::unmapBuffer(std::uint32_t idx)
 }
 
 GuardProbe
-CohController::probeGuarded(Addr addr, bool is_write)
+CohController::probeGuarded(Addr addr)
 {
-    (void)is_write;
     ++stGuardedProbes;
     const Addr base = fab.config.base(addr);
 
     if (fab.ideal) {
         auto m = fab.oracle.lookup(base);
         if (!m)
-            return GuardProbe{GuardProbe::Kind::UseCache, 0, 0};
+            return GuardProbe{GuardProbe::Kind::UseCache};
         if (m->core == core) {
             const Addr spm_addr = amap.localSpmBase(core) +
                 m->bufferIdx * fab.config.bytes() +
                 fab.config.offset(addr);
-            return GuardProbe{GuardProbe::Kind::LocalSpm, spm_addr,
-                              spm.accessLatency()};
+            return GuardProbe{GuardProbe::Kind::LocalSpm, spm_addr};
         }
-        return GuardProbe{GuardProbe::Kind::Pending, 0, 0};
+        return GuardProbe{GuardProbe::Kind::Pending};
     }
 
     // Parallel CAM lookups in the SPMDir and the filter (Fig. 5);
@@ -159,16 +157,15 @@ CohController::probeGuarded(Addr addr, bool is_write)
     }
     switch (proto.guardAction(ev)) {
       case CoherenceProtocol::GuardAction::DivertLocalSpm:
-        return GuardProbe{GuardProbe::Kind::LocalSpm, spm_addr,
-                          p.lookupLatency + spm.accessLatency()};
+        return GuardProbe{GuardProbe::Kind::LocalSpm, spm_addr};
       case CoherenceProtocol::GuardAction::UseCacheHierarchy:
         // Filter hit: the lookup overlaps the TLB access, so the
         // cache path proceeds without extra latency (Sec. 3).
-        return GuardProbe{GuardProbe::Kind::UseCache, 0, 0};
+        return GuardProbe{GuardProbe::Kind::UseCache};
       case CoherenceProtocol::GuardAction::ConsultDirectory:
         break;
     }
-    return GuardProbe{GuardProbe::Kind::Pending, 0, 0};
+    return GuardProbe{GuardProbe::Kind::Pending};
 }
 
 void
@@ -329,30 +326,35 @@ CohController::onSpmDirect(const Message &msg)
     // Plain remote SPM access: serve after the SPM access latency.
     // The closure captures the handful of fields it needs (not the
     // whole Message), which keeps it within the inline budget.
-    const std::uint32_t off = amap.spmOffset(msg.addr);
-    const std::uint8_t size =
-        static_cast<std::uint8_t>(msg.aux & 0xff);
     net.events().scheduleIn(
         spm.accessLatency(),
         [this, addr = msg.addr, aux = msg.aux,
-         requestor = msg.requestor, is_write = msg.isWrite,
-         wdata = msg.data.read64(0), off, size] {
-            Message r;
-            r.addr = addr;
-            r.aux = aux;
-            r.requestor = requestor;
-            r.cls = TrafficClass::CohProt;
-            if (is_write) {
-                spm.write(off, size, wdata);
-                r.type = MsgType::RemoteSpmStAck;
-            } else {
-                r.type = MsgType::RemoteSpmData;
-                r.hasData = true;
-                r.data.write64(0, spm.read(off, size));
-            }
-            net.send(core, Endpoint::Coh, requestor, r,
-                     TrafficClass::CohProt);
+         wdata = msg.data.read64(0), off = amap.spmOffset(msg.addr),
+         requestor = msg.requestor, is_write = msg.isWrite] {
+            serveSpm(off, addr, aux, requestor, is_write, wdata);
         });
+}
+
+void
+CohController::serveSpm(std::uint32_t off, Addr addr, std::uint64_t aux,
+                        CoreId requestor, bool is_write,
+                        std::uint64_t wdata)
+{
+    const std::uint8_t size = static_cast<std::uint8_t>(aux & 0xff);
+    Message r;
+    r.addr = addr;
+    r.aux = aux;
+    r.requestor = requestor;
+    r.cls = TrafficClass::CohProt;
+    if (is_write) {
+        spm.write(off, size, wdata);
+        r.type = MsgType::RemoteSpmStAck;
+    } else {
+        r.type = MsgType::RemoteSpmData;
+        r.hasData = true;
+        r.data.write64(0, spm.read(off, size));
+    }
+    net.send(core, Endpoint::Coh, requestor, r, TrafficClass::CohProt);
 }
 
 } // namespace spmcoh

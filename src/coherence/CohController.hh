@@ -36,7 +36,6 @@ struct CohParams
 {
     std::uint32_t spmDirEntries = 32;
     std::uint32_t filterEntries = 48;
-    Tick lookupLatency = 1;  ///< parallel SPMDir + filter CAM lookup
 };
 
 /** Outcome of the synchronous part of a guarded access. */
@@ -50,7 +49,6 @@ struct GuardProbe
     };
     Kind kind = Kind::UseCache;
     Addr spmAddr = 0;   ///< diverted address when LocalSpm
-    Tick extraLat = 0;  ///< cycles to charge before data is usable
 };
 
 /** Per-core SPM coherence controller. */
@@ -86,7 +84,7 @@ class CohController
      * Synchronous half of a guarded access: parallel SPMDir + filter
      * lookup (1 cycle), or oracle consultation in ideal mode.
      */
-    GuardProbe probeGuarded(Addr addr, bool is_write);
+    GuardProbe probeGuarded(Addr addr);
 
     /**
      * Asynchronous half: filter miss (Fig. 5c/5d) or ideal-mode
@@ -98,6 +96,14 @@ class CohController
     /** Plain (non-guarded) access to a remote SPM over the mesh. */
     void remoteSpmAccess(Addr addr, std::uint8_t size, bool is_write,
                          std::uint64_t wdata, ResolveCb cb);
+
+    /**
+     * Serve a remote core's access to this SPM at byte @p off and
+     * reply with RemoteSpmData or RemoteSpmStAck. @p aux carries the
+     * requestor's id and, in its low byte, the access size.
+     */
+    void serveSpm(std::uint32_t off, Addr addr, std::uint64_t aux,
+                  CoreId requestor, bool is_write, std::uint64_t wdata);
 
     /** MemNet delivery entry point (Endpoint::Coh). */
     void handle(const Message &msg);

@@ -195,31 +195,14 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
             const std::uint32_t spm_off = static_cast<std::uint32_t>(
                 buf_idx * fab.config.bytes() +
                 fab.config.offset(req.addr));
-            const std::uint8_t size =
-                static_cast<std::uint8_t>(req.aux & 0xff);
             // The owner's SPM serves the access one cycle later.
             net.events().scheduleIn(1,
-                    [this, own = owner, spm_off, size,
-                     addr = req.addr, aux = req.aux,
-                     requestor = req.requestor,
-                     is_write = req.isWrite,
-                     wdata = req.data.read64(0)] {
-                Spm &rspm = fab.ctrls[own]->spmRef();
-                Message r;
-                r.addr = addr;
-                r.aux = aux;
-                r.requestor = requestor;
-                r.cls = TrafficClass::CohProt;
-                if (is_write) {
-                    rspm.write(spm_off, size, wdata);
-                    r.type = MsgType::RemoteSpmStAck;
-                } else {
-                    r.type = MsgType::RemoteSpmData;
-                    r.hasData = true;
-                    r.data.write64(0, rspm.read(spm_off, size));
-                }
-                net.send(own, Endpoint::Coh, requestor, r,
-                         TrafficClass::CohProt);
+                    [own = fab.ctrls[owner], addr = req.addr,
+                     aux = req.aux, wdata = req.data.read64(0),
+                     spm_off, requestor = req.requestor,
+                     is_write = req.isWrite] {
+                own->serveSpm(spm_off, addr, aux, requestor, is_write,
+                              wdata);
             });
             // Informational NACK: the filter must not cache the base.
             net.events().scheduleIn(resp_delay,

@@ -68,6 +68,15 @@ CoreModel::scheduleRunAt(Tick t)
     net.events().schedule(t, [this] { run(); });
 }
 
+bool
+CoreModel::clockAhead()
+{
+    if (localTick <= net.events().now())
+        return false;
+    scheduleRunAt(localTick);
+    return true;
+}
+
 void
 CoreModel::advance(Tick cycles)
 {
@@ -175,22 +184,15 @@ CoreModel::run()
             haveCur = false;
             break;
           case OpKind::Load:
-          case OpKind::Store: {
-            bool need_return = false;
-            if (execLoadStore(need_return)) {
-                haveCur = false;
-                break;
-            }
-            if (need_return)
+          case OpKind::Store:
+            if (!execLoadStore())
                 return;
+            haveCur = false;
             break;
-          }
           case OpKind::DmaGet:
           case OpKind::DmaPut: {
-            if (localTick > net.events().now()) {
-                scheduleRunAt(localTick);
+            if (clockAhead())
                 return;
-            }
             DmaCommand c;
             c.isGet = cur.kind == OpKind::DmaGet;
             c.gmAddr = cur.addr;
@@ -200,23 +202,19 @@ CoreModel::run()
             if (!dmac.enqueue(c))
                 return;  // command-queue slot callback wakes us
             ++stDmaCommands;
-            bumpKernel(kernelDma);
+            addKernelStat(KernelDma, 1);
             haveCur = false;
             break;
           }
           case OpKind::MapBuffer:
-            if (localTick > net.events().now()) {
-                scheduleRunAt(localTick);
+            if (clockAhead())
                 return;
-            }
             coh.mapBuffer(cur.count, cur.addr, cur.tag);
             haveCur = false;
             break;
           case OpKind::DmaSync: {
-            if (localTick > net.events().now()) {
-                scheduleRunAt(localTick);
+            if (clockAhead())
                 return;
-            }
             if (!probed) {
                 probed = true;
                 dmac.sync(cur.tag, [this] { wake(); });
@@ -229,10 +227,8 @@ CoreModel::run()
             return;
           }
           case OpKind::Barrier: {
-            if (localTick > net.events().now()) {
-                scheduleRunAt(localTick);
+            if (clockAhead())
                 return;
-            }
             if (!probed) {
                 probed = true;
                 barrierDone = false;
@@ -258,329 +254,240 @@ CoreModel::run()
 }
 
 bool
-CoreModel::execLoadStore(bool &need_return)
+CoreModel::execLoadStore()
 {
-    need_return = false;
-    const bool is_load = cur.kind == OpKind::Load;
-
     if (!probed) {
+        const bool is_load = cur.kind == OpKind::Load;
         if (windowBlocked()) {
             ++stRobStalls;
-            need_return = true;  // a completion will wake us
-            return false;
+            return false;  // a completion will wake us
         }
         if (is_load && pendingLoads >= p.lqEntries) {
             ++stLqStalls;
-            need_return = true;
             return false;
         }
         if (!is_load && pendingStores >= p.sqEntries) {
             ++stSqStalls;
-            need_return = true;
             return false;
         }
         chargeLsuSlot();
         ++instrCount;
         ++stInstructions;
         ++stMemOps;
-
-        if (cur.guarded && mode != SystemMode::CacheOnly) {
-            bool fall_to_gm = false;
-            const bool fin = guardedPath(need_return, fall_to_gm);
-            if (!fall_to_gm) {
-                if (!fin && !need_return && probed)
-                    return execLoadStore(need_return);
-                return fin;
-            }
-            // UseCache verdict: continue on the GM path.
-        } else if (amap.isSpmAddr(cur.addr)) {
-            if (amap.spmOwner(cur.addr) == core)
-                return spmLocal(cur.addr);
-            probed = true;
-            pendingFlavor = Flavor::RemoteSpm;
-            return execLoadStore(need_return);
-        }
-        return gmPath(need_return);
+        pendingFlavor = probeMemOp();
+        if (pendingFlavor == Flavor::Inline)
+            return true;
+        probed = true;
     }
-
-    // Probed already: issue the asynchronous part at its exact tick.
-    if (localTick > net.events().now()) {
-        scheduleRunAt(localTick);
-        need_return = true;
+    // Issue the asynchronous part at its exact tick; a full MSHR
+    // file retries from the MSHR-free callback.
+    if (clockAhead() || !issueMemOp())
         return false;
-    }
-    bool ok = true;
-    switch (pendingFlavor) {
-      case Flavor::GmMiss:    ok = issueAsyncGm(); break;
-      case Flavor::Guarded:   issueAsyncGuarded(); break;
-      case Flavor::RemoteSpm: issueAsyncRemoteSpm(); break;
-    }
-    if (!ok) {
-        need_return = true;  // MSHR-free callback wakes us
-        return false;
-    }
     probed = false;
     return true;
 }
 
-bool
-CoreModel::gmPath(bool &need_return)
+CoreModel::Flavor
+CoreModel::probeMemOp()
 {
     const bool is_load = cur.kind == OpKind::Load;
-    if (is_load) {
-        if (auto v = forwardLoad(cur.addr, cur.size)) {
-            (void)v;
-            ++stStoreForwards;
-            return true;
+    if (cur.guarded && mode != SystemMode::CacheOnly) {
+        ++stGuardedAccesses;
+        addKernelStat(KernelGuarded, 1);
+        const GuardProbe g = coh.probeGuarded(cur.addr);
+        if (g.kind == GuardProbe::Kind::Pending)
+            return Flavor::Guarded;
+        if (g.kind == GuardProbe::Kind::LocalSpm) {
+            // Fig. 5b: divert to the local SPM. The LSQ re-checks the
+            // ordering for the diverted address (Sec. 3.4).
+            accessLocalSpm(g.spmAddr);
+            recordDivert(g.spmAddr, !is_load);
+            if (!is_load) {
+                // Guarded stores always also update the L1 (Sec. 3.2).
+                const Tick now = net.events().now();
+                net.events().schedule(
+                    localTick > now ? localTick : now,
+                    [this, r = L1Retry{cur.addr, storeValue(), 0,
+                                       cur.size, true}] {
+                        issueOrDefer(r);
+                    });
+            }
+            ++stGuardedLocalSpm;
+            return Flavor::Inline;
         }
+        // UseCache verdict: continue on the GM path.
+    } else if (amap.isSpmAddr(cur.addr)) {
+        if (amap.spmOwner(cur.addr) != core)
+            return Flavor::RemoteSpm;
+        accessLocalSpm(cur.addr);
+        ++stSpmAccesses;
+        return Flavor::Inline;
+    }
+
+    if (is_load && forwardLoad(cur.addr, cur.size)) {
+        ++stStoreForwards;
+        return Flavor::Inline;
     }
     const Tick tlb_lat = tlb.access(cur.addr);
     if (tlb_lat)
         advance(tlb_lat);
-
+    // A hit's latency is hidden by the OoO engine.
     Tick lat = 0;
-    if (is_load) {
-        if (l1d.tryLoad(cur.addr, cur.size, localTick, cur.refId, lat))
-            return true;  // hit; latency hidden by the OoO engine
-    } else {
-        const std::uint64_t val = storeValue();
-        if (l1d.tryStore(cur.addr, cur.size, val, localTick, cur.refId,
-                         lat))
-            return true;
-    }
-    probed = true;
-    pendingFlavor = Flavor::GmMiss;
-    return execLoadStore(need_return);
+    const bool hit = is_load
+        ? l1d.tryLoad(cur.addr, cur.size, localTick, cur.refId, lat)
+              .has_value()
+        : l1d.tryStore(cur.addr, cur.size, storeValue(), localTick,
+                       cur.refId, lat);
+    return hit ? Flavor::Inline : Flavor::GmMiss;
 }
 
-bool
-CoreModel::spmLocal(Addr a)
+void
+CoreModel::accessLocalSpm(Addr spm_addr)
 {
     const bool is_load = cur.kind == OpKind::Load;
-    const std::uint32_t off = amap.spmOffset(a);
-    checkSquash(a, !is_load);
+    checkSquash(spm_addr, !is_load);
+    const std::uint32_t off = amap.spmOffset(spm_addr);
     if (is_load)
         spm.read(off, cur.size);
     else
         spm.write(off, cur.size, storeValue());
-    ++stSpmAccesses;
-    return true;
 }
 
 bool
-CoreModel::guardedPath(bool &need_return, bool &fall_to_gm)
+CoreModel::issueMemOp()
 {
-    (void)need_return;
     const bool is_load = cur.kind == OpKind::Load;
-    ++stGuardedAccesses;
-    bumpKernel(kernelGuarded);
-    const GuardProbe g = coh.probeGuarded(cur.addr, !is_load);
-    switch (g.kind) {
-      case GuardProbe::Kind::UseCache:
-        fall_to_gm = true;
-        return false;
-      case GuardProbe::Kind::LocalSpm: {
-        // Fig. 5b: divert to the local SPM. The LSQ re-checks the
-        // ordering for the diverted address (Sec. 3.4).
-        checkSquash(g.spmAddr, !is_load);
-        recordDivert(g.spmAddr, !is_load);
-        const std::uint32_t off = amap.spmOffset(g.spmAddr);
-        if (is_load) {
-            spm.read(off, cur.size);
-        } else {
-            const std::uint64_t val = storeValue();
-            spm.write(off, cur.size, val);
-            // Guarded stores always also update the L1 (Sec. 3.2).
-            const Addr gm = cur.addr;
-            const std::uint8_t sz = cur.size;
-            const Tick at = localTick;
-            const Tick now = net.events().now();
-            net.events().schedule(at > now ? at : now,
-                                  [this, gm, sz, val] {
-                writeThroughL1(gm, sz, val);
-            });
-        }
-        ++stGuardedLocalSpm;
-        return true;
-      }
-      case GuardProbe::Kind::Pending:
-        probed = true;
-        pendingFlavor = Flavor::Guarded;
-        return false;
-    }
-    return false;
-}
-
-std::uint64_t
-CoreModel::allocWindow(bool is_load)
-{
+    const std::uint64_t val = is_load ? 0 : storeValue();
     const std::uint64_t seq = nextSeq++;
-    window.push_back(WindowEntry{seq, instrCount, is_load, false});
-    if (is_load)
-        ++pendingLoads;
-    else
-        ++pendingStores;
-    return seq;
+    // Only a GM store waiting in the L1 forwards to younger loads;
+    // it is listed before the issue in case the L1 completes it
+    // inline.
+    window.push_back(WindowEntry{
+        seq, instrCount, cur.addr, val, cur.size, is_load, false,
+        !is_load && pendingFlavor == Flavor::GmMiss});
+    std::uint32_t &pending = is_load ? pendingLoads : pendingStores;
+    ++pending;
+
+    switch (pendingFlavor) {
+      case Flavor::GmMiss:
+        if (issueL1(L1Retry{cur.addr, val, seq, cur.size, !is_load}))
+            return true;
+        // Roll the allocation back, seq included; we retry on MSHR
+        // free.
+        window.pop_back();
+        --nextSeq;
+        --pending;
+        return false;
+      case Flavor::Guarded:
+        ++stGuardedResolves;
+        coh.resolveGuarded(cur.addr, cur.size, !is_load, val,
+                           [this, seq](bool by_spm, std::uint64_t) {
+            onGuardedResolved(seq, by_spm);
+        });
+        return true;
+      case Flavor::RemoteSpm:
+        ++stRemoteSpmAccesses;
+        coh.remoteSpmAccess(cur.addr, cur.size, !is_load, val,
+                            [this, seq](bool, std::uint64_t) {
+            onMemComplete(seq);
+        });
+        return true;
+      case Flavor::Inline:
+        break;
+    }
+    panic("CoreModel: issue of an op completed inline");
 }
 
 bool
-CoreModel::issueAsyncGm()
+CoreModel::issueL1(const L1Retry &r)
 {
-    const bool is_load = cur.kind == OpKind::Load;
-    const Addr a = cur.addr;
-    const std::uint8_t sz = cur.size;
-    const std::uint64_t seq = allocWindow(is_load);
-    bool ok;
-    if (is_load) {
-        ok = l1d.startLoad(a, sz, cur.refId,
-                           [this, seq](std::uint64_t v) {
-            onMemComplete(seq, v);
-        });
-    } else {
-        // Listed before the issue: a store that completes inline
-        // (the line became writable since the probe) removes its
-        // entry in onMemComplete.
-        const std::uint64_t val = storeValue();
-        storeFwd.push_back(StoreFwdEntry{seq, a, sz, val});
-        ok = l1d.startStore(a, sz, val, cur.refId,
-                            [this, seq](std::uint64_t) {
-            onMemComplete(seq, 0);
-        });
-    }
-    if (!ok) {
-        // Roll the window allocation back; we retry on MSHR free.
-        window.pop_back();
-        if (is_load) {
-            --pendingLoads;
-        } else {
-            --pendingStores;
-            storeFwd.pop_back();
-        }
-    }
-    return ok;
-}
-
-void
-CoreModel::issueAsyncGuarded()
-{
-    const bool is_load = cur.kind == OpKind::Load;
-    const Addr a = cur.addr;
-    const std::uint8_t sz = cur.size;
-    const std::uint32_t ref = cur.refId;
-    const std::uint64_t val = is_load ? 0 : storeValue();
-    const std::uint64_t seq = allocWindow(is_load);
-    ++stGuardedResolves;
-    coh.resolveGuarded(a, sz, !is_load, val,
-                       [this, seq, a, sz, ref, val, is_load](
-                           bool by_spm, std::uint64_t v) {
-        if (by_spm) {
-            ++stGuardedRemoteSpm;
-            if (!is_load)
-                writeThroughL1(a, sz, val);
-            onMemComplete(seq, v);
-            return;
-        }
-        // Not mapped: the buffered access proceeds to the cache
-        // (Fig. 5c step 5). TLB energy is charged; its latency
-        // overlapped with the FilterDir round trip.
-        tlb.access(a);
-        auto attempt = [this, seq, a, sz, ref, val,
-                        is_load]() -> bool {
-            if (is_load) {
-                return l1d.startLoad(a, sz, ref,
-                                     [this, seq](std::uint64_t v2) {
-                    onMemComplete(seq, v2);
-                });
-            }
-            return l1d.startStore(a, sz, val, ref,
-                                  [this, seq](std::uint64_t) {
-                onMemComplete(seq, 0);
-            });
-        };
-        if (!attempt())
-            deferredL1.push_back(attempt);
-    });
-}
-
-void
-CoreModel::issueAsyncRemoteSpm()
-{
-    const bool is_load = cur.kind == OpKind::Load;
-    const std::uint64_t val = is_load ? 0 : storeValue();
-    const std::uint64_t seq = allocWindow(is_load);
-    ++stRemoteSpmAccesses;
-    coh.remoteSpmAccess(cur.addr, cur.size, !is_load, val,
-                        [this, seq](bool, std::uint64_t v) {
-        onMemComplete(seq, v);
-    });
-}
-
-void
-CoreModel::onMemComplete(std::uint64_t seq, std::uint64_t value)
-{
-    (void)value;
-    for (WindowEntry &e : window) {
-        if (e.seq == seq) {
-            if (e.done)
-                panic("CoreModel: double completion");
-            e.done = true;
-            if (e.isLoad) {
-                --pendingLoads;
-            } else {
-                --pendingStores;
-                for (std::size_t i = 0; i < storeFwd.size(); ++i) {
-                    if (storeFwd[i].seq == seq) {
-                        storeFwd.erase(
-                            storeFwd.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-                        break;
-                    }
-                }
-            }
-            retireCompleted();
-            wake();
-            return;
-        }
-    }
-    panic("CoreModel: completion for unknown memory op");
-}
-
-std::optional<std::uint64_t>
-CoreModel::forwardLoad(Addr a, std::uint8_t sz)
-{
-    for (auto it = storeFwd.rbegin(); it != storeFwd.rend(); ++it)
-        if (it->addr == a && it->size == sz)
-            return it->value;
-    return std::nullopt;
-}
-
-void
-CoreModel::writeThroughL1(Addr gm_addr, std::uint8_t size,
-                          std::uint64_t wdata)
-{
-    auto attempt = [this, gm_addr, size, wdata]() -> bool {
+    if (r.seq == 0) {
+        // A write-through trains the prefetcher with the refId of the
+        // op the core is on when it runs, not the store's.
         Tick lat = 0;
-        if (l1d.tryStore(gm_addr, size, wdata, net.events().now(),
-                         cur.refId, lat))
-            return true;
-        return l1d.startStore(gm_addr, size, wdata, 0, nullptr);
+        return l1d.tryStore(r.addr, r.size, r.wdata, net.events().now(),
+                            cur.refId, lat) ||
+               l1d.startStore(r.addr, r.size, r.wdata, nullptr);
+    }
+    auto done = [this, seq = r.seq](std::uint64_t) {
+        onMemComplete(seq);
     };
-    if (!attempt())
-        deferredL1.push_back(attempt);
+    return r.isWrite ? l1d.startStore(r.addr, r.size, r.wdata, done)
+                     : l1d.startLoad(r.addr, r.size, done);
+}
+
+void
+CoreModel::issueOrDefer(const L1Retry &r)
+{
+    if (!issueL1(r))
+        deferredL1.push_back(r);
 }
 
 void
 CoreModel::drainDeferred()
 {
+    // A failed retry moves to the back and ends the pass.
     std::size_t n = deferredL1.size();
     while (n-- > 0 && !deferredL1.empty()) {
-        auto f = std::move(deferredL1.front());
+        const L1Retry r = deferredL1.front();
         deferredL1.pop_front();
-        if (!f()) {
-            deferredL1.push_back(std::move(f));
+        if (!issueL1(r)) {
+            deferredL1.push_back(r);
             break;
         }
     }
+}
+
+CoreModel::WindowEntry &
+CoreModel::windowEntry(std::uint64_t seq)
+{
+    const std::uint64_t i = window.empty() ? 0 : seq - window.front().seq;
+    if (i >= window.size())
+        panic("CoreModel: completion for unknown memory op");
+    return window[i];
+}
+
+void
+CoreModel::onGuardedResolved(std::uint64_t seq, bool by_spm)
+{
+    // A copy: the completion below may retire the record.
+    const WindowEntry e = windowEntry(seq);
+    if (by_spm) {
+        ++stGuardedRemoteSpm;
+        if (!e.isLoad)
+            issueOrDefer(L1Retry{e.addr, e.value, 0, e.size, true});
+        onMemComplete(seq);
+        return;
+    }
+    // Not mapped: the buffered access proceeds to the cache
+    // (Fig. 5c step 5). TLB energy is charged; its latency
+    // overlapped with the FilterDir round trip.
+    tlb.access(e.addr);
+    issueOrDefer(L1Retry{e.addr, e.value, seq, e.size, !e.isLoad});
+}
+
+void
+CoreModel::onMemComplete(std::uint64_t seq)
+{
+    WindowEntry &e = windowEntry(seq);
+    if (e.done)
+        panic("CoreModel: double completion");
+    e.done = true;
+    if (e.isLoad)
+        --pendingLoads;
+    else
+        --pendingStores;
+    retireCompleted();
+    wake();
+}
+
+bool
+CoreModel::forwardLoad(Addr a, std::uint8_t sz) const
+{
+    for (const WindowEntry &e : window)
+        if (e.fwdStore && !e.done && e.addr == a && e.size == sz)
+            return true;
+    return false;
 }
 
 void
@@ -629,7 +536,7 @@ CoreModel::codeFetchStep(Addr cur_addr, Addr end)
     Tick lat = 0;
     const Tick now = net.events().now();
     if (!l1i.tryLoad(cur_addr, 8, now, 0xffffff, lat)) {
-        if (!l1i.startLoad(cur_addr, 8, 0xffffff, nullptr)) {
+        if (!l1i.startLoad(cur_addr, 8, nullptr)) {
             // I-MSHRs busy: retry this line later.
             net.events().scheduleIn(p.codeFetchInterval * 4,
                                     [this, cur_addr, end] {
@@ -652,25 +559,21 @@ CoreModel::storeValue() const
 }
 
 void
-CoreModel::markKernel(std::uint32_t id)
+CoreModel::markKernel(std::int64_t id)
 {
-    if (curKernel >= 0) {
-        if (kernelCyc.size() <= static_cast<std::size_t>(curKernel))
-            kernelCyc.resize(curKernel + 1, 0);
-        kernelCyc[curKernel] += localTick - kernelStartTick;
-    }
+    addKernelStat(KernelCycles, localTick - kernelStartTick);
     curKernel = id;
     kernelStartTick = localTick;
 }
 
 void
-CoreModel::bumpKernel(std::vector<std::uint64_t> &v)
+CoreModel::addKernelStat(KernelStat s, std::uint64_t n)
 {
     if (curKernel < 0)
         return;
-    if (v.size() <= static_cast<std::size_t>(curKernel))
-        v.resize(curKernel + 1, 0);
-    ++v[curKernel];
+    if (kernelStats.size() <= static_cast<std::size_t>(curKernel))
+        kernelStats.resize(curKernel + 1);
+    kernelStats[curKernel][s] += n;
 }
 
 void
@@ -684,24 +587,14 @@ CoreModel::finish()
 
     // Flush the phase-graph attribution (only populated when the op
     // stream carried KernelMark ops).
-    if (curKernel >= 0) {
-        if (kernelCyc.size() <= static_cast<std::size_t>(curKernel))
-            kernelCyc.resize(curKernel + 1, 0);
-        kernelCyc[curKernel] += localTick - kernelStartTick;
-        curKernel = -1;
-    }
-    for (std::size_t k = 0; k < kernelCyc.size(); ++k)
-        if (kernelCyc[k])
-            stats.counter("phase" + std::to_string(k) + "Cycles") +=
-                kernelCyc[k];
-    for (std::size_t k = 0; k < kernelGuarded.size(); ++k)
-        if (kernelGuarded[k])
-            stats.counter("phase" + std::to_string(k) + "Guarded") +=
-                kernelGuarded[k];
-    for (std::size_t k = 0; k < kernelDma.size(); ++k)
-        if (kernelDma[k])
-            stats.counter("phase" + std::to_string(k) + "Dma") +=
-                kernelDma[k];
+    markKernel(-1);
+    static constexpr const char *kernelStatNames[numKernelStats] = {
+        "Cycles", "Guarded", "Dma"};
+    for (std::size_t k = 0; k < kernelStats.size(); ++k)
+        for (std::size_t s = 0; s < numKernelStats; ++s)
+            if (kernelStats[k][s])
+                stats.counter("phase" + std::to_string(k) +
+                              kernelStatNames[s]) += kernelStats[k][s];
 }
 
 } // namespace spmcoh

@@ -22,6 +22,7 @@
 #ifndef SPMCOH_CPU_COREMODEL_HH
 #define SPMCOH_CPU_COREMODEL_HH
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -123,20 +124,31 @@ class CoreModel
     const StatGroup &statGroup() const { return stats; }
 
   private:
+    /**
+     * One in-flight memory op. Seqs in the window are consecutive
+     * (retirement pops the front; a rolled-back allocation hands its
+     * seq back), so a completion finds its record by offset.
+     */
     struct WindowEntry
     {
         std::uint64_t seq;
         std::uint64_t instrNo;
+        Addr addr;
+        std::uint64_t value;    ///< store data (0 for a load)
+        std::uint8_t size;
         bool isLoad;
         bool done;
+        bool fwdStore;          ///< GM store younger loads forward from
     };
 
-    struct StoreFwdEntry
+    /** An L1 access waiting for an MSHR; seq 0 is a write-through. */
+    struct L1Retry
     {
-        std::uint64_t seq;
         Addr addr;
+        std::uint64_t wdata;
+        std::uint64_t seq;
         std::uint8_t size;
-        std::uint64_t value;
+        bool isWrite;
     };
 
     struct PendingDivert
@@ -146,35 +158,42 @@ class CoreModel
         bool isWrite;
     };
 
-    /** Async-issue flavor of the currently probed op. */
-    enum class Flavor : std::uint8_t { GmMiss, Guarded, RemoteSpm };
+    /** Outcome of probeMemOp: done inline, or the async issue path. */
+    enum class Flavor : std::uint8_t { Inline, GmMiss, Guarded, RemoteSpm };
+
+    /** Per-kernel attribution slots (exported by finish()). */
+    enum KernelStat : std::uint8_t
+    {
+        KernelCycles, KernelGuarded, KernelDma, numKernelStats
+    };
 
     void run();
     void wake();
     void scheduleRunAt(Tick t);
+    /** @return true, with a run scheduled at localTick, while the
+     *  local clock is ahead of the event queue. */
+    bool clockAhead();
     void advance(Tick cycles);
     void chargeLsuSlot();
     bool windowBlocked();
     void retireCompleted();
 
-    /** @return true if the op finished (inline); false if waiting. */
-    bool execLoadStore(bool &need_return);
-    bool gmPath(bool &need_return);
-    bool spmLocal(Addr a);
-    bool guardedPath(bool &need_return, bool &fall_to_gm);
-
+    /** @return true if the op finished; false if waiting. */
+    bool execLoadStore();
+    Flavor probeMemOp();
+    void accessLocalSpm(Addr spm_addr);
     /** @return false when no MSHR was available (retry later). */
-    bool issueAsyncGm();
-    void issueAsyncGuarded();
-    void issueAsyncRemoteSpm();
-
-    std::uint64_t allocWindow(bool is_load);
-    void onMemComplete(std::uint64_t seq, std::uint64_t value);
-    std::optional<std::uint64_t> forwardLoad(Addr a, std::uint8_t sz);
-
-    void writeThroughL1(Addr gm_addr, std::uint8_t size,
-                        std::uint64_t wdata);
+    bool issueMemOp();
+    /** @return false when no MSHR was available. */
+    bool issueL1(const L1Retry &r);
+    /** issueL1, or queue @p r for drainDeferred on MSHR free. */
+    void issueOrDefer(const L1Retry &r);
     void drainDeferred();
+
+    WindowEntry &windowEntry(std::uint64_t seq);
+    void onGuardedResolved(std::uint64_t seq, bool by_spm);
+    void onMemComplete(std::uint64_t seq);
+    bool forwardLoad(Addr a, std::uint8_t sz) const;
 
     void recordDivert(Addr spm_addr, bool is_write);
     void checkSquash(Addr spm_addr, bool is_write);
@@ -216,9 +235,8 @@ class CoreModel
     std::uint32_t pendingLoads = 0;
     std::uint32_t pendingStores = 0;
     std::uint64_t nextSeq = 1;
-    std::vector<StoreFwdEntry> storeFwd;
     std::vector<PendingDivert> diverts;
-    std::deque<std::function<bool()>> deferredL1;
+    std::deque<L1Retry> deferredL1;
 
     ExecPhase curPhase = ExecPhase::Work;
     std::uint64_t phaseCyc[numExecPhases] = {0, 0, 0};
@@ -232,11 +250,11 @@ class CoreModel
      */
     std::int64_t curKernel = -1;
     Tick kernelStartTick = 0;
-    std::vector<std::uint64_t> kernelCyc;
-    std::vector<std::uint64_t> kernelGuarded;
-    std::vector<std::uint64_t> kernelDma;
-    void markKernel(std::uint32_t id);
-    void bumpKernel(std::vector<std::uint64_t> &v);
+    std::vector<std::array<std::uint64_t, numKernelStats>> kernelStats;
+    /** Close the current kernel's cycles and switch to @p id (-1:
+     *  none). */
+    void markKernel(std::int64_t id);
+    void addKernelStat(KernelStat s, std::uint64_t n);
 
     std::function<void(const MicroOp &, std::function<void()>)>
         barrierArrive;

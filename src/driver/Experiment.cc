@@ -23,7 +23,7 @@ prepareProgram(const ProgramDecl &prog, std::uint32_t num_cores,
     PreparedProgram pp;
     Compiler comp(spm_bytes, num_cores);
     pp.plan = comp.compile(prog);
-    pp.layout = layoutProgram(pp.plan, num_cores, spm_bytes);
+    pp.layout = layoutProgram(pp.plan, num_cores);
     pp.schedule = PhaseSchedule(pp.plan.decl, num_cores);
     return pp;
 }

@@ -89,30 +89,26 @@ L1Cache::tryAccess(Addr addr, std::uint8_t size, bool is_write,
 }
 
 bool
-L1Cache::startLoad(Addr addr, std::uint8_t size, std::uint32_t ref_id,
+L1Cache::startLoad(Addr addr, std::uint8_t size,
                    std::function<void(std::uint64_t)> on_done)
 {
-    return startAccess(addr, size, false, 0, ref_id,
-                       std::move(on_done));
+    return startAccess(addr, size, false, 0, std::move(on_done));
 }
 
 bool
 L1Cache::startStore(Addr addr, std::uint8_t size, std::uint64_t wdata,
-                    std::uint32_t ref_id,
                     std::function<void(std::uint64_t)> on_done)
 {
-    return startAccess(addr, size, true, wdata, ref_id,
-                       std::move(on_done));
+    return startAccess(addr, size, true, wdata, std::move(on_done));
 }
 
 bool
 L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
-                     std::uint64_t wdata, std::uint32_t ref_id,
+                     std::uint64_t wdata,
                      std::function<void(std::uint64_t)> on_done)
 {
     // A fill may have landed between the core's probe and this call;
     // complete inline without re-counting the access.
-    (void)ref_id;
     if (Line *line = array.lookup(addr)) {
         const bool writable = proto.storeHits(line->state);
         if (!is_write || writable) {

@@ -84,13 +84,12 @@ class L1Cache
      * @return false if no MSHR is available (retry when notified)
      */
     bool
-    startLoad(Addr addr, std::uint8_t size, std::uint32_t ref_id,
+    startLoad(Addr addr, std::uint8_t size,
               std::function<void(std::uint64_t)> on_done);
 
     /** Start a miss-capable store at the current tick. */
     bool
     startStore(Addr addr, std::uint8_t size, std::uint64_t wdata,
-               std::uint32_t ref_id,
                std::function<void(std::uint64_t)> on_done);
 
     /** Issue a hardware prefetch for a line (best effort). */
@@ -148,7 +147,7 @@ class L1Cache
 
     bool
     startAccess(Addr addr, std::uint8_t size, bool is_write,
-                std::uint64_t wdata, std::uint32_t ref_id,
+                std::uint64_t wdata,
                 std::function<void(std::uint64_t)> on_done);
 
     void onFill(const Message &msg);

@@ -111,13 +111,7 @@ class MainMemory
 struct MemCtrlParams
 {
     Tick accessLatency = 80;  ///< fixed DRAM access time (cycles)
-    /** Controller occupancy per line, in units of
-     *  1/serviceDenom cycles (bandwidth). */
-    Tick serviceCycles = 2;
-    /** Sub-cycle denominator: > 1 only when
-     *  SystemParams::scaleMcBandwidth re-derives the service rate
-     *  for the core population. */
-    Tick serviceDenom = 1;
+    Tick serviceCycles = 2;   ///< controller occupancy per line
 };
 
 /** Pooled far-memory tier parameters (multi-chip fabrics). */
@@ -214,16 +208,11 @@ class MemCtrl
     Tick
     serviceSlot()
     {
-        // Accounted in 1/serviceDenom sub-cycle units so scaled
-        // bandwidths below one cycle per line stay exact integers
-        // (deterministic across runs). serviceDenom == 1 reproduces
-        // the historical whole-cycle accounting bit-for-bit.
-        const Tick den = p.serviceDenom ? p.serviceDenom : 1;
-        Tick start = eq.now() * den;
+        Tick start = eq.now();
         if (nextFree > start)
             start = nextFree;
         nextFree = start + p.serviceCycles;
-        return (start + den - 1) / den + p.accessLatency;
+        return start + p.accessLatency;
     }
 
     EventQueue &eq;

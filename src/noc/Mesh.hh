@@ -36,7 +36,6 @@ struct MeshParams
     Tick routerLatency = 1;        ///< cycles per router traversal
     Tick linkLatency = 1;          ///< cycles per link traversal
     std::uint32_t flitBytes = 16;  ///< link width
-    bool modelContention = true;   ///< reserve link serialization slots
     /** Number of chips: each is an independent width x height mesh;
      *  chips are joined through inter-chip links (interChip). 1 is
      *  the classic single-chip machine and changes nothing. */
@@ -373,13 +372,10 @@ class Mesh
         auto traverse = [&](std::uint32_t dir, std::uint32_t &c,
                             std::uint32_t target) {
             while (c != target) {
-                const std::size_t li = linkIndex(x, y, dir);
-                if (p.modelContention) {
-                    Tick &free = linkNextFree[li];
-                    if (free > t)
-                        t = free;
-                    free = t + nf;
-                }
+                Tick &free = linkNextFree[linkIndex(x, y, dir)];
+                if (free > t)
+                    t = free;
+                free = t + nf;
                 t += p.linkLatency + p.routerLatency;
                 if (dir == 0) ++c;
                 else if (dir == 1) --c;

@@ -67,8 +67,7 @@ struct ProgramLayout
  * whole cache lines.
  */
 inline ProgramLayout
-layoutProgram(const ProgramPlan &plan, std::uint32_t num_cores,
-              std::uint32_t spm_bytes)
+layoutProgram(const ProgramPlan &plan, std::uint32_t num_cores)
 {
     ProgramLayout l;
     // Largest buffer size per SPM-mapped array across kernels.
@@ -82,7 +81,6 @@ layoutProgram(const ProgramPlan &plan, std::uint32_t num_cores,
                     m = b;
             }
 
-    (void)spm_bytes;
     Addr cursor = AddressMap::heapBase;
     std::uint32_t color = 0;
     for (const ArrayDecl &a : plan.decl.arrays) {

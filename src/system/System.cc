@@ -33,17 +33,6 @@ System::System(const SystemParams &p_)
                   std::to_string(p.mesh.height) + " mesh");
     fabric.ideal = p.mode == SystemMode::HybridIdeal;
 
-    if (p.scaleMcBandwidth) {
-        // Keep aggregate memory bandwidth proportional to the core
-        // population: each line's controller occupancy becomes
-        // serviceCycles * 16 * numMCs / numCores cycles, tracked in
-        // 1/serviceDenom sub-cycle units (MemCtrl::serviceSlot).
-        const std::uint64_t mcs64 = p.mcTiles.size();
-        p.mc.serviceCycles = p.mc.serviceCycles * 16 *
-            static_cast<Tick>(mcs64);
-        p.mc.serviceDenom *= p.numCores;
-    }
-
     net = std::make_unique<MemNet>(eq, noc, p.numCores, p.mcTiles);
 
     // Fatal here (with the known-protocol list) rather than deep in

@@ -69,16 +69,6 @@ struct SystemParams
      *  their member span (System::barrierFor). */
     Tick barrierLatency = 58;
     /**
-     * Scale per-controller memory bandwidth with the core
-     * population (ROADMAP "Scale"): when set, each controller's
-     * line-service occupancy becomes
-     * serviceCycles * 16 * numControllers / numCores cycles, keeping
-     * aggregate bandwidth proportional to the core count (the
-     * Table 1 machine -- 64 cores, 4 controllers -- is the fixed
-     * point). Default off so existing goldens are untouched.
-     */
-    bool scaleMcBandwidth = false;
-    /**
      * Pooled far-memory tier (multi-chip fabrics only): when > 0,
      * lines whose static backing chip differs from the serving
      * controller's chip pay this pool access latency (plus the

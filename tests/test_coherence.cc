@@ -170,7 +170,7 @@ TEST(GuardedAccess, FilterMissThenHit)
     const Addr addr = 0x100040;
 
     // First access: SPMDir miss + filter miss -> Pending (Fig. 5c).
-    GuardProbe g = sys.cohAt(0).probeGuarded(addr, false);
+    GuardProbe g = sys.cohAt(0).probeGuarded(addr);
     EXPECT_EQ(g.kind, GuardProbe::Kind::Pending);
 
     bool by_spm = true;
@@ -186,7 +186,7 @@ TEST(GuardedAccess, FilterMissThenHit)
 
     // The base is now cached in the filter (Fig. 5a) and tracked by
     // its FilterDir home slice with us as sharer.
-    g = sys.cohAt(0).probeGuarded(addr, false);
+    g = sys.cohAt(0).probeGuarded(addr);
     EXPECT_EQ(g.kind, GuardProbe::Kind::UseCache);
     const Addr base = sys.cohFabric().config.base(addr);
     const CoreId home = sys.cohFabric().homeFor(base);
@@ -203,11 +203,10 @@ TEST(GuardedAccess, LocalSpmHit)
     sys.cohAt(0).mapBuffer(2, gm_base, 0);
     sys.events().run();  // drain the Fig. 6a invalidation
 
-    GuardProbe g = sys.cohAt(0).probeGuarded(gm_base + 0x128, false);
+    GuardProbe g = sys.cohAt(0).probeGuarded(gm_base + 0x128);
     EXPECT_EQ(g.kind, GuardProbe::Kind::LocalSpm);
     EXPECT_EQ(g.spmAddr,
               sys.addressMap().localSpmBase(0) + 2 * bufBytes + 0x128);
-    EXPECT_GT(g.extraLat, 0u);
     EXPECT_EQ(sys.cohAt(0).statGroup().value("spmdirHits"), 1u);
 }
 
@@ -223,7 +222,7 @@ TEST(GuardedAccess, RemoteSpmServesLoadAndStore)
     sys.spmAt(1).write(0x40, 8, 777);
 
     // Core 0 probes: unknown -> Pending -> resolved by core 1's SPM.
-    GuardProbe g = sys.cohAt(0).probeGuarded(gm_base + 0x40, false);
+    GuardProbe g = sys.cohAt(0).probeGuarded(gm_base + 0x40);
     EXPECT_EQ(g.kind, GuardProbe::Kind::Pending);
     bool by_spm = false;
     std::uint64_t val = 0;
@@ -248,7 +247,7 @@ TEST(GuardedAccess, RemoteSpmServesLoadAndStore)
     EXPECT_EQ(sys.spmAt(1).read(0x48, 8), 888u);
 
     // The base must NOT have been inserted into core 0's filter.
-    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 0x40, false).kind,
+    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 0x40).kind,
               GuardProbe::Kind::Pending);
 }
 
@@ -349,7 +348,7 @@ TEST(FilterInvalidation, MappingClearsRemoteFilters)
     });
     sys.events().run();
     ASSERT_TRUE(done);
-    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 8, false).kind,
+    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 8).kind,
               GuardProbe::Kind::UseCache);
 
     // Core 2 maps the chunk; the token pins DMA tag 4 until the
@@ -361,7 +360,7 @@ TEST(FilterInvalidation, MappingClearsRemoteFilters)
 
     // Core 0's filter no longer claims the base; a fresh probe goes
     // Pending and resolves to the remote SPM.
-    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 8, false).kind,
+    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 8).kind,
               GuardProbe::Kind::Pending);
     EXPECT_GT(sys.cohAt(0).statGroup().value("filterInvalsReceived"),
               0u);
@@ -440,14 +439,14 @@ TEST(IdealCoherence, NoTrackingTraffic)
     const Addr gm_base = 0x700000;
 
     // Unmapped: UseCache with zero latency and zero packets.
-    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base, false).kind,
+    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base).kind,
               GuardProbe::Kind::UseCache);
     EXPECT_EQ(sys.mesh().traffic().classPackets(TrafficClass::CohProt),
               0u);
 
     // Local mapping: diverted with no messages.
     sys.cohAt(0).mapBuffer(0, gm_base, 0);
-    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 8, false).kind,
+    EXPECT_EQ(sys.cohAt(0).probeGuarded(gm_base + 8).kind,
               GuardProbe::Kind::LocalSpm);
     EXPECT_EQ(sys.mesh().traffic().classPackets(TrafficClass::CohProt),
               0u);
@@ -456,7 +455,7 @@ TEST(IdealCoherence, NoTrackingTraffic)
     // Remote mapping: data still moves (2 packets), nothing else.
     sys.cohAt(1).mapBuffer(0, 0x800000, 0);
     sys.spmAt(1).write(0x10, 8, 31337);
-    EXPECT_EQ(sys.cohAt(0).probeGuarded(0x800010, false).kind,
+    EXPECT_EQ(sys.cohAt(0).probeGuarded(0x800010).kind,
               GuardProbe::Kind::Pending);
     std::uint64_t val = 0;
     sys.cohAt(0).resolveGuarded(0x800010, 8, false, 0,

@@ -138,7 +138,7 @@ TEST(Layout, AlignsSpmArraysToBuffers)
     const std::uint32_t cores = 4;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(tinyProgram(cores));
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     const std::uint64_t buf = 1ull << plan.kernels[0].bufLog2;
     for (std::uint32_t id : {0u, 1u}) {
         EXPECT_EQ(l.baseOf(id) % buf, 0u);
@@ -159,7 +159,7 @@ TEST(Layout, UnknownArrayIdsPanic)
     arrays.erase(std::remove_if(arrays.begin(), arrays.end(),
                                 [](const ArrayDecl &a) { return a.id == 2; }),
                  arrays.end());
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     EXPECT_NO_THROW(l.baseOf(3));
     EXPECT_THROW(l.baseOf(2), PanicError);
     EXPECT_THROW(l.bytesOf(2), PanicError);
@@ -186,7 +186,7 @@ TEST(KernelSource, HybridStreamHasFig3Structure)
     const std::uint32_t cores = 4;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(tinyProgram(cores));
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     auto ops = collect(plan, l, 0, cores, true);
 
     // Must contain, in order: SetBufCfg before any MapBuffer; every
@@ -224,7 +224,7 @@ TEST(KernelSource, MapBaseIsBufferAligned)
     const std::uint32_t cores = 4;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(tinyProgram(cores));
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     const std::uint64_t buf = 1ull << plan.kernels[0].bufLog2;
     for (CoreId c = 0; c < cores; ++c) {
         for (const MicroOp &op : collect(plan, l, c, cores, true)) {
@@ -245,7 +245,7 @@ TEST(KernelSource, WorkAccessesStaySectionLocal)
     const std::uint32_t cores = 4;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(tinyProgram(cores));
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     // Cache mode: strided refs of core c stay inside section c.
     for (CoreId c = 0; c < cores; ++c) {
         const std::uint64_t section = l.bytesOf(0) / cores;
@@ -265,7 +265,7 @@ TEST(KernelSource, RandomSequencesMatchAcrossModes)
     const std::uint32_t cores = 4;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(tinyProgram(cores));
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     auto addrs_of = [&](bool hybrid) {
         std::vector<Addr> v;
         for (const MicroOp &op : collect(plan, l, 1, cores, hybrid)) {
@@ -285,7 +285,7 @@ TEST(KernelSource, StoreValuesAreModeIndependent)
     const std::uint32_t cores = 4;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(tinyProgram(cores));
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     auto values_of = [&](bool hybrid) {
         std::vector<std::uint64_t> v;
         for (const MicroOp &op : collect(plan, l, 2, cores, hybrid))
@@ -303,7 +303,7 @@ TEST(ProgramSource, BarriersSeparateKernelsUniformly)
     p.timesteps = 3;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(p);
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     auto barrier_ids = [&](CoreId c) {
         std::vector<std::uint32_t> ids;
         for (const MicroOp &op : collect(plan, l, c, cores, true))
@@ -322,7 +322,7 @@ TEST(ProgramSource, GuardedOnlyInHybridMode)
     const std::uint32_t cores = 4;
     Compiler comp(spmBytes, cores);
     ProgramPlan plan = comp.compile(tinyProgram(cores));
-    ProgramLayout l = layoutProgram(plan, cores, spmBytes);
+    ProgramLayout l = layoutProgram(plan, cores);
     std::uint32_t hybrid_guarded = 0, flat_guarded = 0;
     for (const MicroOp &op : collect(plan, l, 0, cores, true))
         hybrid_guarded += op.guarded;

@@ -30,7 +30,7 @@ doLoad(System &sys, CoreId c, Addr a)
         return *v;
     std::uint64_t out = 0;
     bool done = false;
-    EXPECT_TRUE(sys.l1dAt(c).startLoad(a, 8, 1,
+    EXPECT_TRUE(sys.l1dAt(c).startLoad(a, 8,
                                        [&](std::uint64_t v) {
         out = v;
         done = true;
@@ -47,7 +47,7 @@ doStore(System &sys, CoreId c, Addr a, std::uint64_t v)
     if (sys.l1dAt(c).tryStore(a, 8, v, sys.events().now(), 1, lat))
         return;
     bool done = false;
-    EXPECT_TRUE(sys.l1dAt(c).startStore(a, 8, v, 1,
+    EXPECT_TRUE(sys.l1dAt(c).startStore(a, 8, v,
                                         [&](std::uint64_t) {
         done = true;
     }));
@@ -167,7 +167,7 @@ TEST(Directory, IfetchDoesNotAllocateEntries)
     const Addr code = AddressMap::codeBase;
     const CoreId home = sys.memNet().homeSlice(code);
     bool done = false;
-    ASSERT_TRUE(sys.l1iAt(1).startLoad(code, 8, 0,
+    ASSERT_TRUE(sys.l1iAt(1).startLoad(code, 8,
                                        [&](std::uint64_t) {
         done = true;
     }));
@@ -266,7 +266,7 @@ TEST(Directory, BlockingSerializesConflictingRequests)
             ++done;
         } else {
             ASSERT_TRUE(sys.l1dAt(c).startStore(
-                a, 8, 100 + c, 1,
+                a, 8, 100 + c,
                 [&done](std::uint64_t) { ++done; }));
         }
     }

@@ -41,7 +41,7 @@ struct GuardedFixture
     guardedAccess(CoreId c, Addr addr, bool is_write,
                   std::uint64_t wdata)
     {
-        GuardProbe g = sys.cohAt(c).probeGuarded(addr, is_write);
+        GuardProbe g = sys.cohAt(c).probeGuarded(addr);
         switch (g.kind) {
           case GuardProbe::Kind::LocalSpm: {
             Spm &spm = sys.spmAt(c);
@@ -62,7 +62,7 @@ struct GuardedFixture
                                            lat)) {
                     bool done = false;
                     EXPECT_TRUE(sys.l1dAt(c).startStore(
-                        addr, 8, wdata, 1,
+                        addr, 8, wdata,
                         [&](std::uint64_t) { done = true; }));
                     sys.events().run();
                     EXPECT_TRUE(done);
@@ -76,7 +76,7 @@ struct GuardedFixture
             std::uint64_t out = 0;
             bool done = false;
             EXPECT_TRUE(sys.l1dAt(c).startLoad(
-                addr, 8, 1, [&](std::uint64_t v) {
+                addr, 8, [&](std::uint64_t v) {
                     out = v;
                     done = true;
                 }));

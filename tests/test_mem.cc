@@ -331,7 +331,7 @@ struct MiniFabric
         Tick lat = 0;
         if (auto v = l1s[c]->tryLoad(a, 8, eq.now(), 1, lat))
             return *v;
-        EXPECT_TRUE(l1s[c]->startLoad(a, 8, 1,
+        EXPECT_TRUE(l1s[c]->startLoad(a, 8,
                                       [&](std::uint64_t v) {
             out = v;
             done = true;
@@ -348,7 +348,7 @@ struct MiniFabric
         if (l1s[c]->tryStore(a, 8, v, eq.now(), 1, lat))
             return;
         bool done = false;
-        EXPECT_TRUE(l1s[c]->startStore(a, 8, v, 1,
+        EXPECT_TRUE(l1s[c]->startStore(a, 8, v,
                                        [&](std::uint64_t) {
             done = true;
         }));
@@ -435,13 +435,13 @@ TEST(Moesi, MergedStoreBehindSharedFillReissuesInOrder)
     std::vector<std::uint64_t> loaded(5, ~0ull);
     L1Cache &l1 = *f.l1s[0];
     auto ld = [&](int id, Addr addr) {
-        EXPECT_TRUE(l1.startLoad(addr, 8, 1, [&, id](std::uint64_t v) {
+        EXPECT_TRUE(l1.startLoad(addr, 8, [&, id](std::uint64_t v) {
             order.push_back(id);
             loaded[id] = v;
         }));
     };
     auto st = [&](int id, Addr addr, std::uint64_t v) {
-        EXPECT_TRUE(l1.startStore(addr, 8, v, 1,
+        EXPECT_TRUE(l1.startStore(addr, 8, v,
                                   [&, id](std::uint64_t) {
             order.push_back(id);
         }));

@@ -73,7 +73,7 @@ struct Fabric4
             return *v;
         std::uint64_t out = 0;
         bool done = false;
-        EXPECT_TRUE(l1s[c]->startLoad(a, 8, c, [&](std::uint64_t v) {
+        EXPECT_TRUE(l1s[c]->startLoad(a, 8, [&](std::uint64_t v) {
             out = v;
             done = true;
         }));
@@ -89,7 +89,7 @@ struct Fabric4
         if (l1s[c]->tryStore(a, 8, v, eq.now(), c, lat))
             return;
         bool done = false;
-        EXPECT_TRUE(l1s[c]->startStore(a, 8, v, c,
+        EXPECT_TRUE(l1s[c]->startStore(a, 8, v,
                                        [&](std::uint64_t) {
             done = true;
         }));

@@ -100,22 +100,6 @@ TEST(Mesh, ContentionDelaysBackToBackPackets)
     eq.run();
 }
 
-TEST(Mesh, NoContentionModeStillPreservesP2POrder)
-{
-    EventQueue eq;
-    MeshParams p;
-    p.modelContention = false;
-    Mesh m(eq, p);
-    const Tick t1 = m.send(0, 1, TrafficClass::Read, dataPacketBytes,
-                           nullptr);
-    // Without link contention the second packet is not serialized
-    // behind the first, but point-to-point ordering still holds.
-    const Tick t2 = m.send(0, 1, TrafficClass::Read, dataPacketBytes,
-                           nullptr);
-    EXPECT_EQ(t2, t1 + 1);
-    eq.run();
-}
-
 TEST(Mesh, PointToPointOrderAcrossPacketSizes)
 {
     EventQueue eq;

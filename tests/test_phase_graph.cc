@@ -3,8 +3,7 @@
  * Phase-graph semantics: ProgramBuilder graph diagnostics, schedule
  * resolution (steps, scoped-barrier parties), byte-identical
  * degenerate lowering of flat programs, cache-vs-hybrid final-memory
- * equivalence of the pipeline workload, per-phase stats export, and
- * the core-population memory-bandwidth scaling option.
+ * equivalence of the pipeline workload and per-phase stats export.
  */
 
 #include <gtest/gtest.h>
@@ -396,54 +395,6 @@ TEST(PhaseGraphExecution, JsonByteIdenticalAcrossWorkers)
     EXPECT_EQ(serial, threaded);
     EXPECT_NE(serial.find("\"workload\":\"pipeline\""),
               std::string::npos);
-}
-
-// ------------------------------------- MC bandwidth scaling
-
-TEST(McBandwidthScaling, ScaledSystemIsFasterWhenBandwidthBound)
-{
-    // A stream-heavy workload against deliberately slow controllers
-    // (16-cycle line occupancy) so memory bandwidth is the
-    // bottleneck. 128 cores keep 4 controllers, so the scaling
-    // option doubles each controller's bandwidth: same memory work,
-    // strictly fewer cycles.
-    const auto run = [](bool scaled) {
-        return ExperimentBuilder()
-            .workload("stencil")
-            .mode(SystemMode::HybridProto)
-            .cores(128)
-            .scale(0.25)
-            .tweak([scaled](SystemParams &p) {
-                p.mc.serviceCycles = 16;
-                p.scaleMcBandwidth = scaled;
-            })
-            .run()
-            .results;
-    };
-    const RunResults off = run(false);
-    const RunResults on = run(true);
-    // Same program: identical instruction and DMA work (memLines
-    // shift slightly with prefetch timing), strictly fewer cycles.
-    EXPECT_EQ(on.counters.instructions, off.counters.instructions);
-    EXPECT_EQ(on.counters.dmaLines, off.counters.dmaLines);
-    EXPECT_LT(on.cycles, off.cycles);
-}
-
-TEST(McBandwidthScaling, DefaultOffMatchesLegacyTiming)
-{
-    const auto run = [](bool tweaked) {
-        ExperimentBuilder b;
-        b.workload("CG")
-            .mode(SystemMode::HybridProto)
-            .cores(8)
-            .scale(0.5);
-        if (tweaked)
-            b.tweak([](SystemParams &p) {
-                p.scaleMcBandwidth = false;
-            });
-        return b.run().results.cycles;
-    };
-    EXPECT_EQ(run(false), run(true));
 }
 
 } // namespace

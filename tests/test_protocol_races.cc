@@ -56,7 +56,7 @@ doLoad(System &sys, CoreId c, Addr a)
         return *v;
     std::uint64_t out = 0;
     bool done = false;
-    EXPECT_TRUE(sys.l1dAt(c).startLoad(a, 8, 1,
+    EXPECT_TRUE(sys.l1dAt(c).startLoad(a, 8,
                                        [&](std::uint64_t v) {
         out = v;
         done = true;
@@ -73,7 +73,7 @@ doStore(System &sys, CoreId c, Addr a, std::uint64_t v)
     if (sys.l1dAt(c).tryStore(a, 8, v, sys.events().now(), 1, lat))
         return;
     bool done = false;
-    EXPECT_TRUE(sys.l1dAt(c).startStore(a, 8, v, 1,
+    EXPECT_TRUE(sys.l1dAt(c).startStore(a, 8, v,
                                         [&](std::uint64_t) {
         done = true;
     }));
@@ -101,8 +101,7 @@ TEST_P(ProtocolRaces, StoreEvictStoreSameLine)
         if (!sys.l1dAt(0).tryStore(a, 8, round * 10, sys.events().now(),
                                    1, lat)) {
             ++pending;
-            ASSERT_TRUE(sys.l1dAt(0).startStore(a, 8, round * 10, 1,
-                                                bump));
+            ASSERT_TRUE(sys.l1dAt(0).startStore(a, 8, round * 10, bump));
         }
         for (int w = 1; w <= 4; ++w) {
             const Addr conflict =
@@ -110,7 +109,7 @@ TEST_P(ProtocolRaces, StoreEvictStoreSameLine)
             if (!sys.l1dAt(0).tryStore(conflict, 8, w,
                                        sys.events().now(), 1, lat)) {
                 ++pending;
-                if (!sys.l1dAt(0).startStore(conflict, 8, w, 1, bump))
+                if (!sys.l1dAt(0).startStore(conflict, 8, w, bump))
                     --pending;  // MSHR full: fine, skip
             }
         }
@@ -132,11 +131,11 @@ TEST_P(ProtocolRaces, BackToBackRequestorsSameLine)
     // Issue both loads without draining in between.
     std::uint64_t v0 = 0, v1 = 0;
     bool d0 = false, d1 = false;
-    ASSERT_TRUE(sys.l1dAt(0).startLoad(a, 8, 1, [&](std::uint64_t v) {
+    ASSERT_TRUE(sys.l1dAt(0).startLoad(a, 8, [&](std::uint64_t v) {
         v0 = v;
         d0 = true;
     }));
-    ASSERT_TRUE(sys.l1dAt(1).startLoad(a, 8, 1, [&](std::uint64_t v) {
+    ASSERT_TRUE(sys.l1dAt(1).startLoad(a, 8, [&](std::uint64_t v) {
         v1 = v;
         d1 = true;
     }));
@@ -208,7 +207,7 @@ TEST_P(RaceStress, NoDrainRandomTraffic)
                                        lat)) {
             ref[a] = v;
         } else if (sys.l1dAt(writer).startStore(
-                       a, 8, v, 1, [&outstanding](std::uint64_t) {
+                       a, 8, v, [&outstanding](std::uint64_t) {
                            --outstanding;
                        })) {
             ++outstanding;

@@ -80,7 +80,7 @@ TEST(DmaGet, SnoopsDirtyCacheData)
     Tick lat = 0;
     if (!sys.l1dAt(0).tryStore(gm, 8, 4242, 0, 1, lat)) {
         bool done = false;
-        ASSERT_TRUE(sys.l1dAt(0).startStore(gm, 8, 4242, 1,
+        ASSERT_TRUE(sys.l1dAt(0).startStore(gm, 8, 4242,
                                             [&](std::uint64_t) {
             done = true;
         }));
@@ -107,14 +107,14 @@ TEST(DmaPut, WritesMemoryAndInvalidatesCaches)
     const Addr gm = 0x300000;
     // Cache the line (clean) at cores 0 and 1.
     bool d0 = false;
-    ASSERT_TRUE(sys.l1dAt(0).startLoad(gm, 8, 1,
+    ASSERT_TRUE(sys.l1dAt(0).startLoad(gm, 8,
                                        [&](std::uint64_t) {
         d0 = true;
     }));
     sys.events().run();
     ASSERT_TRUE(d0);
     bool d1 = false;
-    ASSERT_TRUE(sys.l1dAt(1).startLoad(gm, 8, 1,
+    ASSERT_TRUE(sys.l1dAt(1).startLoad(gm, 8,
                                        [&](std::uint64_t) {
         d1 = true;
     }));
@@ -147,7 +147,7 @@ TEST(DmaPut, WritesMemoryAndInvalidatesCaches)
     auto load = [&sys](Addr a) {
         std::uint64_t out = 0;
         bool done = false;
-        EXPECT_TRUE(sys.l1dAt(0).startLoad(a, 8, 1,
+        EXPECT_TRUE(sys.l1dAt(0).startLoad(a, 8,
                                            [&](std::uint64_t v) {
             out = v;
             done = true;
