@@ -61,6 +61,15 @@ FilterDirSlice::findSlot(Addr base, SlotState st) const
     return -1;
 }
 
+std::int32_t
+FilterDirSlice::firstSlot(SlotState st) const
+{
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        if (slots[i].st == st)
+            return static_cast<std::int32_t>(i);
+    return -1;
+}
+
 void
 FilterDirSlice::handle(const Message &msg)
 {
@@ -74,53 +83,60 @@ FilterDirSlice::handle(const Message &msg)
     }
 }
 
-FilterDirSlice::BusyBase *
-FilterDirSlice::findBusy(Addr base)
-{
-    for (BusyBase &b : busyBases)
-        if (b.base == base)
-            return &b;
-    return nullptr;
-}
-
-void
-FilterDirSlice::markBusy(Addr base)
-{
-    // Reuse a released entry (and its queue's capacity) if any.
-    if (BusyBase *b = findBusy(idleBase)) {
-        b->base = base;
-        return;
-    }
-    busyBases.push_back(BusyBase{base, {}});
-}
-
 bool
 FilterDirSlice::enqueueIfBusy(Addr base, const Message &msg)
 {
-    BusyBase *b = findBusy(base);
-    if (!b)
-        return false;
-    b->waiting.push_back(net.msgPool().acquire(msg));
-    ++stQueuedOps;
-    return true;
+    for (const auto &[b, id] : busy) {
+        if (b == base) {
+            ops.find(id)->waiting.push_back(net.msgPool().acquire(msg));
+            ++stQueuedOps;
+            return true;
+        }
+    }
+    return false;
+}
+
+FilterDirSlice::Op &
+FilterDirSlice::openOp(Step step, Addr base, CoreId requestor,
+                       std::uint64_t aux)
+{
+    const std::uint64_t id = ops.acquire();
+    Op &op = *ops.find(id);
+    op.id = id;
+    op.step = step;
+    op.base = base;
+    op.requestor = requestor;
+    op.aux = aux;
+    op.pendingAcks = 0;
+    return op;
 }
 
 void
-FilterDirSlice::releaseBase(Addr base)
+FilterDirSlice::arm(Op &op, Step step, Tick delay)
 {
-    BusyBase *b = findBusy(base);
-    if (!b)
-        panic("FilterDirSlice: releasing idle base");
-    // Re-inject queued operations in arrival order. Scheduling runs
-    // no handler, so the entry cannot change under the loop.
-    for (Message *pm : b->waiting) {
-        net.events().scheduleIn(1, [this, pm] {
-            handle(*pm);
-            net.msgPool().release(pm);
-        });
+    op.step = step;
+    net.events().scheduleIn(delay, [this, id = op.id] { run(id); });
+}
+
+void
+FilterDirSlice::run(std::uint64_t id)
+{
+    Op &op = *ops.find(id);
+    switch (op.step) {
+      case Step::Probe:
+        probe(op);
+        return;
+      case Step::Nack:
+        // Informational: the filter must not cache the base.
+        conclude(op, MsgType::FilterCheckNack, op.addr);
+        return;
+      case Step::Install:
+        install(op);
+        return;
+      case Step::Drain:
+      case Step::Inval:
+        panic("FilterDirSlice: acks finish this step, not an event");
     }
-    b->waiting.clear();
-    b->base = idleBase;
 }
 
 void
@@ -135,167 +151,148 @@ FilterDirSlice::onFilterCheck(const Message &msg)
         const Message &req = *pm;
         if (enqueueIfBusy(base, req)) {
             // A broadcast started while we looked up.
-            net.msgPool().release(pm);
-            return;
-        }
-        const std::int32_t i = findSlot(base, SlotState::Valid);
-        if (i >= 0) {
+        } else if (const std::int32_t i = findSlot(base, SlotState::Valid);
+                   i >= 0) {
             // Known unmapped: add the sharer and ACK (Fig. 6b step 2).
             ++stCheckHits;
             Slot &s = slots[static_cast<std::size_t>(i)];
-            s.sharers |= bit(req.requestor);
+            s.sharers |= coreBit(req.requestor);
             lru.touch(static_cast<std::uint32_t>(i));
             sendToCore(req.requestor, MsgType::FilterCheckAck,
                        req.addr, req.aux);
         } else {
-            broadcastProbe(req, base);
+            // No information: broadcast. Account every probe and
+            // response packet in one tally; simulate the exchange as
+            // one aggregate event at the worst-case probe arrival.
+            ++stBroadcasts;
+            Op &op = openOp(Step::Probe, base, req.requestor, req.aux);
+            op.addr = req.addr;
+            op.isWrite = req.isWrite;
+            op.wdata = req.data.read64(0);
+            busy.emplace_back(base, op.id);
+            net.noc().accountBroadcast(tile, req.requestor, net.cores(),
+                                       TrafficClass::CohProt,
+                                       ctrlPacketBytes);
+            arm(op, Step::Probe, fanOutLatency + p.probeLatency);
         }
         net.msgPool().release(pm);
     });
 }
 
 void
-FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
+FilterDirSlice::probe(Op &op)
 {
-    ++stBroadcasts;
-    markBusy(base);
-
-    // Account every probe and response packet in one tally; simulate
-    // the exchange as one aggregate event at the worst-case probe
-    // arrival time.
-    net.noc().accountBroadcast(tile, msg.requestor, net.cores(),
-                               TrafficClass::CohProt, ctrlPacketBytes);
-    const Tick probe_arrive = fanOutLatency + p.probeLatency;
-
-    Message *pm = net.msgPool().acquire(msg);
-    net.events().scheduleIn(probe_arrive,
-                            [this, pm, base, resp_delay = fanOutLatency] {
-        const Message &req = *pm;
-        // Every other core's SPMDir is probed; the per-core probe
-        // counters are derived from this tally after the run.
-        ++fab.broadcastsBy[req.requestor];
-        // Evaluate the SPMDir CAMs at probe-arrival time: the
-        // lowest-id non-requestor owner serves. A core whose
-        // signature rules the base out cannot own it.
-        CoreId owner = invalidCore;
-        std::uint32_t buf_idx = 0;
-        for (CoreId c = 0; c < net.cores(); ++c) {
-            const SpmDir &dir = fab.ctrls[c]->spmDirRef();
-            if (c == req.requestor || !dir.mayHold(base))
-                continue;
-            if (auto idx = dir.lookup(base)) {
-                owner = c;
-                buf_idx = *idx;
-                break;
-            }
-        }
-        if (owner != invalidCore) {
-            // Fig. 5d: a remote SPM serves the access directly.
+    // Every other core's SPMDir is probed; the per-core probe
+    // counters are derived from this tally after the run.
+    ++fab.broadcastsBy[op.requestor];
+    // Evaluate the SPMDir CAMs at probe-arrival time: the lowest-id
+    // non-requestor owner serves. A core whose signature rules the
+    // base out cannot own it. The verdict is acted on when the last
+    // response is back, a fan-out latency later.
+    for (CoreId c = 0; c < net.cores(); ++c) {
+        const SpmDir &dir = fab.ctrls[c]->spmDirRef();
+        if (c == op.requestor || !dir.mayHold(op.base))
+            continue;
+        if (auto idx = dir.lookup(op.base)) {
+            // Fig. 5d: the owner's SPM serves the access directly,
+            // one cycle later.
             ++stRemoteHits;
             const std::uint32_t spm_off = static_cast<std::uint32_t>(
-                buf_idx * fab.config.bytes() +
-                fab.config.offset(req.addr));
-            // The owner's SPM serves the access one cycle later.
+                *idx * fab.config.bytes() + fab.config.offset(op.addr));
             net.events().scheduleIn(1,
-                    [own = fab.ctrls[owner], addr = req.addr,
-                     aux = req.aux, wdata = req.data.read64(0),
-                     spm_off, requestor = req.requestor,
-                     is_write = req.isWrite] {
+                    [own = fab.ctrls[c], addr = op.addr, aux = op.aux,
+                     wdata = op.wdata, spm_off, requestor = op.requestor,
+                     is_write = op.isWrite] {
                 own->serveSpm(spm_off, addr, aux, requestor, is_write,
                               wdata);
             });
-            // Informational NACK: the filter must not cache the base.
-            net.events().scheduleIn(resp_delay,
-                    [this, base, requestor = req.requestor,
-                     addr = req.addr, aux = req.aux] {
-                sendToCore(requestor, MsgType::FilterCheckNack,
-                           addr, aux);
-                releaseBase(base);
-            });
-        } else {
-            // Fig. 5c: nobody maps it; install and ACK after all
-            // NACK responses are in.
-            net.events().scheduleIn(resp_delay,
-                    [this, base, requestor = req.requestor,
-                     aux = req.aux] {
-                // insertAndAck releases the base serialization once
-                // the install (and any victim drain) completes.
-                insertAndAck(base, requestor, aux);
-            });
+            arm(op, Step::Nack, fanOutLatency);
+            return;
         }
-        net.msgPool().release(pm);
+    }
+    // Fig. 5c: nobody maps it; install and ACK.
+    arm(op, Step::Install, fanOutLatency);
+}
+
+void
+FilterDirSlice::install(Op &op)
+{
+    // Another transaction may have installed the base meanwhile.
+    if (std::int32_t i = findSlot(op.base, SlotState::Valid); i >= 0) {
+        slots[static_cast<std::size_t>(i)].sharers |=
+            coreBit(op.requestor);
+        conclude(op, MsgType::FilterCheckAck, op.base);
+        return;
+    }
+    if (std::int32_t i = firstSlot(SlotState::Free); i >= 0) {
+        finishInstall(op, static_cast<std::uint32_t>(i));
+        return;
+    }
+    // Evict the pseudo-LRU valid victim (else the lowest valid one);
+    // its sharers must drop the base from their filters before the
+    // slot is recycled.
+    std::int32_t victim = static_cast<std::int32_t>(lru.victim());
+    if (slots[static_cast<std::size_t>(victim)].st != SlotState::Valid)
+        victim = firstSlot(SlotState::Valid);
+    if (victim < 0) {
+        // Everything is draining (pathological); retry shortly. The
+        // base stays serialized through the retry.
+        ++stInsertRetries;
+        arm(op, Step::Install, p.retryDelay);
+        return;
+    }
+    ++stEvictions;
+    Slot &v = slots[static_cast<std::size_t>(victim)];
+    v.st = SlotState::Draining;
+    op.step = Step::Drain;
+    op.victim = static_cast<std::uint32_t>(victim);
+    invalidateSharers(op, v.base, v.sharers);
+    if (op.pendingAcks == 0)
+        finishInstall(op, op.victim);
+}
+
+void
+FilterDirSlice::finishInstall(Op &op, std::uint32_t slot)
+{
+    slots[slot] = Slot{SlotState::Valid, op.base, coreBit(op.requestor)};
+    lru.touch(slot);
+    ++stInserts;
+    conclude(op, MsgType::FilterCheckAck, op.base);
+}
+
+void
+FilterDirSlice::invalidateSharers(Op &op, Addr base,
+                                  std::uint64_t sharers)
+{
+    forEachCore(sharers, [&](CoreId c) {
+        ++op.pendingAcks;
+        sendToCore(c, MsgType::FilterInvalFwd, base, op.id);
     });
 }
 
 void
-FilterDirSlice::insertAndAck(Addr base, CoreId requestor,
-                             std::uint64_t aux)
+FilterDirSlice::conclude(Op &op, MsgType reply, Addr addr)
 {
-    // Another transaction may have installed the base meanwhile.
-    if (std::int32_t i = findSlot(base, SlotState::Valid); i >= 0) {
-        slots[static_cast<std::size_t>(i)].sharers |= bit(requestor);
-        sendToCore(requestor, MsgType::FilterCheckAck, base, aux);
-        releaseBase(base);
-        return;
+    // The reply goes out before the re-injections: a local delivery
+    // can tie with them.
+    sendToCore(op.requestor, reply, addr, op.aux);
+    // Re-inject queued operations in arrival order. Scheduling runs
+    // no handler, so the queue cannot change under the loop.
+    for (Message *pm : op.waiting) {
+        net.events().scheduleIn(1, [this, pm] {
+            handle(*pm);
+            net.msgPool().release(pm);
+        });
     }
-    // Prefer a free slot.
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].st == SlotState::Free) {
-            slots[i] = Slot{SlotState::Valid, base, bit(requestor)};
-            lru.touch(static_cast<std::uint32_t>(i));
-            ++stInserts;
-            sendToCore(requestor, MsgType::FilterCheckAck, base, aux);
-            releaseBase(base);
-            return;
+    op.waiting.clear();
+    for (auto &b : busy) {
+        if (b.second == op.id) {
+            b = busy.back();
+            busy.pop_back();
+            break;
         }
     }
-    // Evict the pseudo-LRU valid victim; its sharers must drop the
-    // base from their filters before the slot is recycled.
-    std::uint32_t victim = lru.victim();
-    if (slots[victim].st != SlotState::Valid) {
-        bool found = false;
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i].st == SlotState::Valid) {
-                victim = static_cast<std::uint32_t>(i);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            // Everything is draining (pathological); retry shortly.
-            // The base stays serialized through the retry and is
-            // released by whichever insertAndAck path completes.
-            ++stInsertRetries;
-            net.events().scheduleIn(p.retryDelay,
-                                    [this, base, requestor, aux] {
-                insertAndAck(base, requestor, aux);
-            });
-            return;
-        }
-    }
-    ++stEvictions;
-    // The base stays serialized (busy) until the victim drain
-    // completes; onFwdAck releases it.
-    Slot &v = slots[victim];
-    v.st = SlotState::Draining;
-    const std::uint64_t op_id = ops.acquire();
-    PendingOp &op = *ops.find(op_id);
-    op = PendingOp{PendingOp::Kind::Drain, victim, base, requestor, aux};
-    std::uint64_t sharers = v.sharers;
-    for (CoreId c = 0; sharers != 0; ++c, sharers >>= 1) {
-        if (sharers & 1) {
-            ++op.pendingAcks;
-            sendToCore(c, MsgType::FilterInvalFwd, v.base, op_id);
-        }
-    }
-    if (op.pendingAcks == 0) {
-        ops.release(op_id);
-        v = Slot{SlotState::Valid, base, bit(requestor)};
-        lru.touch(victim);
-        ++stInserts;
-        sendToCore(requestor, MsgType::FilterCheckAck, base, aux);
-        releaseBase(base);
-    }
+    ops.release(op.id);
 }
 
 void
@@ -322,15 +319,8 @@ FilterDirSlice::onFilterInval(const Message &msg)
             return;
         }
         ++stSharerInvalidations;
-        const std::uint64_t op_id = ops.acquire();
-        PendingOp &op = *ops.find(op_id);
-        op = PendingOp{PendingOp::Kind::MapInval, 0, 0, requestor, aux};
-        for (CoreId c = 0; sharers != 0; ++c, sharers >>= 1) {
-            if (sharers & 1) {
-                ++op.pendingAcks;
-                sendToCore(c, MsgType::FilterInvalFwd, base, op_id);
-            }
-        }
+        invalidateSharers(openOp(Step::Inval, base, requestor, aux),
+                          base, sharers);
     });
 }
 
@@ -341,39 +331,28 @@ FilterDirSlice::onEvictNotify(const Message &msg)
     const std::int32_t i = findSlot(msg.addr, SlotState::Valid);
     if (i >= 0)
         slots[static_cast<std::size_t>(i)].sharers &=
-            ~bit(msg.requestor);
+            ~coreBit(msg.requestor);
 }
 
 void
 FilterDirSlice::onFwdAck(const Message &msg)
 {
-    PendingOp *op = ops.find(msg.aux);
+    Op *op = ops.find(msg.aux);
     if (!op)
         panic("FilterDirSlice: ack for unknown op");
     if (op->pendingAcks == 0)
         panic("FilterDirSlice: ack underflow");
     if (--op->pendingAcks != 0)
         return;
-    const PendingOp done = *op;
-    ops.release(msg.aux);
-    if (done.kind == PendingOp::Kind::Drain) {
-        slots[done.slot] =
-            Slot{SlotState::Valid, done.newBase, bit(done.requestor)};
-        lru.touch(done.slot);
-        ++stInserts;
-        sendToCore(done.requestor, MsgType::FilterCheckAck,
-                   done.newBase, done.aux);
-        releaseBase(done.newBase);
-    } else {
-        sendToCore(done.requestor, MsgType::FilterInvalDone, 0,
-                   done.aux);
-    }
+    if (op->step == Step::Drain)
+        finishInstall(*op, op->victim);
+    else
+        conclude(*op, MsgType::FilterInvalDone, 0);
 }
 
 void
 FilterDirSlice::sendToCore(CoreId c, MsgType t, Addr addr,
-                           std::uint64_t aux, bool has_data,
-                           std::uint64_t value)
+                           std::uint64_t aux)
 {
     Message m;
     m.type = t;
@@ -381,10 +360,6 @@ FilterDirSlice::sendToCore(CoreId c, MsgType t, Addr addr,
     m.requestor = c;
     m.aux = aux;
     m.cls = TrafficClass::CohProt;
-    if (has_data) {
-        m.hasData = true;
-        m.data.write64(0, value);
-    }
     net.send(tile, Endpoint::Coh, c, m, TrafficClass::CohProt);
 }
 

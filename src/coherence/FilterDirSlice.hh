@@ -15,6 +15,7 @@
 #define SPMCOH_COHERENCE_FILTERDIRSLICE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "coherence/CohFabric.hh"
@@ -63,52 +64,72 @@ class FilterDirSlice
         std::uint64_t sharers = 0;
     };
 
-    struct PendingOp
+    /** The next step of an operation (docs/architecture.md,
+     *  "FilterDir operation steps"). */
+    enum class Step : std::uint8_t
     {
-        enum class Kind : std::uint8_t { Drain, MapInval };
-        Kind kind = Kind::Drain;
-        std::uint32_t slot = 0;       ///< Drain: slot being recycled
-        Addr newBase = 0;             ///< Drain: base to install
-        CoreId requestor = invalidCore;
-        std::uint64_t aux = 0;        ///< passthrough (req id / tag)
-        std::uint32_t pendingAcks = 0;
+        Probe,    ///< evaluate the SPMDirs at probe arrival
+        Nack,     ///< a remote SPM served: NACK, release the base
+        Install,  ///< nobody maps the base: install it and ACK
+        Drain,    ///< wait for the victim slot's sharers to drop it
+        Inval,    ///< wait for the mapped base's sharers to drop it
     };
 
-    /** A base with a broadcast in flight and the operations parked
-     *  behind it (pooled copies, in arrival order). */
-    struct BusyBase
+    /**
+     * One multi-step operation: a check that missed the CAM and
+     * broadcasts (Probe, then Nack or Install, maybe Drain), or a
+     * map-invalidation waiting for its sharers (Inval). A check that
+     * hits or queues needs no record. The id rides in the
+     * FilterInvalFwd aux field and comes back in the ack.
+     */
+    struct Op
     {
-        Addr base;
+        std::uint64_t id = 0;
+        Step step = Step::Probe;
+        Addr base = 0;
+        Addr addr = 0;                ///< the check's address
+        CoreId requestor = invalidCore;
+        bool isWrite = false;         ///< the check's direction
+        std::uint64_t aux = 0;        ///< passthrough (req id / tag)
+        std::uint64_t wdata = 0;      ///< the check's store word
+        std::uint32_t victim = 0;     ///< Drain: slot being recycled
+        std::uint32_t pendingAcks = 0;
+        /** Requests for the base parked behind the broadcast (pooled
+         *  copies, arrival order). A recycled record keeps the
+         *  queue's capacity. */
         std::vector<Message *> waiting;
     };
 
-    /** Base of a released busyBases entry (never a buffer base). */
-    static constexpr Addr idleBase = ~Addr(0);
-
     void onFilterCheck(const Message &msg);
     void onFilterInval(const Message &msg);
-    BusyBase *findBusy(Addr base);
-    void markBusy(Addr base);
     /** Per-base serialization: true if queued behind a broadcast. */
     bool enqueueIfBusy(Addr base, const Message &msg);
-    void releaseBase(Addr base);
     void onEvictNotify(const Message &msg);
     void onFwdAck(const Message &msg);
 
-    /** Broadcast SPMDir probe, aggregated (docs/architecture.md,
+    /** Claim a record for @p requestor's operation on @p base. */
+    Op &openOp(Step step, Addr base, CoreId requestor,
+               std::uint64_t aux);
+    /** Run @p op's @p step after @p delay. */
+    void arm(Op &op, Step step, Tick delay);
+    void run(std::uint64_t id);
+    /** Broadcast evaluation, aggregated (docs/architecture.md,
      *  "Aggregated FilterDir broadcast"). */
-    void broadcastProbe(const Message &msg, Addr base);
+    void probe(Op &op);
+    /** Install the base, draining a victim slot first if full. */
+    void install(Op &op);
+    void finishInstall(Op &op, std::uint32_t slot);
+    /** Send each of @p sharers a FilterInvalFwd that @p op awaits. */
+    void invalidateSharers(Op &op, Addr base, std::uint64_t sharers);
+    /** Reply to the requestor, then re-inject the requests queued on
+     *  the base and release it and @p op. */
+    void conclude(Op &op, MsgType reply, Addr addr);
 
-    /** Install @p base for @p requestor, draining a victim if full. */
-    void insertAndAck(Addr base, CoreId requestor, std::uint64_t aux);
-
-    void sendToCore(CoreId c, MsgType t, Addr addr, std::uint64_t aux,
-                    bool has_data = false, std::uint64_t value = 0);
+    void sendToCore(CoreId c, MsgType t, Addr addr, std::uint64_t aux);
 
     std::int32_t findSlot(Addr base, SlotState st) const;
-
-    static std::uint64_t bit(CoreId c)
-    { return std::uint64_t(1) << c; }
+    /** Lowest-index slot in state @p st, or -1. */
+    std::int32_t firstSlot(SlotState st) const;
 
     MemNet &net;
     CohFabric &fab;
@@ -120,16 +141,15 @@ class FilterDirSlice
     std::vector<Slot> slots;
     PseudoLru lru;
     /**
-     * Bases with a broadcast in flight. Checks and map-invalidations
-     * for the same base queue behind it; without this serialization a
-     * mapping racing with a broadcast's conclusion could leave a
-     * stale "not mapped" verdict in a filter (Sec. 3.3 invariant).
-     * A handful are in flight at once, so a linear scan over a flat
-     * table (released entries keep their queue capacity) beats a map.
+     * Bases with a broadcast in flight, each with its op id. Checks
+     * and map-invalidations for the same base queue behind it;
+     * without this serialization a mapping racing with a broadcast's
+     * conclusion could leave a stale "not mapped" verdict in a filter
+     * (Sec. 3.3 invariant). A handful are in flight at once, so a
+     * linear scan over a flat list beats a map.
      */
-    std::vector<BusyBase> busyBases;
-    /** Broadcast fan-outs awaiting acks; the id rides in aux. */
-    SlotTable<PendingOp> ops;
+    std::vector<std::pair<Addr, std::uint64_t>> busy;
+    SlotTable<Op> ops;
     StatGroup stats;
     /** Hot-path counters, resolved once at construction. */
     Counter &stChecks;

@@ -44,11 +44,10 @@ HomeAgent::service(Tick t, const Message &msg, std::uint32_t src_chip,
       case MsgType::DmaWrite:
         ++stEscalations;
         break;
-      // Directory-driven forwards and owner data between chips.
+      // Directory-driven forwards between chips.
       case MsgType::FwdGetS:
       case MsgType::FwdGetX:
       case MsgType::FwdDmaRead:
-      case MsgType::OwnerData:
         ++stForwards;
         break;
       case MsgType::Inv:
@@ -60,8 +59,6 @@ HomeAgent::service(Tick t, const Message &msg, std::uint32_t src_chip,
       case MsgType::FilterCheck:
       case MsgType::FilterCheckAck:
       case MsgType::FilterCheckNack:
-      case MsgType::SpmProbe:
-      case MsgType::SpmProbeResp:
       case MsgType::RemoteSpmData:
       case MsgType::RemoteSpmStAck:
       case MsgType::SpmDirect:
@@ -110,15 +107,6 @@ HomeAgent::track(const Message &msg, std::uint32_t src_chip,
         Presence &pr = presence[line];
         pr.sharers = bit;
         pr.owner = static_cast<std::int32_t>(dst_chip);
-        break;
-      }
-      // Owner data answering a GetS: the requesting chip gains a
-      // copy; MOESI-style owners keep theirs, others downgrade.
-      case MsgType::OwnerData: {
-        Presence &pr = presence[line];
-        pr.sharers |= bit;
-        if (!proto.ownerKeepsDirtyOnGetS())
-            pr.owner = -1;
         break;
       }
       // Update-based write propagation keeps every sharer live.

@@ -14,10 +14,9 @@
  * sharer/owner presence for the lines it has seen cross, and prices
  * its own pipeline occupancy like a directory slice.
  *
- * Presence tracking is protocol-aware through the same policy hooks
- * the directory uses: an owner keeps its line on a GetS under MOESI
- * (ownerKeepsDirtyOnGetS) and update-based protocols never shrink
- * the sharer set on writes (updateBased).
+ * Presence tracking is protocol-aware through the directory's
+ * updateBased policy hook: under an update-based protocol an
+ * invalidation crossing chips leaves the sharer set as it is.
  *
  * service() is called only from the System's event loop, so the
  * agent's state needs no locking.

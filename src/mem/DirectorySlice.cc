@@ -185,7 +185,7 @@ DirectorySlice::handleGetS(Txn &t)
     t.grant = MsgType::DataS;
     if (de->state == DirState::Shared) {
         // L2/memory data is valid.
-        de->sharers |= bit(t.req.requestor);
+        de->sharers |= coreBit(t.req.requestor);
         t.done = Done::Grant;
         fetchData(t, t.req.cls);
         return;
@@ -220,19 +220,10 @@ DirectorySlice::handleGetX(Txn &t)
     }
 
     // Shared or Owned: invalidate everyone except the requestor.
-    std::uint64_t targets = de->sharers;
-    if (de->owner != invalidCore)
-        targets |= bit(de->owner);
-    targets &= ~bit(r);
     const bool owner_supplies =
         de->state == DirState::Owned && de->owner != r &&
         de->owner != invalidCore;
-    for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
-        if (targets & 1) {
-            sendInv(c, t.la, r, TrafficClass::WbRepl);
-            ++t.pendingAcks;
-        }
-    }
+    invalidateCopies(t, holders(*de) & ~coreBit(r), r);
     if (t.req.hasData && t.req.dirty) {
         // Upgrade from O shipped the dirty line with the request.
         t.data = t.req.data;
@@ -267,11 +258,11 @@ DirectorySlice::handleUpdX(Txn &t)
     if (de->owner != invalidCore) {
         // Update-based tables have no Owned state; fold a stray
         // owner into the sharer set defensively.
-        sharers |= bit(de->owner);
+        sharers |= coreBit(de->owner);
         de->owner = invalidCore;
     }
     de->state = DirState::Shared;
-    de->sharers = sharers | bit(t.req.requestor);
+    de->sharers = sharers | coreBit(t.req.requestor);
     t.done = Done::ApplyUpdate;
     fetchData(t, t.req.cls);
 }
@@ -310,7 +301,7 @@ DirectorySlice::handlePutShared(Txn &t)
             if (de->state == DirState::Excl && de->owner == r)
                 dir.invalidate(t.la);
         } else {
-            de->sharers &= ~bit(r);
+            de->sharers &= ~coreBit(r);
             if (de->owner == invalidCore && de->sharers == 0)
                 dir.invalidate(t.la);
         }
@@ -351,15 +342,7 @@ DirectorySlice::handleDmaWrite(Txn &t)
 {
     ++stDmaWrite;
     if (DirEntry *de = dir.lookup(t.la)) {
-        std::uint64_t targets = de->sharers;
-        if (de->owner != invalidCore)
-            targets |= bit(de->owner);
-        for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
-            if (targets & 1) {
-                sendInv(c, t.la, t.req.requestor, TrafficClass::WbRepl);
-                ++t.pendingAcks;
-            }
-        }
+        invalidateCopies(t, holders(*de), t.req.requestor);
         dir.invalidate(t.la);
     }
     if (const auto gone = l2.invalidate(t.la))
@@ -499,19 +482,11 @@ DirectorySlice::allocEntry(Addr la, DirEntry e)
         // Evicting a tracked line: recall its L1 copies first. The
         // recall runs as an independent transaction on the victim
         // line; the new entry takes the slot immediately.
-        const DirEntry snapshot = *dir.peek(*victim);
+        const std::uint64_t targets = holders(*dir.peek(*victim));
         ++stRecalls;
         Txn &recall = acquireTxn();
         openTxn(recall, *victim);
-        std::uint64_t targets = snapshot.sharers;
-        if (snapshot.owner != invalidCore)
-            targets |= bit(snapshot.owner);
-        for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
-            if (targets & 1) {
-                sendInv(c, recall.la, invalidCore, TrafficClass::WbRepl);
-                ++recall.pendingAcks;
-            }
-        }
+        invalidateCopies(recall, targets, invalidCore);
         recall.done = Done::Recall;
         checkDone(recall);
     }
@@ -532,17 +507,27 @@ DirectorySlice::sendFwd(Txn &t, MsgType ty, CoreId owner,
     t.wantData = true;
 }
 
-void
-DirectorySlice::sendInv(CoreId target, Addr la, CoreId requestor,
-                        TrafficClass cls)
+std::uint64_t
+DirectorySlice::holders(const DirEntry &e)
 {
-    ++stInvalidationsSent;
-    Message m;
-    m.type = MsgType::Inv;
-    m.addr = la;
-    m.requestor = requestor;
-    m.cls = cls;
-    net.send(tile, Endpoint::L1D, target, m, cls);
+    return e.owner == invalidCore ? e.sharers
+                                  : e.sharers | coreBit(e.owner);
+}
+
+void
+DirectorySlice::invalidateCopies(Txn &t, std::uint64_t targets,
+                                 CoreId requestor)
+{
+    forEachCore(targets, [&](CoreId c) {
+        ++stInvalidationsSent;
+        Message m;
+        m.type = MsgType::Inv;
+        m.addr = t.la;
+        m.requestor = requestor;
+        m.cls = TrafficClass::WbRepl;
+        net.send(tile, Endpoint::L1D, c, m, TrafficClass::WbRepl);
+        ++t.pendingAcks;
+    });
 }
 
 void
@@ -621,17 +606,17 @@ DirectorySlice::complete(Txn &t, Done step)
         if (t.dataDirty && proto.ownerKeepsDirtyOnGetS()) {
             // Owner keeps the dirty line: Excl -> Owned.
             e->state = DirState::Owned;
-            e->sharers |= bit(r);
+            e->sharers |= coreBit(r);
         } else if (e->state == DirState::Excl) {
             // Owner downgraded (E/M -> S); the L2 slice absorbs the
             // data, dirty when the protocol has no Owned state to
             // park a dirty line in.
-            e->sharers = bit(e->owner) | bit(r);
+            e->sharers = coreBit(e->owner) | coreBit(r);
             e->owner = invalidCore;
             e->state = DirState::Shared;
             l2Insert(t.la, t.data, t.dataDirty);
         } else {
-            e->sharers |= bit(r);
+            e->sharers |= coreBit(r);
         }
         break;
       }
@@ -646,13 +631,10 @@ DirectorySlice::complete(Txn &t, Done step)
         DirEntry *e = dir.lookup(t.la);
         if (!e)
             panic("DirectorySlice: entry vanished during UpdX");
-        std::uint64_t targets = e->sharers & ~bit(r);
-        for (CoreId c = 0; targets != 0; ++c, targets >>= 1) {
-            if (targets & 1) {
-                sendUpdate(c, t.la, r, t.data, t.req.cls);
-                ++t.pendingAcks;
-            }
-        }
+        forEachCore(e->sharers & ~coreBit(r), [&](CoreId c) {
+            sendUpdate(c, t.la, r, t.data, t.req.cls);
+            ++t.pendingAcks;
+        });
         t.done = Done::Grant;
         t.grant = MsgType::UpdData;
         checkDone(t);

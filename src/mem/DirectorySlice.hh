@@ -190,17 +190,18 @@ class DirectorySlice
     /** Forward @p t's request to the line's owner; its data comes
      *  back through this slice (FwdAckData). */
     void sendFwd(Txn &t, MsgType ty, CoreId owner, TrafficClass cls);
-    void sendInv(CoreId target, Addr la, CoreId requestor,
-                 TrafficClass cls);
+    /** Owner and sharers of @p e as one core mask. */
+    static std::uint64_t holders(const DirEntry &e);
+    /** Send an Inv for @p t's line to every core in @p targets,
+     *  lowest id first; @p t awaits one ack per Inv. */
+    void invalidateCopies(Txn &t, std::uint64_t targets,
+                          CoreId requestor);
     /** Push the post-write line to a sharer (update-based). */
     void sendUpdate(CoreId target, Addr la, CoreId requestor,
                     const LineData &d, TrafficClass cls);
     void respond(CoreId core, Endpoint ep, MsgType t, Addr la,
                  const LineData *d, TrafficClass cls,
                  std::uint64_t aux = 0);
-
-    static std::uint64_t bit(CoreId c)
-    { return std::uint64_t(1) << c; }
 
     MemNet &net;
     CoreId tile;

@@ -154,7 +154,7 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
     e.issued = true;
     mshr.push(e.targets, std::move(tgt));
     if (icache) {
-        sendToDir(MsgType::IfetchGet, la, TrafficClass::Ifetch);
+        sendToDir(MsgType::IfetchGet, la, TrafficClass::Ifetch, core);
     } else if (is_write) {
         const Line *resident = array.peek(la);
         const PState st = resident ? resident->state : PState::I;
@@ -166,13 +166,12 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
             // we evict the line while the upgrade is in flight.
             const bool dirty_upgrade =
                 resident && resident->state == PState::O;
-            sendToDir(MsgType::GetX, la, TrafficClass::Write,
-                      dirty_upgrade, dirty_upgrade ? &resident->data
-                                                   : nullptr,
+            sendToDir(MsgType::GetX, la, TrafficClass::Write, core,
+                      dirty_upgrade ? &resident->data : nullptr,
                       dirty_upgrade);
         }
     } else {
-        sendToDir(MsgType::GetS, la, TrafficClass::Read);
+        sendToDir(MsgType::GetS, la, TrafficClass::Read, core);
     }
     return true;
 }
@@ -194,8 +193,7 @@ L1Cache::issuePrefetch(Addr line_addr)
     e.issued = true;
     ++prefetchesInFlight;
     ++stPrefetchesIssued;
-    sendToDir(MsgType::GetS, line_addr, TrafficClass::Read, false,
-              nullptr, false, true);
+    sendToDir(MsgType::GetS, line_addr, TrafficClass::Read, core);
 }
 
 void
@@ -259,7 +257,7 @@ L1Cache::onFill(const Message &msg)
     // landed; a control forward must never overtake a data fill.
     // Sent before target processing so an upgrade reissue (GetX)
     // queues behind the unblock on the same path.
-    sendToDir(MsgType::Unblock, la, msg.cls);
+    sendToDir(MsgType::Unblock, la, msg.cls, core);
     if (Line *resident = array.lookup(la)) {
         if (msg.type == MsgType::UpdData) {
             // Update round done: the home slice applied our store
@@ -326,7 +324,7 @@ L1Cache::processTargets(Addr line_addr, bool first_write_done)
                     sendUpdX(line_addr, mshr.front(ne.targets));
                 } else {
                     sendToDir(MsgType::GetX, line_addr,
-                              TrafficClass::Write);
+                              TrafficClass::Write, core);
                 }
                 return;
             }
@@ -376,10 +374,10 @@ L1Cache::evict(Addr line_addr, Line &&victim)
     ++wb.pendingPuts;
     if (put == MsgType::PutM) {
         ++stDirtyWritebacks;
-        sendToDir(MsgType::PutM, line_addr, TrafficClass::WbRepl, true,
+        sendToDir(MsgType::PutM, line_addr, TrafficClass::WbRepl, core,
                   &victim.data, true);
     } else {
-        sendToDir(put, line_addr, TrafficClass::WbRepl);
+        sendToDir(put, line_addr, TrafficClass::WbRepl, core);
     }
 }
 
@@ -416,15 +414,8 @@ L1Cache::onFwd(const Message &msg)
 
     // Data returns to the directory, which responds to the
     // requestor (see DirectorySlice.hh).
-    Message resp;
-    resp.type = MsgType::FwdAckData;
-    resp.addr = la;
-    resp.requestor = msg.requestor;
-    resp.hasData = true;
-    resp.dirty = dirty;
-    resp.cls = msg.cls;
-    resp.data = data;
-    net.send(core, Endpoint::Dir, net.homeSlice(la), resp, msg.cls);
+    sendToDir(MsgType::FwdAckData, la, msg.cls, msg.requestor, &data,
+              dirty);
 }
 
 void
@@ -444,16 +435,8 @@ L1Cache::onInv(const Message &msg)
         data = wb->data;
         wb->state = PState::S;  // data handed over
     }
-    Message resp;
-    resp.type = dirty ? MsgType::InvAckData : MsgType::InvAck;
-    resp.addr = la;
-    resp.requestor = msg.requestor;
-    resp.dirty = dirty;
-    resp.hasData = dirty;
-    if (dirty)
-        resp.data = data;
-    resp.cls = msg.cls;
-    net.send(core, Endpoint::Dir, net.homeSlice(la), resp, msg.cls);
+    sendToDir(dirty ? MsgType::InvAckData : MsgType::InvAck, la, msg.cls,
+              msg.requestor, dirty ? &data : nullptr, dirty);
 }
 
 void
@@ -474,12 +457,7 @@ L1Cache::onUpdate(const Message &msg)
     } else {
         ++stStaleUpdates;
     }
-    Message resp;
-    resp.type = MsgType::UpdAck;
-    resp.addr = la;
-    resp.requestor = msg.requestor;
-    resp.cls = msg.cls;
-    net.send(core, Endpoint::Dir, net.homeSlice(la), resp, msg.cls);
+    sendToDir(MsgType::UpdAck, la, msg.cls, msg.requestor);
 }
 
 void
@@ -510,30 +488,20 @@ L1Cache::onDmaFwd(const Message &msg)
     } else {
         panic("L1Cache: DMA forward for a line we do not own");
     }
-    Message resp;
-    resp.type = MsgType::FwdAckData;
-    resp.addr = la;
-    resp.requestor = msg.requestor;
-    resp.hasData = true;
-    resp.dirty = true;
-    resp.data = data;
-    resp.cls = TrafficClass::Dma;
-    net.send(core, Endpoint::Dir, net.homeSlice(la), resp,
-             TrafficClass::Dma);
+    sendToDir(MsgType::FwdAckData, la, TrafficClass::Dma, msg.requestor,
+              &data, true);
 }
 
 void
 L1Cache::sendToDir(MsgType t, Addr line_addr, TrafficClass cls,
-                   bool has_data, const LineData *d, bool dirty,
-                   bool is_prefetch)
+                   CoreId requestor, const LineData *d, bool dirty)
 {
     Message m;
     m.type = t;
     m.addr = line_addr;
-    m.requestor = core;
-    m.hasData = has_data;
+    m.requestor = requestor;
+    m.hasData = d != nullptr;
     m.dirty = dirty;
-    m.isPrefetch = is_prefetch;
     m.cls = cls;
     if (d)
         m.data = *d;

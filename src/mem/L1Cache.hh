@@ -162,9 +162,11 @@ class L1Cache
     void installLine(Addr line_addr, PState st, const LineData &d,
                      bool prefetch_fill);
     void evict(Addr line_addr, Line &&victim);
+    /** Send @p t for @p requestor to the line's home slice; a
+     *  non-null @p d encloses the line. */
     void sendToDir(MsgType t, Addr line_addr, TrafficClass cls,
-                   bool has_data = false, const LineData *d = nullptr,
-                   bool dirty = false, bool is_prefetch = false);
+                   CoreId requestor, const LineData *d = nullptr,
+                   bool dirty = false);
     /** Ship one store word to the home slice (update-based). */
     void sendUpdX(Addr line_addr, const MshrTarget &t);
     void trainPrefetcher(std::uint32_t ref_id, Addr addr, Tick at);

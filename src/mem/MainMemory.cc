@@ -13,89 +13,55 @@ namespace spmcoh
 void
 MemCtrl::handle(const Message &msg)
 {
+    // The line is read or written now; only the reply waits.
+    Message resp;
     switch (msg.type) {
-      case MsgType::MemRead: {
+      case MsgType::MemRead:
         ++stReads;
-        if (pool && pool->backingChip(msg.addr) != myChip) {
-            servePooled(msg, false);
-            break;
-        }
-        const Tick done = serviceSlot();
-        Message resp;
         resp.type = MsgType::MemReadResp;
-        resp.addr = msg.addr;
-        resp.requestor = msg.requestor;
         resp.hasData = true;
-        resp.aux = msg.aux;
-        resp.cls = msg.cls;
         resp.data = mem.readLine(msg.addr);
-        const CoreId dst = msg.src;
-        // The line-carrying response is parked in the message pool so
-        // the delayed-send closure stays inline-sized.
-        Message *pm = net.msgPool().acquire(resp);
-        eq.schedule(done, [this, pm, dst] {
-            net.send(tile, Endpoint::Dir, dst, *pm, pm->cls);
-            net.msgPool().release(pm);
-        });
         break;
-      }
-      case MsgType::MemWrite: {
+      case MsgType::MemWrite:
         ++stWrites;
-        if (pool && pool->backingChip(msg.addr) != myChip) {
-            mem.writeLine(msg.addr, msg.data);
-            servePooled(msg, true);
-            break;
-        }
-        const Tick done = serviceSlot();
         mem.writeLine(msg.addr, msg.data);
-        Message resp;
         resp.type = MsgType::MemWriteAck;
-        resp.addr = msg.addr;
-        resp.requestor = msg.requestor;
-        resp.aux = msg.aux;
-        resp.cls = msg.cls;
-        const CoreId dst = msg.src;
-        Message *pm = net.msgPool().acquire(resp);
-        eq.schedule(done, [this, pm, dst] {
-            net.send(tile, Endpoint::Dir, dst, *pm, pm->cls);
-            net.msgPool().release(pm);
-        });
         break;
-      }
       default:
         panic("MemCtrl: unexpected message type");
     }
-}
-
-void
-MemCtrl::servePooled(const Message &msg, bool is_write)
-{
-    // Functional semantics match the local path exactly (the line is
-    // read/written at handle time); only the timing differs — the
-    // pool's shared queue and latency replace the local DRAM slot.
-    Message resp;
-    resp.type = is_write ? MsgType::MemWriteAck : MsgType::MemReadResp;
     resp.addr = msg.addr;
     resp.requestor = msg.requestor;
-    resp.hasData = !is_write;
     resp.aux = msg.aux;
     resp.cls = msg.cls;
-    if (!is_write)
-        resp.data = mem.readLine(msg.addr);
-    const CoreId dst = msg.src;
+    // The response is parked in the message pool so the delayed-send
+    // closures stay inline-sized.
     Message *pm = net.msgPool().acquire(resp);
-    // The far pool's queue is shared by every controller on every
-    // chip; it is reserved from a same-tick event, so requests queue
-    // in event order.
+    const CoreId dst = msg.src;
+    if (!pool || pool->backingChip(msg.addr) == myChip) {
+        replyAt(serviceSlot(), pm, dst);
+        return;
+    }
+    // A line the far pool backs pays the pool's shared queue and
+    // latency instead of the local DRAM slot. The queue is shared by
+    // every controller on every chip and reserved from a same-tick
+    // event, so requests queue in event order.
+    const bool is_write = msg.type == MsgType::MemWrite;
     const Tick at = eq.now();
     eq.schedule(at, [this, pm, dst, at, is_write] {
         const Tick done = pool->serviceAt(at, is_write);
         if (HomeAgent *ha = net.homeAgent())
             ha->notePool(is_write);
-        eq.schedule(done, [this, pm, dst] {
-            net.send(tile, Endpoint::Dir, dst, *pm, pm->cls);
-            net.msgPool().release(pm);
-        });
+        replyAt(done, pm, dst);
+    });
+}
+
+void
+MemCtrl::replyAt(Tick when, Message *pm, CoreId dst)
+{
+    eq.schedule(when, [this, pm, dst] {
+        net.send(tile, Endpoint::Dir, dst, *pm, pm->cls);
+        net.msgPool().release(pm);
     });
 }
 

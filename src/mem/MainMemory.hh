@@ -203,8 +203,8 @@ class MemCtrl
     const StatGroup &statGroup() const { return stats; }
 
   private:
-    /** Serve a line the far pool backs instead of local DRAM. */
-    void servePooled(const Message &msg, bool is_write);
+    /** Send the pooled response @p pm to @p dst's slice at @p when. */
+    void replyAt(Tick when, Message *pm, CoreId dst);
     Tick
     serviceSlot()
     {

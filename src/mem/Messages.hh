@@ -90,7 +90,6 @@ enum class MsgType : std::uint8_t
     DataS,         ///< fill with shared permission (data)
     DataE,         ///< fill with exclusive permission (data)
     DataM,         ///< fill with modify permission (data)
-    UpgAck,        ///< upgrade grant, no data
     PutAck,        ///< eviction acknowledged
     FwdGetS,       ///< forward read to owner
     FwdGetX,       ///< forward write to owner
@@ -99,8 +98,6 @@ enum class MsgType : std::uint8_t
 
     // L1 -> L1 / Dir completion traffic
     Unblock,       ///< requestor received its fill; dir may proceed
-    OwnerData,     ///< owner-forwarded line to requestor (data)
-    FwdAck,        ///< owner notifies dir a forward was serviced
     FwdAckData,    ///< owner hands dirty line back to dir (data)
     InvAck,        ///< invalidation acknowledged, line was clean
     InvAckData,    ///< invalidation acknowledged, dirty data enclosed
@@ -128,8 +125,6 @@ enum class MsgType : std::uint8_t
     FilterCheck,       ///< core -> FilterDir: is base unmapped?
     FilterCheckAck,    ///< FilterDir -> core: unmapped, cache it
     FilterCheckNack,   ///< FilterDir -> core: mapped remotely, served
-    SpmProbe,          ///< FilterDir -> cores: SPMDir broadcast lookup
-    SpmProbeResp,      ///< core -> FilterDir: ACK(hit) / NACK(miss)
     RemoteSpmData,     ///< remote SPM -> core: guarded load data
     RemoteSpmStAck,    ///< remote SPM -> core: guarded store done
     FilterInval,       ///< mapping core -> FilterDir: base now mapped
@@ -150,10 +145,8 @@ struct Message
     Addr addr = 0;          ///< line or base address
     CoreId src = invalidCore;
     CoreId requestor = invalidCore; ///< original requestor (forwards)
-    std::uint32_t ackCount = 0;     ///< expected/remaining acks
     bool dirty = false;     ///< data enclosed is dirty wrt memory
     bool isWrite = false;   ///< guarded access direction
-    bool isPrefetch = false;
     bool hasData = false;
     std::uint64_t aux = 0;  ///< DMA tag, SPM offset, misc
     /** Traffic category the transaction chain belongs to (Fig. 10). */

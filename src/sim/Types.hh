@@ -10,6 +10,7 @@
 #ifndef SPMCOH_SIM_TYPES_HH
 #define SPMCOH_SIM_TYPES_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <limits>
@@ -86,6 +87,26 @@ interleaveSlice(std::uint64_t key, std::uint32_t slices)
 {
     return static_cast<CoreId>(
         isPow2(slices) ? key & (slices - 1) : key % slices);
+}
+
+/**
+ * Bit of core @p c in a 64-bit sharer mask. Every sharer mask
+ * (directory and FilterDir slices) goes through this and
+ * forEachCore, so a wider sharer set changes only these two.
+ */
+constexpr std::uint64_t
+coreBit(CoreId c)
+{
+    return std::uint64_t(1) << c;
+}
+
+/** Call @p f(c) for every core set in @p mask, lowest id first. */
+template <typename F>
+constexpr void
+forEachCore(std::uint64_t mask, F &&f)
+{
+    for (; mask != 0; mask &= mask - 1)
+        f(static_cast<CoreId>(std::countr_zero(mask)));
 }
 
 } // namespace spmcoh

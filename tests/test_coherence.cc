@@ -431,6 +431,46 @@ TEST(FilterDirEviction, DrainsSharers)
     EXPECT_EQ(in_filter, 2u);
 }
 
+/**
+ * With one slot per slice, an install that finds the only slot
+ * draining retries after retryDelay, keeping its base serialized,
+ * and then drains the base the first install put there.
+ */
+TEST(FilterDirEviction, InstallRetriesWhileTheOnlySlotDrains)
+{
+    SystemParams p = protoParams();
+    p.filterDir.entriesPerSlice = 1;
+    System sys(p);
+    for (CoreId c = 0; c < 4; ++c)
+        sys.cohAt(c).setBufferConfig(bufLog2);
+
+    // Three bases with one home slice: stride by bufBytes * numCores.
+    const Addr a = 0x600000;
+    const Addr stride = bufBytes * 4;
+    const CoreId home = sys.cohFabric().homeFor(a);
+    ASSERT_EQ(sys.cohFabric().homeFor(a + stride), home);
+    ASSERT_EQ(sys.cohFabric().homeFor(a + 2 * stride), home);
+    int done = 0;
+    auto cb = [&](bool, std::uint64_t) { ++done; };
+    sys.cohAt(0).resolveGuarded(a, 8, false, 0, cb);
+    sys.events().run();
+    ASSERT_EQ(done, 1);
+    sys.cohAt(1).resolveGuarded(a + stride, 8, false, 0, cb);
+    sys.cohAt(2).resolveGuarded(a + 2 * stride, 8, false, 0, cb);
+    sys.events().run();
+    EXPECT_EQ(done, 3);
+
+    const FilterDirSlice &slice = sys.filterDirAt(home);
+    const StatGroup &st = slice.statGroup();
+    EXPECT_EQ(st.value("insertRetries"), 1u);
+    EXPECT_EQ(st.value("evictions"), 2u);
+    EXPECT_EQ(st.value("inserts"), 3u);
+    EXPECT_EQ(st.value("broadcasts"), 3u);
+    EXPECT_TRUE(slice.tracks(a + 2 * stride));
+    EXPECT_FALSE(slice.tracks(a + stride));
+    EXPECT_EQ(slice.validEntries(), 1u);
+}
+
 /** Ideal coherence: zero protocol traffic, oracle-driven diversion. */
 TEST(IdealCoherence, NoTrackingTraffic)
 {
