@@ -134,8 +134,13 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
     tgt.onDone = std::move(on_done);
 
     if (MshrEntry *e = mshr.find(la)) {
-        // Merge into the in-flight transaction.
+        // Merge into the in-flight transaction. A prefetch that gains
+        // a demand target is a demand miss from here on, so it hands
+        // its prefetch slot back now (its fill counts as a demand
+        // fill).
         mshr.push(e->targets, std::move(tgt));
+        if (e->isPrefetch)
+            --prefetchesInFlight;
         e->isPrefetch = false;
         if (is_write)
             e->wantExclusive = true;

@@ -463,6 +463,31 @@ TEST(Moesi, MergedStoreBehindSharedFillReissuesInOrder)
     EXPECT_FALSE(l1.mshrFull());
 }
 
+/**
+ * A demand that merges into a prefetch MSHR turns it into a demand
+ * miss, which must hand its prefetch slot back: otherwise every such
+ * merge leaks one of the maxPrefetchInFlight slots and, once all have
+ * leaked, the L1 never prefetches again.
+ */
+TEST(Moesi, DemandMergedIntoPrefetchReleasesItsSlot)
+{
+    MiniFabric f;
+    L1Cache &l1 = *f.l1s[0];
+    const std::uint32_t rounds = L1Params{}.maxPrefetchInFlight + 1;
+    for (std::uint32_t i = 0; i < rounds; ++i) {
+        const Addr a = 0x40000 + static_cast<Addr>(i) * lineBytes;
+        l1.issuePrefetch(a);
+        bool done = false;
+        EXPECT_TRUE(l1.startLoad(a, 8, [&](std::uint64_t) {
+            done = true;
+        }));
+        f.eq.run();
+        EXPECT_TRUE(done);
+    }
+    EXPECT_EQ(l1.statGroup().value("prefetchesIssued"), rounds);
+    EXPECT_EQ(l1.statGroup().value("mshrMerges"), rounds);
+}
+
 TEST(Moesi, WritebackReachesL2ThenMemoryPath)
 {
     MiniFabric f;
