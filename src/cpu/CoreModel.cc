@@ -308,7 +308,7 @@ CoreModel::probeMemOp()
                 net.events().schedule(
                     localTick > now ? localTick : now,
                     [this, r = L1Retry{cur.addr, storeValue(), 0,
-                                       cur.size, true}] {
+                                       cur.refId, cur.size, true}] {
                         issueOrDefer(r);
                     });
             }
@@ -363,14 +363,16 @@ CoreModel::issueMemOp()
     // it is listed before the issue in case the L1 completes it
     // inline.
     window.push_back(WindowEntry{
-        seq, instrCount, cur.addr, val, cur.size, is_load, false,
+        seq, instrCount, cur.addr, val, cur.refId, cur.size, is_load,
+        false,
         !is_load && pendingFlavor == Flavor::GmMiss});
     std::uint32_t &pending = is_load ? pendingLoads : pendingStores;
     ++pending;
 
     switch (pendingFlavor) {
       case Flavor::GmMiss:
-        if (issueL1(L1Retry{cur.addr, val, seq, cur.size, !is_load}))
+        if (issueL1(L1Retry{cur.addr, val, seq, cur.refId, cur.size,
+                            !is_load}))
             return true;
         // Roll the allocation back, seq included; we retry on MSHR
         // free.
@@ -402,11 +404,11 @@ bool
 CoreModel::issueL1(const L1Retry &r)
 {
     if (r.seq == 0) {
-        // A write-through trains the prefetcher with the refId of the
-        // op the core is on when it runs, not the store's.
+        // A write-through trains the prefetcher with its store's
+        // refId, not that of the op the core is on when it runs.
         Tick lat = 0;
         return l1d.tryStore(r.addr, r.size, r.wdata, net.events().now(),
-                            cur.refId, lat) ||
+                            r.refId, lat) ||
                l1d.startStore(r.addr, r.size, r.wdata, nullptr);
     }
     auto done = [this, seq = r.seq](std::uint64_t) {
@@ -455,7 +457,8 @@ CoreModel::onGuardedResolved(std::uint64_t seq, bool by_spm)
     if (by_spm) {
         ++stGuardedRemoteSpm;
         if (!e.isLoad)
-            issueOrDefer(L1Retry{e.addr, e.value, 0, e.size, true});
+            issueOrDefer(
+                L1Retry{e.addr, e.value, 0, e.refId, e.size, true});
         onMemComplete(seq);
         return;
     }
@@ -463,7 +466,8 @@ CoreModel::onGuardedResolved(std::uint64_t seq, bool by_spm)
     // (Fig. 5c step 5). TLB energy is charged; its latency
     // overlapped with the FilterDir round trip.
     tlb.access(e.addr);
-    issueOrDefer(L1Retry{e.addr, e.value, seq, e.size, !e.isLoad});
+    issueOrDefer(
+        L1Retry{e.addr, e.value, seq, e.refId, e.size, !e.isLoad});
 }
 
 void

@@ -135,6 +135,7 @@ class CoreModel
         std::uint64_t instrNo;
         Addr addr;
         std::uint64_t value;    ///< store data (0 for a load)
+        std::uint32_t refId;    ///< trains the prefetcher on write-through
         std::uint8_t size;
         bool isLoad;
         bool done;
@@ -147,6 +148,7 @@ class CoreModel
         Addr addr;
         std::uint64_t wdata;
         std::uint64_t seq;
+        std::uint32_t refId;    ///< the op's static reference id
         std::uint8_t size;
         bool isWrite;
     };

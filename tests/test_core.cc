@@ -344,6 +344,55 @@ TEST(Core, GuardedStoreWritesSpmAndL1)
     EXPECT_EQ(*v, 1234u);
 }
 
+/**
+ * The L1 write of a guarded store the local SPM served trains the
+ * stride prefetcher under the store's own reference id, whatever op
+ * the core is on when the write runs. Each store of ref A (one line
+ * apart) is followed by a run of loads of ref B to one address, whose
+ * replays never train B's entry. A write-through filed under B breaks
+ * A's stride and mixes B's address into it.
+ */
+TEST(Core, GuardedWriteThroughTrainsItsOwnRefId)
+{
+    System sys(params4());
+    const Addr gm_base = 0x700000;
+    const Addr b_addr = 0x900000;
+    MicroOp cfg;
+    cfg.kind = OpKind::SetBufCfg;
+    cfg.count = 12;
+    MicroOp map;
+    map.kind = OpKind::MapBuffer;
+    map.addr = gm_base;
+    map.count = 1;
+    map.tag = 0;
+    MicroOp sync;
+    sync.kind = OpKind::DmaSync;
+    sync.tag = 1;
+    std::vector<MicroOp> ops{cfg, map, sync};
+    const int stores = 8;
+    for (int i = 0; i < stores; ++i) {
+        MicroOp st = store(gm_base + static_cast<Addr>(i) * lineBytes,
+                           static_cast<std::uint64_t>(i), true);
+        st.refId = 7;
+        ops.push_back(st);
+        for (int j = 0; j < 24; ++j) {
+            MicroOp ld = load(b_addr);
+            ld.refId = 8;
+            ops.push_back(ld);
+        }
+    }
+    runOps(sys, std::move(ops));
+    EXPECT_EQ(sys.coreAt(0).statGroup().value("guardedLocalSpm"),
+              std::uint64_t(stores));
+    // A's entry reaches confidence on its fourth write-through; the
+    // last five each prefetch 12 and 13 lines ahead (PrefetcherParams
+    // defaults): lines 15..20.
+    const L1Cache &l1 = sys.l1dAt(0);
+    EXPECT_EQ(l1.statGroup().value("prefetchesIssued"), 6u);
+    EXPECT_TRUE(l1.peekState(gm_base + (3 + 12) * lineBytes)
+                    .has_value());
+}
+
 TEST(Core, CacheOnlyModeTreatsGuardedAsPlain)
 {
     System sys(params4(SystemMode::CacheOnly));
