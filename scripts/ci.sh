@@ -140,6 +140,27 @@ echo "== full-stats regression check (EP 8-core vs golden) =="
 cmp "$BUILD_DIR"/ep8_full.json tests/golden/ep8_full.json || {
     echo "EP full-stats output diverged from the golden"; exit 1; }
 
+echo "== full-stats regression check (gather aliased 8-core vs golden) =="
+# The only golden whose guarded accesses are served by an SPM (local
+# and remote), so the L1 write of each such store runs.
+"$BUILD_DIR"/spmcoh_run --workload=gather --wparam=aliased=1 --cores=8 \
+    --mode=cache,hybrid-proto --jobs=2 --format=json \
+    > "$BUILD_DIR"/gather8_aliased_full.json
+cmp "$BUILD_DIR"/gather8_aliased_full.json \
+    tests/golden/gather8_aliased_full.json || {
+    echo "gather aliased full-stats output diverged from the golden"
+    exit 1; }
+
+echo "== full-stats regression check (stencil 8-core cache vs golden) =="
+# Long strided streams fill every prefetch slot, so this one covers the
+# L1's maxPrefetchInFlight throttle.
+"$BUILD_DIR"/spmcoh_run --workload=stencil --cores=8 --mode=cache \
+    --jobs=1 --format=json > "$BUILD_DIR"/stencil8_cache_full.json
+cmp "$BUILD_DIR"/stencil8_cache_full.json \
+    tests/golden/stencil8_cache_full.json || {
+    echo "stencil cache full-stats output diverged from the golden"
+    exit 1; }
+
 echo "== result regression check (pipeline 2-chip 16-core vs golden) =="
 "$BUILD_DIR"/spmcoh_run --workload=pipeline --cores=16 --chips=2 \
     --jobs=2 --format=json --no-stats > "$BUILD_DIR"/pipeline2x8.json
