@@ -66,10 +66,6 @@ class Barrier
     std::uint64_t generation() const { return generationCount; }
     std::uint32_t pendingArrivals() const
     { return static_cast<std::uint32_t>(waiting.size()); }
-    /** Size of the membership set this barrier counts. */
-    std::uint32_t expectedParties() const { return parties; }
-    /** Release latency this barrier was scoped with. */
-    Tick latency() const { return releaseLatency; }
 
   private:
     EventQueue &eq;

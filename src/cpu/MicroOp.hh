@@ -23,17 +23,6 @@ namespace spmcoh
 enum class ExecPhase : std::uint8_t { Control = 0, Sync = 1, Work = 2 };
 constexpr std::size_t numExecPhases = 3;
 
-inline const char *
-execPhaseName(ExecPhase p)
-{
-    switch (p) {
-      case ExecPhase::Control: return "Control";
-      case ExecPhase::Sync:    return "Sync";
-      case ExecPhase::Work:    return "Work";
-      default:                 return "?";
-    }
-}
-
 /** Micro-op kinds. */
 enum class OpKind : std::uint8_t
 {

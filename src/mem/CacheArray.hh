@@ -64,11 +64,6 @@ class CacheArray
             fatal("CacheArray: ways must be 1..64");
     }
 
-    std::uint32_t numSets() const { return sets; }
-    std::uint32_t numWays() const { return ways; }
-    std::uint64_t capacityLines() const
-    { return static_cast<std::uint64_t>(sets) * ways; }
-
     std::uint32_t
     setIndex(Addr line_addr) const
     {

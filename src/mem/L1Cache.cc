@@ -70,22 +70,33 @@ L1Cache::tryAccess(Addr addr, std::uint8_t size, bool is_write,
     trainPrefetcher(ref_id, addr, at);
     if (!line)
         return std::nullopt;
-    if (is_write && !proto.storeHits(line->state)) {
-        // Needs an upgrade (or an update round); async path.
-        return std::nullopt;
-    }
+    const std::optional<std::uint64_t> v =
+        perform(*line, addr, size, is_write, wdata);
+    if (!v)
+        return std::nullopt;    // upgrade or update round: async path
     if (line->prefetched && !line->used) {
         line->used = true;
         ++stUsefulPrefetches;
     }
     ++stHits;
     lat = p.hitLatency;
+    return v;
+}
+
+std::optional<std::uint64_t>
+L1Cache::perform(Line &line, Addr addr, std::uint8_t size,
+                 bool is_write, std::uint64_t wdata)
+{
+    const Transition &t = proto.transition(
+        line.state, is_write ? PEvent::Store : PEvent::Load);
+    if (!t.has(PAction::Hit))
+        return std::nullopt;
+    line.state = t.next;
     if (is_write) {
-        line->state = PState::M;
-        line->data.writeN(lineOffset(addr), size, wdata);
+        line.data.writeN(lineOffset(addr), size, wdata);
         return 0;
     }
-    return line->data.readN(lineOffset(addr), size);
+    return line.data.readN(lineOffset(addr), size);
 }
 
 bool
@@ -110,17 +121,9 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
     // A fill may have landed between the core's probe and this call;
     // complete inline without re-counting the access.
     if (Line *line = array.lookup(addr)) {
-        const bool writable = proto.storeHits(line->state);
-        if (!is_write || writable) {
-            std::uint64_t v = 0;
-            if (is_write) {
-                line->state = PState::M;
-                line->data.writeN(lineOffset(addr), size, wdata);
-            } else {
-                v = line->data.readN(lineOffset(addr), size);
-            }
+        if (const auto v = perform(*line, addr, size, is_write, wdata)) {
             if (on_done)
-                on_done(v);
+                on_done(*v);
             return true;
         }
     }
@@ -152,33 +155,46 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
         return false;
     }
     ++stMisses;
-    MshrEntry &e = mshr.alloc(la);
-    sampleMshrOccupancy();
-    e.wantExclusive = is_write;
-    e.isPrefetch = false;
-    e.issued = true;
+    MshrEntry &e = allocMshr(la, is_write, false);
     mshr.push(e.targets, std::move(tgt));
+    sendRequest(e);
+    return true;
+}
+
+MshrEntry &
+L1Cache::allocMshr(Addr line_addr, bool want_exclusive, bool prefetch)
+{
+    MshrEntry &e = mshr.alloc(line_addr);
+    sampleMshrOccupancy();
+    e.wantExclusive = want_exclusive;
+    e.isPrefetch = prefetch;
+    return e;
+}
+
+void
+L1Cache::sendRequest(const MshrEntry &e)
+{
+    const Addr la = e.lineAddr;
     if (icache) {
         sendToDir(MsgType::IfetchGet, la, TrafficClass::Ifetch, core);
-    } else if (is_write) {
-        const Line *resident = array.peek(la);
-        const PState st = resident ? resident->state : PState::I;
-        if (proto.storeRequest(st) == MsgType::UpdX) {
-            sendUpdX(la, mshr.front(e.targets));
-        } else {
-            // An upgrade from O must ship the dirty line with the
-            // GetX so the directory holds authoritative data even if
-            // we evict the line while the upgrade is in flight.
-            const bool dirty_upgrade =
-                resident && resident->state == PState::O;
-            sendToDir(MsgType::GetX, la, TrafficClass::Write, core,
-                      dirty_upgrade ? &resident->data : nullptr,
-                      dirty_upgrade);
-        }
-    } else {
-        sendToDir(MsgType::GetS, la, TrafficClass::Read, core);
+        return;
     }
-    return true;
+    if (!e.wantExclusive) {
+        sendToDir(MsgType::GetS, la, TrafficClass::Read, core);
+        return;
+    }
+    const Line *resident = array.peek(la);
+    const PState st = resident ? resident->state : PState::I;
+    if (proto.transition(st, PEvent::Store).has(PAction::IssueUpdX)) {
+        sendUpdX(la, mshr.front(e.targets));
+        return;
+    }
+    // An upgrade from a dirty state (O) ships the line with the GetX
+    // so the directory holds authoritative data even if we evict the
+    // line while the upgrade is in flight.
+    const bool dirty = resident && isDirty(st);
+    sendToDir(MsgType::GetX, la, TrafficClass::Write, core,
+              dirty ? &resident->data : nullptr, dirty);
 }
 
 void
@@ -192,13 +208,9 @@ L1Cache::issuePrefetch(Addr line_addr)
         return;
     if (mshr.full() || prefetchesInFlight >= p.maxPrefetchInFlight)
         return;
-    MshrEntry &e = mshr.alloc(line_addr);
-    sampleMshrOccupancy();
-    e.isPrefetch = true;
-    e.issued = true;
     ++prefetchesInFlight;
     ++stPrefetchesIssued;
-    sendToDir(MsgType::GetS, line_addr, TrafficClass::Read, core);
+    sendRequest(allocMshr(line_addr, false, true));
 }
 
 void
@@ -305,48 +317,31 @@ L1Cache::processTargets(Addr line_addr, bool first_write_done)
         panic("L1Cache: lost line while draining targets");
 
     while (!targets.empty()) {
-        if (mshr.front(targets).isWrite) {
-            if (first_write_done) {
-                // The home slice already applied this store as part
-                // of the update round that produced the fill.
-                first_write_done = false;
-                MshrTarget t = mshr.pop(targets);
-                if (t.onDone)
-                    t.onDone(0);
-                continue;
-            }
-            if (!proto.storeHits(line->state)) {
-                // Need write permission (or another update round):
-                // re-issue and keep the remaining targets buffered.
-                MshrEntry &ne = mshr.alloc(line_addr);
-                sampleMshrOccupancy();
-                ne.wantExclusive = true;
-                ne.isPrefetch = false;
-                ne.issued = true;
-                ne.targets = targets;
-                ++stUpgrades;
-                if (proto.storeRequest(line->state) == MsgType::UpdX) {
-                    sendUpdX(line_addr, mshr.front(ne.targets));
-                } else {
-                    sendToDir(MsgType::GetX, line_addr,
-                              TrafficClass::Write, core);
-                }
-                return;
-            }
-            MshrTarget t = mshr.pop(targets);
-            line->state = PState::M;
-            line->data.writeN(lineOffset(t.addr), t.size, t.wdata);
-            if (t.onDone)
-                t.onDone(0);
+        const MshrTarget &t = mshr.front(targets);
+        std::optional<std::uint64_t> v;
+        if (t.isWrite && first_write_done) {
+            // The home slice already applied this store as part of
+            // the update round that produced the fill.
+            first_write_done = false;
+            v = 0;
         } else {
-            MshrTarget t = mshr.pop(targets);
-            const std::uint64_t v =
-                line->data.readN(lineOffset(t.addr), t.size);
-            if (t.onDone)
-                t.onDone(v);
+            v = perform(*line, t.addr, t.size, t.isWrite, t.wdata);
         }
+        if (!v) {
+            // Need write permission (or another update round):
+            // re-issue and keep the remaining targets buffered.
+            MshrEntry &ne = allocMshr(line_addr, true, false);
+            ne.targets = targets;
+            ++stUpgrades;
+            sendRequest(ne);
+            return;
+        }
+        MshrTarget done = mshr.pop(targets);
+        if (done.onDone)
+            done.onDone(*v);
     }
-    notifyMshrFree();
+    if (mshrFreeCb)
+        mshrFreeCb();
 }
 
 void
@@ -372,18 +367,26 @@ L1Cache::evict(Addr line_addr, Line &&victim)
         ++stWastedPrefetches;
     if (icache)
         return;     // untracked read-only lines vanish silently
-    const MsgType put = proto.replacement(victim.state);
+    const Transition &t = proto.transition(victim.state, PEvent::Replace);
     WbEntry &wb = wbBuffer[line_addr];
     wb.state = victim.state;
     wb.data = victim.data;
     ++wb.pendingPuts;
-    if (put == MsgType::PutM) {
+    if (t.has(PAction::PutDirty)) {
         ++stDirtyWritebacks;
         sendToDir(MsgType::PutM, line_addr, TrafficClass::WbRepl, core,
                   &victim.data, true);
     } else {
-        sendToDir(put, line_addr, TrafficClass::WbRepl, core);
+        sendToDir(t.has(PAction::PutClean) ? MsgType::PutE
+                                           : MsgType::PutS,
+                  line_addr, TrafficClass::WbRepl, core);
     }
+}
+
+bool
+L1Cache::isDirty(PState s) const
+{
+    return proto.transition(s, PEvent::Replace).has(PAction::PutDirty);
 }
 
 void
@@ -397,17 +400,19 @@ L1Cache::onFwd(const Message &msg)
     bool dirty = false;
     if (Line *line = array.lookup(la)) {
         data = line->data;
-        dirty = line->state == PState::M || line->state == PState::O;
-        if (is_getx) {
+        dirty = isDirty(line->state);
+        const PState next =
+            proto.transition(line->state, is_getx ? PEvent::FwdGetX
+                                                  : PEvent::FwdGetS)
+                .next;
+        if (next == PState::I)
             array.invalidate(la);
-        } else {
-            line->state = proto.afterFwdGetS(line->state);
-        }
+        else
+            line->state = next;
     } else if (WbEntry *wb = wbBuffer.find(la)) {
         // Eviction raced with the forward: serve from the buffer.
         data = wb->data;
-        dirty = wb->state == PState::M ||
-                wb->state == PState::O;
+        dirty = isDirty(wb->state);
         if (is_getx)
             wb->state = PState::S;  // data handed over
         ++stForwardsFromWbBuffer;
@@ -431,12 +436,10 @@ L1Cache::onInv(const Message &msg)
     LineData data;
     bool dirty = false;
     if (auto victim = array.invalidate(la)) {
-        dirty = victim->state == PState::M ||
-                victim->state == PState::O;
+        dirty = isDirty(victim->state);
         data = victim->data;
     } else if (WbEntry *wb = wbBuffer.find(la)) {
-        dirty = wb->state == PState::M ||
-                wb->state == PState::O;
+        dirty = isDirty(wb->state);
         data = wb->data;
         wb->state = PState::S;  // data handed over
     }
@@ -511,13 +514,6 @@ L1Cache::sendToDir(MsgType t, Addr line_addr, TrafficClass cls,
     if (d)
         m.data = *d;
     net.send(core, Endpoint::Dir, net.homeSlice(line_addr), m, cls);
-}
-
-void
-L1Cache::notifyMshrFree()
-{
-    if (mshrFreeCb)
-        mshrFreeCb();
 }
 
 } // namespace spmcoh

@@ -3,15 +3,18 @@
  * L1 cache controller (data or instruction).
  *
  * Timing/coherence model:
- *  - Loads that hit (any valid stable state) and stores the protocol
- *    table marks as hits complete synchronously through
+ *  - Every protocol decision is a lookup in the CoherenceProtocol
+ *    table the cache was built with (src/protocols/): which accesses
+ *    hit and the state they leave, which request a miss issues, how
+ *    forwards and replacements transition, and which states are dirty
+ *    (their Replace edge writes the line back).
+ *  - Accesses the table marks as hits complete synchronously through
  *    tryLoad/tryStore, so the core can consume long hit runs without
- *    event-queue round trips.
+ *    event-queue round trips. One step, perform(), applies a hit;
+ *    it also completes inline accesses and drained MSHR targets.
  *  - Everything else (misses, upgrades, update-based stores)
- *    allocates an MSHR and drives a blocking-directory transaction
- *    over the mesh; which request is issued and how forwards and
- *    replacements transition is looked up in the CoherenceProtocol
- *    the cache was built with (src/protocols/).
+ *    opens an MSHR (allocMshr) and sends its request (sendRequest),
+ *    driving a blocking-directory transaction over the mesh.
  *  - Evicted lines sit in a writeback buffer until the directory
  *    acknowledges the Put, and still service forwards/invalidations,
  *    which closes the classic eviction/forward race.
@@ -71,8 +74,8 @@ class L1Cache
             Tick &lat);
 
     /**
-     * Synchronous store: completes iff the line is resident with
-     * write permission per the protocol table (E or M classically).
+     * Synchronous store: completes iff the line is resident in a
+     * state whose Store edge is a hit (E or M classically).
      * @return true if performed
      */
     bool
@@ -145,10 +148,30 @@ class L1Cache
               std::uint64_t wdata, Tick at, std::uint32_t ref_id,
               Tick &lat);
 
+    /**
+     * Complete an access on a resident line if its Load/Store edge is
+     * a hit: apply it and move to the edge's next state.
+     * @return the loaded value (0 for a store), or nullopt when the
+     *  edge issues a request instead
+     */
+    std::optional<std::uint64_t>
+    perform(Line &line, Addr addr, std::uint8_t size, bool is_write,
+            std::uint64_t wdata);
+
     bool
     startAccess(Addr addr, std::uint8_t size, bool is_write,
                 std::uint64_t wdata,
                 std::function<void(std::uint64_t)> on_done);
+
+    /** Open an MSHR for @p line_addr. @pre !mshr.full() */
+    MshrEntry &allocMshr(Addr line_addr, bool want_exclusive,
+                         bool prefetch);
+    /** Send @p e's request: IfetchGet on the icache, GetS for a read
+     *  or prefetch, and for a store whatever the table's Store edge
+     *  issues (UpdX, or a GetX that ships the line when dirty). */
+    void sendRequest(const MshrEntry &e);
+    /** True when the Replace edge of @p s writes the line back. */
+    bool isDirty(PState s) const;
 
     void onFill(const Message &msg);
     void onFwd(const Message &msg);
@@ -170,7 +193,6 @@ class L1Cache
     /** Ship one store word to the home slice (update-based). */
     void sendUpdX(Addr line_addr, const MshrTarget &t);
     void trainPrefetcher(std::uint32_t ref_id, Addr addr, Tick at);
-    void notifyMshrFree();
     /** Record the post-transition MSHR file occupancy. */
     void sampleMshrOccupancy() { mshrOccupancy.sample(mshr.used()); }
 

@@ -80,9 +80,6 @@ class MemNet
     void setHomeAgent(HomeAgent *a) { agent = a; }
     HomeAgent *homeAgent() { return agent; }
 
-    std::uint32_t numMemCtrls() const
-    { return static_cast<std::uint32_t>(mcTiles.size()); }
-
     /** Register the handler for an endpoint. */
     void
     setHandler(Endpoint ep, std::uint32_t id, Handler h)

@@ -49,7 +49,6 @@ struct MshrEntry
 {
     Addr lineAddr = 0;
     bool wantExclusive = false; ///< GetX issued (or will be)
-    bool issued = false;        ///< request left the cache
     bool isPrefetch = true;     ///< only prefetch targets so far
     MshrChain targets;          ///< merged accesses, oldest first
 };

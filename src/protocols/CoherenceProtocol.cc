@@ -1,9 +1,12 @@
 /**
  * @file
- * Protocol-state / event name tables for diagnostics.
+ * Protocol-state / event name tables for diagnostics, and the
+ * illegal-edge report.
  */
 
 #include "protocols/CoherenceProtocol.hh"
+
+#include "sim/Logging.hh"
 
 namespace spmcoh
 {
@@ -34,6 +37,13 @@ peventName(PEvent e)
       case PEvent::Replace: return "Replace";
     }
     return "?";
+}
+
+void
+CoherenceProtocol::illegal(PState s, PEvent e) const
+{
+    fatal("protocol '" + nm + "': illegal transition (" + pstateName(s) +
+          ", " + peventName(e) + ")");
 }
 
 } // namespace spmcoh

@@ -3,16 +3,16 @@
  * Pluggable coherence-protocol interface (ROADMAP "protocol arena").
  *
  * A CoherenceProtocol is a table-driven state machine: the cache
- * controllers look transitions up as (state, event) -> {next state,
- * actions} instead of hard-coding one protocol's casuistic, and the
- * directory consults policy hooks for the decisions that differ
- * between protocol families (does a dirty owner keep the line in O
- * when a reader arrives? are stores to shared lines update-based or
- * invalidation-based?). The SPM guarded-access dispatch of Fig. 5 is
- * expressed as a second, tiny table so the CohController routes its
- * casuistic through the same object.
+ * controllers look every transition up as (state, event) -> {next
+ * state, actions} instead of hard-coding one protocol's casuistic.
+ * The table is the only protocol knowledge: the directory's policy
+ * hooks (does a dirty owner keep the line in O when a reader
+ * arrives? are stores to shared lines update-based?) are read from
+ * it. The SPM guarded-access dispatch of Fig. 5 is expressed as a
+ * second, tiny table so the CohController routes its casuistic
+ * through the same object.
  *
- * Concrete protocols (the default MOESI directory machine that
+ * The built-in tables (the default MOESI directory machine that
  * matches the paper's hybrid system, plain MESI without
  * owner-forwarding, and an update-based Dragon variant) are built
  * and registered by ProtocolFactory.
@@ -25,7 +25,6 @@
 #include <string>
 
 #include "mem/Messages.hh"
-#include "sim/Logging.hh"
 
 namespace spmcoh
 {
@@ -80,10 +79,11 @@ const char *pstateName(PState s);
 const char *peventName(PEvent e);
 
 /**
- * Abstract coherence protocol: a transition table plus the directory
- * policy hooks that distinguish protocol families. Instances are
- * immutable after construction and shared by every controller in a
- * System, so all methods are const and thread-safe.
+ * A coherence protocol: one transition table. The cache controllers
+ * look every transition up in it, and the directory's policy hooks
+ * are read from it too. Instances are immutable once registered and
+ * shared by every controller in a System, so all queries are const
+ * and thread-safe.
  */
 class CoherenceProtocol
 {
@@ -92,8 +92,6 @@ class CoherenceProtocol
         : nm(std::move(name)), desc(std::move(description))
     {}
 
-    virtual ~CoherenceProtocol() = default;
-
     const std::string &name() const { return nm; }
     const std::string &description() const { return desc; }
 
@@ -101,76 +99,52 @@ class CoherenceProtocol
     const Transition &
     transition(PState s, PEvent e) const
     {
-        const Transition &t =
-            tbl[static_cast<std::size_t>(s)][static_cast<std::size_t>(e)];
+        const Transition &t = edge(s, e);
         if (!t.legal)
-            fatal("protocol '" + nm + "': illegal transition (" +
-                  pstateName(s) + ", " + peventName(e) + ")");
+            illegal(s, e);
         return t;
     }
 
-    /** True when a load in @p s completes without a transaction. */
-    bool
-    loadHits(PState s) const
+    /** Install one edge (builder-side, before registration). */
+    void
+    set(PState s, PEvent e, PState next, PAction a0,
+        PAction a1 = PAction::None)
     {
-        return transition(s, PEvent::Load).has(PAction::Hit);
+        Transition &t =
+            tbl[static_cast<std::size_t>(s)][static_cast<std::size_t>(e)];
+        t.legal = true;
+        t.next = next;
+        t.actions[0] = a0;
+        t.actions[1] = a1;
     }
 
-    /** True when a store in @p s completes without a transaction. */
-    bool
-    storeHits(PState s) const
-    {
-        return transition(s, PEvent::Store).has(PAction::Hit);
-    }
-
-    /** Request opcode a store from @p s must issue (GetX or UpdX). */
-    MsgType
-    storeRequest(PState s) const
-    {
-        const Transition &t = transition(s, PEvent::Store);
-        if (t.has(PAction::IssueUpdX))
-            return MsgType::UpdX;
-        if (t.has(PAction::IssueGetX))
-            return MsgType::GetX;
-        fatal("protocol '" + nm + "': store in state " +
-              pstateName(s) + " issues no request");
-    }
-
-    /** Our state after serving a forwarded read. */
-    PState
-    afterFwdGetS(PState s) const
-    {
-        return transition(s, PEvent::FwdGetS).next;
-    }
-
-    /** Put opcode for replacing a line held in @p s. */
-    MsgType
-    replacement(PState s) const
-    {
-        const Transition &t = transition(s, PEvent::Replace);
-        if (t.has(PAction::PutDirty))
-            return MsgType::PutM;
-        if (t.has(PAction::PutClean))
-            return MsgType::PutE;
-        return MsgType::PutS;
-    }
-
-    // ---------------------------------------- directory policy hooks
+    // ------------------------ directory policy hooks (from the table)
 
     /**
      * MOESI owner-forwarding: a dirty owner answering a GetS keeps
-     * the line (Excl -> Owned at the directory). Protocols without
-     * an Owned state downgrade the owner to S and push the dirty
-     * data into the L2 slice instead.
+     * the line, i.e. the (M, FwdGetS) edge leads to O (Excl -> Owned
+     * at the directory). Protocols without an Owned state downgrade
+     * the owner to S and push the dirty data into the L2 slice
+     * instead.
      */
-    virtual bool ownerKeepsDirtyOnGetS() const = 0;
+    bool
+    ownerKeepsDirtyOnGetS() const
+    {
+        const Transition &t = edge(PState::M, PEvent::FwdGetS);
+        return t.legal && t.next == PState::O;
+    }
 
     /**
-     * Update-based writes (Dragon): stores to shared lines are
-     * applied at the directory and pushed to the sharers instead of
-     * invalidating them.
+     * Update-based writes (Dragon): a store to a shared line issues
+     * UpdX, so the directory applies it and pushes the line to the
+     * sharers instead of invalidating them.
      */
-    virtual bool updateBased() const = 0;
+    bool
+    updateBased() const
+    {
+        const Transition &t = edge(PState::S, PEvent::Store);
+        return t.legal && t.has(PAction::IssueUpdX);
+    }
 
     // ------------------------- SPM guarded-access dispatch (Fig. 5)
 
@@ -196,26 +170,22 @@ class CoherenceProtocol
         return guard[static_cast<std::size_t>(e)];
     }
 
-  protected:
-    /** Install one edge (builder-side, during construction only). */
-    void
-    set(PState s, PEvent e, PState next, PAction a0,
-        PAction a1 = PAction::None)
-    {
-        Transition &t =
-            tbl[static_cast<std::size_t>(s)][static_cast<std::size_t>(e)];
-        t.legal = true;
-        t.next = next;
-        t.actions[0] = a0;
-        t.actions[1] = a1;
-    }
-
+  private:
     /** Fig. 5 dispatch shared by every registered protocol today. */
     GuardAction guard[3] = {GuardAction::DivertLocalSpm,
                             GuardAction::UseCacheHierarchy,
                             GuardAction::ConsultDirectory};
 
-  private:
+    const Transition &
+    edge(PState s, PEvent e) const
+    {
+        return tbl[static_cast<std::size_t>(s)]
+                  [static_cast<std::size_t>(e)];
+    }
+
+    /** Report an illegal edge (out of line: keeps lookups lean). */
+    [[noreturn]] void illegal(PState s, PEvent e) const;
+
     std::string nm;
     std::string desc;
     Transition tbl[numPStates][numPEvents];

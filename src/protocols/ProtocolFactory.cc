@@ -2,7 +2,8 @@
  * @file
  * Built-in coherence protocols and the global factory.
  *
- * Three machines are registered:
+ * Each built-in protocol is a function that fills one transition
+ * table. Three machines are registered:
  *
  *  - MOESI with owner-forwarding (under both "spm-hybrid", the
  *    default that the paper's hybrid system runs on, and the alias
@@ -20,127 +21,107 @@
 
 #include "protocols/ProtocolFactory.hh"
 
+#include "sim/Logging.hh"
+
 namespace spmcoh
 {
 
 namespace
 {
 
+using Proto = std::unique_ptr<CoherenceProtocol>;
+
 /** MOESI directory machine with owner-forwarding. */
-class MoesiProtocol final : public CoherenceProtocol
+Proto
+moesi(std::string name, std::string desc)
 {
-  public:
-    MoesiProtocol(std::string name, std::string desc)
-        : CoherenceProtocol(std::move(name), std::move(desc))
-    {
-        set(PState::I, PEvent::Load, PState::S, PAction::IssueGetS);
-        for (PState s : {PState::S, PState::E, PState::O, PState::M})
-            set(s, PEvent::Load, s, PAction::Hit);
+    auto p = std::make_unique<CoherenceProtocol>(std::move(name),
+                                                 std::move(desc));
+    p->set(PState::I, PEvent::Load, PState::S, PAction::IssueGetS);
+    for (PState s : {PState::S, PState::E, PState::O, PState::M})
+        p->set(s, PEvent::Load, s, PAction::Hit);
 
-        set(PState::I, PEvent::Store, PState::M, PAction::IssueGetX);
-        set(PState::S, PEvent::Store, PState::M, PAction::IssueGetX);
-        set(PState::E, PEvent::Store, PState::M, PAction::Hit);
-        set(PState::O, PEvent::Store, PState::M, PAction::IssueGetX);
-        set(PState::M, PEvent::Store, PState::M, PAction::Hit);
+    p->set(PState::I, PEvent::Store, PState::M, PAction::IssueGetX);
+    p->set(PState::S, PEvent::Store, PState::M, PAction::IssueGetX);
+    p->set(PState::E, PEvent::Store, PState::M, PAction::Hit);
+    p->set(PState::O, PEvent::Store, PState::M, PAction::IssueGetX);
+    p->set(PState::M, PEvent::Store, PState::M, PAction::Hit);
 
-        // A dirty owner serving a read keeps the line (-> Owned).
-        set(PState::S, PEvent::FwdGetS, PState::S, PAction::SendData);
-        set(PState::E, PEvent::FwdGetS, PState::S, PAction::SendData);
-        set(PState::O, PEvent::FwdGetS, PState::O, PAction::SendData);
-        set(PState::M, PEvent::FwdGetS, PState::O, PAction::SendData);
+    // A dirty owner serving a read keeps the line (-> Owned).
+    p->set(PState::S, PEvent::FwdGetS, PState::S, PAction::SendData);
+    p->set(PState::E, PEvent::FwdGetS, PState::S, PAction::SendData);
+    p->set(PState::O, PEvent::FwdGetS, PState::O, PAction::SendData);
+    p->set(PState::M, PEvent::FwdGetS, PState::O, PAction::SendData);
 
-        for (PState s : {PState::S, PState::E, PState::O, PState::M}) {
-            set(s, PEvent::FwdGetX, PState::I, PAction::SendData);
-            set(s, PEvent::Inv, PState::I, PAction::SendData);
-        }
-
-        set(PState::S, PEvent::Replace, PState::I, PAction::PutShared);
-        set(PState::E, PEvent::Replace, PState::I, PAction::PutClean);
-        set(PState::O, PEvent::Replace, PState::I, PAction::PutDirty);
-        set(PState::M, PEvent::Replace, PState::I, PAction::PutDirty);
+    for (PState s : {PState::S, PState::E, PState::O, PState::M}) {
+        p->set(s, PEvent::FwdGetX, PState::I, PAction::SendData);
+        p->set(s, PEvent::Inv, PState::I, PAction::SendData);
     }
 
-    bool ownerKeepsDirtyOnGetS() const override { return true; }
-    bool updateBased() const override { return false; }
-};
+    p->set(PState::S, PEvent::Replace, PState::I, PAction::PutShared);
+    p->set(PState::E, PEvent::Replace, PState::I, PAction::PutClean);
+    p->set(PState::O, PEvent::Replace, PState::I, PAction::PutDirty);
+    p->set(PState::M, PEvent::Replace, PState::I, PAction::PutDirty);
+    return p;
+}
 
-/** Plain MESI: no Owned state, no owner-forwarding retention. */
-class MesiProtocol final : public CoherenceProtocol
+/**
+ * The rows plain MESI and Dragon share: no Owned state, so a dirty
+ * owner serving a read hands the line back and downgrades to S.
+ */
+Proto
+mesiFamily(std::string name, std::string desc)
 {
-  public:
-    MesiProtocol(std::string name, std::string desc)
-        : CoherenceProtocol(std::move(name), std::move(desc))
-    {
-        set(PState::I, PEvent::Load, PState::S, PAction::IssueGetS);
-        for (PState s : {PState::S, PState::E, PState::M})
-            set(s, PEvent::Load, s, PAction::Hit);
+    auto p = std::make_unique<CoherenceProtocol>(std::move(name),
+                                                 std::move(desc));
+    p->set(PState::I, PEvent::Load, PState::S, PAction::IssueGetS);
+    for (PState s : {PState::S, PState::E, PState::M})
+        p->set(s, PEvent::Load, s, PAction::Hit);
 
-        set(PState::I, PEvent::Store, PState::M, PAction::IssueGetX);
-        set(PState::S, PEvent::Store, PState::M, PAction::IssueGetX);
-        set(PState::E, PEvent::Store, PState::M, PAction::Hit);
-        set(PState::M, PEvent::Store, PState::M, PAction::Hit);
+    p->set(PState::E, PEvent::Store, PState::M, PAction::Hit);
+    p->set(PState::M, PEvent::Store, PState::M, PAction::Hit);
 
-        // A dirty owner serving a read hands the line back and
-        // downgrades to S; the directory's L2 slice absorbs it.
-        set(PState::S, PEvent::FwdGetS, PState::S, PAction::SendData);
-        set(PState::E, PEvent::FwdGetS, PState::S, PAction::SendData);
-        set(PState::M, PEvent::FwdGetS, PState::S, PAction::SendData);
+    p->set(PState::S, PEvent::FwdGetS, PState::S, PAction::SendData);
+    p->set(PState::E, PEvent::FwdGetS, PState::S, PAction::SendData);
+    p->set(PState::M, PEvent::FwdGetS, PState::S, PAction::SendData);
 
-        for (PState s : {PState::S, PState::E, PState::M}) {
-            set(s, PEvent::FwdGetX, PState::I, PAction::SendData);
-            set(s, PEvent::Inv, PState::I, PAction::SendData);
-        }
-
-        set(PState::S, PEvent::Replace, PState::I, PAction::PutShared);
-        set(PState::E, PEvent::Replace, PState::I, PAction::PutClean);
-        set(PState::M, PEvent::Replace, PState::I, PAction::PutDirty);
+    for (PState s : {PState::S, PState::E, PState::M}) {
+        p->set(s, PEvent::FwdGetX, PState::I, PAction::SendData);
+        p->set(s, PEvent::Inv, PState::I, PAction::SendData);
     }
 
-    bool ownerKeepsDirtyOnGetS() const override { return false; }
-    bool updateBased() const override { return false; }
-};
+    p->set(PState::S, PEvent::Replace, PState::I, PAction::PutShared);
+    p->set(PState::E, PEvent::Replace, PState::I, PAction::PutClean);
+    p->set(PState::M, PEvent::Replace, PState::I, PAction::PutDirty);
+    return p;
+}
+
+/** Plain MESI: no Owned state; the home L2 slice absorbs the dirty
+ *  line a downgraded owner hands back. */
+Proto
+mesi(std::string name, std::string desc)
+{
+    Proto p = mesiFamily(std::move(name), std::move(desc));
+    p->set(PState::I, PEvent::Store, PState::M, PAction::IssueGetX);
+    p->set(PState::S, PEvent::Store, PState::M, PAction::IssueGetX);
+    return p;
+}
 
 /** Dragon-style write-update protocol (directory-ordered). */
-class DragonProtocol final : public CoherenceProtocol
+Proto
+dragon(std::string name, std::string desc)
 {
-  public:
-    DragonProtocol(std::string name, std::string desc)
-        : CoherenceProtocol(std::move(name), std::move(desc))
-    {
-        set(PState::I, PEvent::Load, PState::S, PAction::IssueGetS);
-        for (PState s : {PState::S, PState::E, PState::M})
-            set(s, PEvent::Load, s, PAction::Hit);
-
-        // Stores to shared (or untracked) lines ship the word to the
-        // home slice; exclusive holders write locally as usual. The
-        // home slice answers DataM (ownership grant) when nobody
-        // else caches the line, or UpdData after fanning updates out
-        // to the sharers.
-        set(PState::I, PEvent::Store, PState::M, PAction::IssueUpdX);
-        set(PState::S, PEvent::Store, PState::S, PAction::IssueUpdX);
-        set(PState::E, PEvent::Store, PState::M, PAction::Hit);
-        set(PState::M, PEvent::Store, PState::M, PAction::Hit);
-
-        set(PState::S, PEvent::FwdGetS, PState::S, PAction::SendData);
-        set(PState::E, PEvent::FwdGetS, PState::S, PAction::SendData);
-        set(PState::M, PEvent::FwdGetS, PState::S, PAction::SendData);
-
-        for (PState s : {PState::S, PState::E, PState::M}) {
-            set(s, PEvent::FwdGetX, PState::I, PAction::SendData);
-            set(s, PEvent::Inv, PState::I, PAction::SendData);
-        }
-
-        // Sharers overwrite their copy with the pushed line.
-        set(PState::S, PEvent::Update, PState::S, PAction::Apply);
-
-        set(PState::S, PEvent::Replace, PState::I, PAction::PutShared);
-        set(PState::E, PEvent::Replace, PState::I, PAction::PutClean);
-        set(PState::M, PEvent::Replace, PState::I, PAction::PutDirty);
-    }
-
-    bool ownerKeepsDirtyOnGetS() const override { return false; }
-    bool updateBased() const override { return true; }
-};
+    Proto p = mesiFamily(std::move(name), std::move(desc));
+    // Stores to shared (or untracked) lines ship the word to the
+    // home slice; exclusive holders write locally as usual. The home
+    // slice answers DataM (ownership grant) when nobody else caches
+    // the line, or UpdData after fanning updates out to the sharers.
+    p->set(PState::I, PEvent::Store, PState::M, PAction::IssueUpdX);
+    p->set(PState::S, PEvent::Store, PState::S, PAction::IssueUpdX);
+    // Sharers overwrite their copy with the pushed line.
+    p->set(PState::S, PEvent::Update, PState::S, PAction::Apply);
+    return p;
+}
 
 } // namespace
 
@@ -149,22 +130,16 @@ ProtocolFactory::global()
 {
     static ProtocolFactory f = [] {
         ProtocolFactory g;
-        g.add(std::make_unique<MoesiProtocol>(
-            defaultName(),
-            "MOESI directory with owner-forwarding; the paper's "
-            "hybrid machine (default)"));
-        g.add(std::make_unique<MoesiProtocol>(
-            "moesi",
-            "MOESI directory with owner-forwarding (alias of "
-            "spm-hybrid)"));
-        g.add(std::make_unique<MesiProtocol>(
-            "mesi",
-            "plain MESI: dirty owner-forwards downgrade to S and "
-            "write through to the L2 slice"));
-        g.add(std::make_unique<DragonProtocol>(
-            "dragon",
-            "Dragon-style write-update: stores to shared lines fan "
-            "updates out to the sharers"));
+        g.add(moesi(defaultName(),
+                    "MOESI directory with owner-forwarding; the "
+                    "paper's hybrid machine (default)"));
+        g.add(moesi("moesi", "MOESI directory with owner-forwarding "
+                             "(alias of spm-hybrid)"));
+        g.add(mesi("mesi", "plain MESI: dirty owner-forwards downgrade "
+                           "to S and write through to the L2 slice"));
+        g.add(dragon("dragon", "Dragon-style write-update: stores to "
+                               "shared lines fan updates out to the "
+                               "sharers"));
         return g;
     }();
     return f;

@@ -40,8 +40,6 @@ class PseudoLru
             bitsBig.assign(treeWays, false);
     }
 
-    std::uint32_t ways() const { return numWays; }
-
     /** Mark @p way most-recently used. */
     void
     touch(std::uint32_t way)

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -169,18 +168,6 @@ class StatGroup
         for (const auto &kv : hists)
             v.histogram(kv.first, kv.second);
         v.endGroup();
-    }
-
-    /** Dump "group.key value" lines. */
-    void
-    dump(std::ostream &os) const
-    {
-        for (const auto &kv : counters)
-            os << _name << '.' << kv.first << ' '
-               << kv.second.value() << '\n';
-        for (const auto &kv : hists)
-            os << _name << '.' << kv.first << ".mean "
-               << kv.second.mean() << '\n';
     }
 
   private:

@@ -42,7 +42,6 @@ class AddressMap
             fatal("AddressMap: SPM size must be a power of two");
     }
 
-    std::uint32_t spmSize() const { return spmBytes; }
     std::uint32_t cores() const { return numCores; }
 
     /** Range check performed before any MMU action (Sec. 2.1). */

@@ -284,8 +284,9 @@ TEST(LineData, SubWordAccess)
 }
 
 /**
- * Small two-core fabric for directed MOESI tests: 2 L1s, 2 directory
- * slices, one memory controller.
+ * Small two-core fabric for directed protocol tests: 2 L1s, 2
+ * directory slices, one memory controller, running @p proto (the
+ * default MOESI machine unless given).
  */
 struct MiniFabric
 {
@@ -297,7 +298,9 @@ struct MiniFabric
     std::vector<std::unique_ptr<DirectorySlice>> dirs;
     std::vector<std::unique_ptr<L1Cache>> l1s;
 
-    explicit MiniFabric(std::uint32_t cores = 2)
+    explicit MiniFabric(std::uint32_t cores = 2,
+                        const CoherenceProtocol &proto =
+                            ProtocolFactory::defaultProtocol())
         : mesh(eq, MeshParams{.width = cores, .height = 1})
     {
         net = std::make_unique<MemNet>(eq, mesh, cores,
@@ -310,13 +313,13 @@ struct MiniFabric
         for (CoreId i = 0; i < cores; ++i) {
             dirs.push_back(std::make_unique<DirectorySlice>(
                 *net, i, DirSliceParams{},
-                "dir" + std::to_string(i)));
+                "dir" + std::to_string(i), proto));
             DirectorySlice *d = dirs.back().get();
             net->setHandler(Endpoint::Dir, i,
                             [d](const Message &m) { d->handle(m); });
             l1s.push_back(std::make_unique<L1Cache>(
                 *net, i, false, L1Params{},
-                "l1d" + std::to_string(i)));
+                "l1d" + std::to_string(i), proto));
             L1Cache *l1 = l1s.back().get();
             net->setHandler(Endpoint::L1D, i,
                             [l1](const Message &m) { l1->handle(m); });
@@ -419,6 +422,61 @@ TEST(Moesi, StoreToOwnedUpgradesAndInvalidates)
     EXPECT_EQ(*f.l1s[0]->peekState(0x10000), PState::M);
     EXPECT_FALSE(f.l1s[1]->peekState(0x10000).has_value());
     EXPECT_EQ(f.load(1, 0x10000), 2u);
+}
+
+/**
+ * An upgrade from O must ship the dirty line with its GetX: the
+ * directory has no other copy of it (the owner never wrote it back),
+ * so a GetX without data would be answered with the stale line from
+ * memory and lose the owner's earlier store to another word.
+ */
+TEST(Moesi, OwnedUpgradeShipsTheDirtyLine)
+{
+    MiniFabric f;
+    const Addr a = 0x10000;
+    f.store(0, a, 1);       // M at core 0
+    f.load(1, a);           // O at 0, S at 1
+    f.store(0, a + 8, 2);   // upgrade from O, other word
+    EXPECT_EQ(*f.l1s[0]->peekState(a), PState::M);
+    EXPECT_EQ(f.load(1, a), 1u);
+    EXPECT_EQ(f.load(1, a + 8), 2u);
+}
+
+/** A store hit takes the Store edge's next state: E -> M, so a later
+ *  eviction writes the line back. */
+TEST(Moesi, StoreHitOnExclusiveMovesToModified)
+{
+    MiniFabric f;
+    const Addr a = 0x10000;
+    f.load(0, a);
+    ASSERT_EQ(*f.l1s[0]->peekState(a), PState::E);
+    Tick lat = 0;
+    EXPECT_TRUE(f.l1s[0]->tryStore(a, 8, 9, f.eq.now(), 1, lat));
+    EXPECT_EQ(*f.l1s[0]->peekState(a), PState::M);
+}
+
+/**
+ * Dragon: a store to a shared line finishes in one update round. The
+ * UpdData fill carries the line with the store already applied at the
+ * home slice, so the drain must not perform (and re-issue) it again.
+ */
+TEST(Dragon, SharedStoreCompletesInOneUpdateRound)
+{
+    MiniFabric f(2, ProtocolFactory::global().get("dragon"));
+    const Addr a = 0x10000;
+    f.load(0, a);
+    f.load(1, a);           // S at both
+    L1Cache &l1 = *f.l1s[0];
+    bool done = false;
+    EXPECT_TRUE(l1.startStore(a, 8, 5, [&](std::uint64_t) {
+        done = true;
+    }));
+    EXPECT_TRUE(f.eq.run(f.eq.now() + 10000));
+    EXPECT_TRUE(done);
+    EXPECT_EQ(l1.statGroup().value("updXSent"), 1u);
+    EXPECT_EQ(*l1.peekState(a), PState::S);
+    EXPECT_EQ(f.load(1, a), 5u);
+    EXPECT_EQ(f.load(0, a), 5u);
 }
 
 /**

@@ -56,29 +56,26 @@ TEST(ProtocolFactory, UnknownNameRejected)
     }
 }
 
-namespace
+/** A protocol with an empty table. */
+std::unique_ptr<CoherenceProtocol>
+stubProtocol(const std::string &n)
 {
-
-class StubProtocol final : public CoherenceProtocol
-{
-  public:
-    explicit StubProtocol(const std::string &n)
-        : CoherenceProtocol(n, "test stub")
-    {}
-    bool ownerKeepsDirtyOnGetS() const override { return false; }
-    bool updateBased() const override { return false; }
-};
-
-} // namespace
+    return std::make_unique<CoherenceProtocol>(n, "test stub");
+}
 
 TEST(ProtocolFactory, DuplicateAndNullRegistrationFatal)
 {
     ProtocolFactory pf;
-    pf.add(std::make_unique<StubProtocol>("stub"));
+    pf.add(stubProtocol("stub"));
     EXPECT_TRUE(pf.contains("stub"));
-    EXPECT_THROW(pf.add(std::make_unique<StubProtocol>("stub")),
-                 FatalError);
+    EXPECT_THROW(pf.add(stubProtocol("stub")), FatalError);
     EXPECT_THROW(pf.add(nullptr), FatalError);
+    // An empty table has no edges and answers false to both hooks.
+    const CoherenceProtocol &stub = pf.get("stub");
+    EXPECT_FALSE(stub.ownerKeepsDirtyOnGetS());
+    EXPECT_FALSE(stub.updateBased());
+    EXPECT_THROW(stub.transition(PState::M, PEvent::FwdGetS),
+                 FatalError);
 }
 
 // --------------------------------- transition tables / policy hooks
@@ -97,33 +94,46 @@ TEST(ProtocolTables, PolicyHooksDistinguishFamilies)
 TEST(ProtocolTables, HitAndRequestEdges)
 {
     const ProtocolFactory &pf = ProtocolFactory::global();
+    auto hits = [](const CoherenceProtocol &p, PState s, PEvent e) {
+        return p.transition(s, e).has(PAction::Hit);
+    };
+    auto put = [](const CoherenceProtocol &p, PState s) {
+        return p.transition(s, PEvent::Replace).actions[0];
+    };
     for (const std::string &n : pf.names()) {
         const CoherenceProtocol &p = pf.get(n);
-        // Loads hit in every valid state, stores hit in E and M.
+        // Loads hit in every valid state and keep it; stores hit in E
+        // and M and leave the line in M.
         for (PState s : {PState::S, PState::E, PState::O, PState::M}) {
             if (s == PState::O && !p.ownerKeepsDirtyOnGetS())
                 continue;  // no Owned rows in MESI-family tables
-            EXPECT_TRUE(p.loadHits(s)) << n << " " << pstateName(s);
+            EXPECT_TRUE(hits(p, s, PEvent::Load))
+                << n << " " << pstateName(s);
+            EXPECT_EQ(p.transition(s, PEvent::Load).next, s) << n;
         }
-        EXPECT_FALSE(p.loadHits(PState::I)) << n;
-        EXPECT_TRUE(p.storeHits(PState::E)) << n;
-        EXPECT_TRUE(p.storeHits(PState::M)) << n;
-        EXPECT_FALSE(p.storeHits(PState::I)) << n;
-        EXPECT_FALSE(p.storeHits(PState::S)) << n;
-        // Replacement opcodes by dirtiness.
-        EXPECT_EQ(p.replacement(PState::M), MsgType::PutM) << n;
-        EXPECT_EQ(p.replacement(PState::E), MsgType::PutE) << n;
-        EXPECT_EQ(p.replacement(PState::S), MsgType::PutS) << n;
+        EXPECT_FALSE(hits(p, PState::I, PEvent::Load)) << n;
+        for (PState s : {PState::E, PState::M}) {
+            EXPECT_TRUE(hits(p, s, PEvent::Store)) << n;
+            EXPECT_EQ(p.transition(s, PEvent::Store).next, PState::M)
+                << n;
+        }
+        EXPECT_FALSE(hits(p, PState::I, PEvent::Store)) << n;
+        EXPECT_FALSE(hits(p, PState::S, PEvent::Store)) << n;
+        // Replacement writes back exactly the dirty states.
+        EXPECT_EQ(put(p, PState::M), PAction::PutDirty) << n;
+        EXPECT_EQ(put(p, PState::E), PAction::PutClean) << n;
+        EXPECT_EQ(put(p, PState::S), PAction::PutShared) << n;
     }
     // Invalidation-based stores upgrade with GetX; Dragon ships the
     // store to the directory instead.
-    EXPECT_EQ(pf.get("spm-hybrid").storeRequest(PState::S),
-              MsgType::GetX);
-    EXPECT_EQ(pf.get("mesi").storeRequest(PState::I), MsgType::GetX);
-    EXPECT_EQ(pf.get("dragon").storeRequest(PState::I),
-              MsgType::UpdX);
-    EXPECT_EQ(pf.get("dragon").storeRequest(PState::S),
-              MsgType::UpdX);
+    auto issues = [&](const char *n, PState s, PAction a) {
+        return pf.get(n).transition(s, PEvent::Store).has(a);
+    };
+    EXPECT_TRUE(issues("spm-hybrid", PState::S, PAction::IssueGetX));
+    EXPECT_TRUE(issues("spm-hybrid", PState::O, PAction::IssueGetX));
+    EXPECT_TRUE(issues("mesi", PState::I, PAction::IssueGetX));
+    EXPECT_TRUE(issues("dragon", PState::I, PAction::IssueUpdX));
+    EXPECT_TRUE(issues("dragon", PState::S, PAction::IssueUpdX));
 }
 
 TEST(ProtocolTables, OwnedStateOnlyInMoesiFamilies)
@@ -131,15 +141,22 @@ TEST(ProtocolTables, OwnedStateOnlyInMoesiFamilies)
     const ProtocolFactory &pf = ProtocolFactory::global();
     // A dirty owner answering a remote read keeps the line in MOESI
     // (M -> O) and downgrades to S everywhere else.
-    EXPECT_EQ(pf.get("spm-hybrid").afterFwdGetS(PState::M),
-              PState::O);
-    EXPECT_EQ(pf.get("moesi").afterFwdGetS(PState::M), PState::O);
-    EXPECT_EQ(pf.get("mesi").afterFwdGetS(PState::M), PState::S);
-    EXPECT_EQ(pf.get("dragon").afterFwdGetS(PState::M), PState::S);
+    auto after_fwd_gets = [&](const char *n) {
+        return pf.get(n).transition(PState::M, PEvent::FwdGetS).next;
+    };
+    EXPECT_EQ(after_fwd_gets("spm-hybrid"), PState::O);
+    EXPECT_EQ(after_fwd_gets("moesi"), PState::O);
+    EXPECT_EQ(after_fwd_gets("mesi"), PState::S);
+    EXPECT_EQ(after_fwd_gets("dragon"), PState::S);
+    // O is dirty: replacing it writes the line back.
+    EXPECT_TRUE(pf.get("spm-hybrid")
+                    .transition(PState::O, PEvent::Replace)
+                    .has(PAction::PutDirty));
     // MESI has no Owned rows at all: touching one is fatal.
     EXPECT_THROW(pf.get("mesi").transition(PState::O, PEvent::Load),
                  FatalError);
-    EXPECT_THROW(pf.get("mesi").replacement(PState::O), FatalError);
+    EXPECT_THROW(pf.get("mesi").transition(PState::O, PEvent::Replace),
+                 FatalError);
     // Only Dragon accepts directory-pushed updates in S.
     EXPECT_TRUE(pf.get("dragon")
                     .transition(PState::S, PEvent::Update)
