@@ -21,10 +21,9 @@
 #ifndef SPMCOH_PROTOCOLS_COHERENCEPROTOCOL_HH
 #define SPMCOH_PROTOCOLS_COHERENCEPROTOCOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "mem/Messages.hh"
 
 namespace spmcoh
 {
