@@ -244,12 +244,13 @@ grep -q '"cores":256' "$BUILD_DIR"/smoke256.json
 grep -q '"meshWidth":16' "$BUILD_DIR"/smoke256.json
 
 echo "== host memory guard (256-core pipeline peak RSS) =="
-# The L2 slices store line data only for the lines they hold. This run
-# peaks near 88 MB that way and near 142 MB when every slice's 4,096
-# payloads are allocated up front, so eager allocation fails here.
+# Caches, SPMs and cache sets allocate storage on first use. This run
+# peaks near 57 MB that way, near 88 MB when every L1 line, cache set
+# and SPM byte is allocated up front, and near 142 MB when the L2
+# payloads are too, so eager allocation fails here.
 python3 - "$BUILD_DIR"/spmcoh_run <<'PY'
 import resource, subprocess, sys
-LIMIT_MB = 115
+LIMIT_MB = 75
 subprocess.run([sys.argv[1], "--workload=pipeline", "--cores=256",
                 "--mode=hybrid-proto", "--jobs=1", "--format=json"],
                stdout=subprocess.DEVNULL, check=True)

@@ -5,6 +5,8 @@
 
 #include "cpu/CoreModel.hh"
 
+#include <cstdio>
+
 namespace spmcoh
 {
 
@@ -162,6 +164,7 @@ CoreModel::run()
                 instrCount += allowed;
                 stInstructions += allowed;
                 advance(divCeil(allowed, p.issueWidth));
+                lastInstrTick = localTick;
                 cur.count -= static_cast<std::uint32_t>(allowed);
             }
             haveCur = false;
@@ -274,6 +277,7 @@ CoreModel::execLoadStore()
         ++instrCount;
         ++stInstructions;
         ++stMemOps;
+        lastInstrTick = localTick;
         pendingFlavor = probeMemOp();
         if (pendingFlavor == Flavor::Inline)
             return true;
@@ -578,6 +582,40 @@ CoreModel::addKernelStat(KernelStat s, std::uint64_t n)
     if (kernelStats.size() <= static_cast<std::size_t>(curKernel))
         kernelStats.resize(curKernel + 1);
     kernelStats[curKernel][s] += n;
+}
+
+std::string
+CoreModel::stallSummary() const
+{
+    const auto hex = [](Addr a) {
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "0x%llx",
+                      static_cast<unsigned long long>(a));
+        return std::string(buf);
+    };
+    if (!window.empty()) {
+        const WindowEntry &e = window.front();
+        return std::string(e.isLoad ? "load" : "store") + " of line " +
+               hex(lineAlign(e.addr)) + " in flight";
+    }
+    if (!haveCur)
+        return "no op in progress";
+    switch (cur.kind) {
+      case OpKind::Load:
+      case OpKind::Store:
+        return std::string(cur.kind == OpKind::Load ? "load" : "store") +
+               " of line " + hex(lineAlign(cur.addr)) +
+               " waiting to issue";
+      case OpKind::Barrier:
+        return "at barrier " + std::to_string(cur.count);
+      case OpKind::DmaSync:
+        return "waiting for DMA tags " + hex(cur.tag);
+      case OpKind::DmaGet:
+      case OpKind::DmaPut:
+        return "DMA command waiting for a queue slot";
+      default:
+        return "at op kind " + std::to_string(int(cur.kind));
+    }
 }
 
 void

@@ -26,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -112,6 +113,13 @@ class CoreModel
 
     bool finished() const { return done; }
     Tick finishTick() const { return finishedAt; }
+
+    /** Local tick at which the core last executed an instruction
+     *  (System::run's progress check). */
+    Tick lastInstructionTick() const { return lastInstrTick; }
+    /** What an unfinished core waits on: the line of its oldest
+     *  in-flight memory op, else the op it is blocked at. */
+    std::string stallSummary() const;
 
     /** Cycles spent per phase (Fig. 9 breakdown). */
     std::uint64_t
@@ -229,6 +237,7 @@ class CoreModel
     Tick memCycleTick = 0;
     std::uint32_t memThisCycle = 0;
     std::uint64_t instrCount = 0;
+    Tick lastInstrTick = 0;
     bool runScheduled = false;
     bool done = false;
     Tick finishedAt = 0;

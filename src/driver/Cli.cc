@@ -93,8 +93,8 @@ cliUsage(const std::string &prog)
         "\n"
         "multi-chip memory (applied to chips >= 2 points only):\n"
         "  --far-mem-lat=N   pooled far-memory access latency in\n"
-        "                    ticks; 0 disables the far tier\n"
-        "                    (default 0)\n"
+        "                    ticks, at most 1000000; 0 disables the\n"
+        "                    far tier (default 0)\n"
         "  --far-mem-bw=N    pooled far-memory bytes per cycle\n"
         "                    (default: model default)\n"
         "\n"

@@ -204,6 +204,13 @@ validateExperiment(const ExperimentSpec &spec,
     if (spec.farMemLat > 0 && spec.chips < 2)
         errs.push_back("the pooled far-memory tier needs a "
                        "multi-chip fabric (chips >= 2)");
+    const Tick far_lat = spec.paramsOverride
+        ? spec.paramsOverride->farMemLatency : spec.farMemLat;
+    if (far_lat > System::maxFarMemLatency)
+        errs.push_back("far-memory latency " + std::to_string(far_lat) +
+                       " exceeds the limit of " +
+                       std::to_string(System::maxFarMemLatency) +
+                       " ticks");
     if (!(spec.scale > 0.0) || !std::isfinite(spec.scale))
         errs.push_back("workload scale must be positive and finite");
 
@@ -280,7 +287,7 @@ runExperiment(const ExperimentSpec &spec, const WorkloadRegistry &reg,
     if (!sys.run(makeSources(*prepared, spec.cores, spec.mode,
                              out.params.spmBytes)))
         fatal("experiment " + spec.label() +
-              ": simulation did not complete (deadlock guard)");
+              ": simulation did not complete: " + sys.failure());
     out.results = sys.results();
     out.stats = snapshotStats(sys);
     return out;

@@ -139,8 +139,8 @@ struct ExperimentResult
 
 /**
  * Validate and run one experiment. Fatal with the validation
- * messages if the spec is bad, or if the simulation trips the
- * deadlock guard.
+ * messages if the spec is bad, or with System::failure() if the
+ * simulation does not complete.
  *
  * @param prepared reuses an already-compiled program (sweep cache);
  *                 compiled on the spot when null.

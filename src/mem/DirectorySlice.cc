@@ -14,9 +14,11 @@ DirectorySlice::DirectorySlice(MemNet &net_, CoreId tile_,
                                const DirSliceParams &p_,
                                const std::string &name,
                                const CoherenceProtocol &proto_)
-    : net(net_), tile(tile_), proto(proto_), p(p_),
+    : net(net_), tile(tile_), memCtrl(net_.nearestMemCtrl(tile_)),
+      proto(proto_), p(p_),
       l2(p_.l2SizeBytes / lineBytes / p_.l2Ways, p_.l2Ways,
          lineShift + log2i(net_.cores())),
+      pool(net_.linePool()),
       dir(p_.dirEntries / p_.dirWays, p_.dirWays,
           lineShift + log2i(net_.cores())),
       stats(name),
@@ -346,7 +348,7 @@ DirectorySlice::handleDmaWrite(Txn &t)
         dir.invalidate(t.la);
     }
     if (const auto gone = l2.invalidate(t.la))
-        l2FreeSlots.push_back(gone->slot);
+        pool.free(gone->slot);
     t.done = Done::DmaWrite;
     checkDone(t);
 }
@@ -404,7 +406,7 @@ DirectorySlice::fetchData(Txn &t, TrafficClass cls)
         onChip = &wb->data;
     } else if (const L2Line *l = l2.lookup(t.la)) {
         ++stL2Hits;
-        onChip = &l2Data(l->slot);
+        onChip = &pool[l->slot];
     }
     if (!onChip) {
         ++stL2Misses;
@@ -413,8 +415,7 @@ DirectorySlice::fetchData(Txn &t, TrafficClass cls)
         m.addr = t.la;
         m.requestor = tile;
         m.cls = cls;
-        net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), m,
-                 cls);
+        net.send(tile, Endpoint::MemCtrl, memCtrl, m, cls);
         return;
     }
     // Snapshot now: the buffer or L2 line may change before the fill.
@@ -431,7 +432,7 @@ void
 DirectorySlice::l2Insert(Addr la, const LineData &d, bool dirty)
 {
     if (L2Line *l = l2.lookup(la)) {
-        l2Data(l->slot) = d;
+        pool[l->slot] = d;
         l->dirty = l->dirty || dirty;
         return;
     }
@@ -444,7 +445,7 @@ DirectorySlice::l2Insert(Addr la, const LineData &d, bool dirty)
         slot = v.slot;
         if (v.dirty) {
             ++stL2DirtyEvictions;
-            const LineData &old = l2Data(slot);
+            const LineData &old = pool[slot];
             Message w;
             w.type = MsgType::MemWrite;
             w.addr = *victim;
@@ -455,18 +456,13 @@ DirectorySlice::l2Insert(Addr la, const LineData &d, bool dirty)
             MemWb &wb = memWb[*victim];
             wb.data = old;
             ++wb.pending;
-            net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
+            net.send(tile, Endpoint::MemCtrl, memCtrl, w,
                      TrafficClass::WbRepl);
         }
-    } else if (!l2FreeSlots.empty()) {
-        slot = l2FreeSlots.back();
-        l2FreeSlots.pop_back();
     } else {
-        slot = l2Slots++;
-        if ((slot >> l2ChunkShift) == l2Chunks.size())
-            l2Chunks.push_back(std::make_unique<L2Chunk>());
+        slot = pool.alloc();
     }
-    l2Data(slot) = d;
+    pool[slot] = d;
     l2.fillWay(la, way, L2Line{.slot = slot, .dirty = dirty});
 }
 
@@ -658,8 +654,7 @@ DirectorySlice::complete(Txn &t, Done step)
         MemWb &wb = memWb[t.la];
         wb.data = t.req.data;
         ++wb.pending;
-        net.send(tile, Endpoint::MemCtrl, net.nearestMemCtrl(tile), w,
-                 TrafficClass::Dma);
+        net.send(tile, Endpoint::MemCtrl, memCtrl, w, TrafficClass::Dma);
         respond(r, Endpoint::Dmac, MsgType::DmaWriteAck, t.la, nullptr,
                 TrafficClass::Dma, t.req.aux);
         finishTxn(t);

@@ -20,7 +20,6 @@
 #ifndef SPMCOH_MEM_DIRECTORYSLICE_HH
 #define SPMCOH_MEM_DIRECTORYSLICE_HH
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -81,9 +80,10 @@ class DirectorySlice
         std::uint64_t sharers;
     };
     std::optional<EntrySnapshot> peekEntry(Addr line_addr) const;
-    /** L2 payload slots allocated so far (the slice's peak number of
-     *  valid L2 lines). */
-    std::size_t l2PayloadSlots() const { return l2Slots; }
+    /** Valid L2 lines; each holds one LinePool slot. */
+    std::uint64_t l2Lines() const { return l2.validLines(); }
+    /** L2 and directory sets that have storage. */
+    std::size_t setBlocks() const { return l2.blocks() + dir.blocks(); }
 
   private:
     struct DirEntry
@@ -93,7 +93,7 @@ class DirectorySlice
         std::uint64_t sharers = 0;  ///< bitmask, excludes owner
     };
 
-    /** The line's payload is l2Data(slot). */
+    /** The line's payload is the LinePool slot @c slot. */
     struct L2Line
     {
         std::uint32_t slot = 0;
@@ -176,7 +176,7 @@ class DirectorySlice
     void fetchData(Txn &t, TrafficClass cls);
 
     /** Insert into L2, writing back any dirty victim; the new line
-     *  takes the victim's payload slot, a freed slot or a new one. */
+     *  takes the victim's payload slot, else a LinePool slot. */
     void l2Insert(Addr la, const LineData &d, bool dirty);
 
     /**
@@ -205,29 +205,16 @@ class DirectorySlice
 
     MemNet &net;
     CoreId tile;
+    /** Memory controller this slice reads and writes lines through
+     *  (MemNet::nearestMemCtrl, resolved once). */
+    std::uint32_t memCtrl;
     const CoherenceProtocol &proto;
     DirSliceParams p;
     CacheArray<L2Line> l2;
-    /** Payloads of the valid L2 lines only, in 64-line (4 KiB)
-     *  chunks that never move. A line installed into an invalid way
-     *  takes a slot freed by a DMA write, else the next new one; a
-     *  chunk is added when the slots run out. */
-    static constexpr std::uint32_t l2ChunkShift = 6;
-    /** Host-cache-line aligned, so reading a payload touches one
-     *  host line. */
-    struct alignas(64) L2Chunk
-    {
-        std::array<LineData, 1u << l2ChunkShift> lines;
-    };
-    std::vector<std::unique_ptr<L2Chunk>> l2Chunks;
-    std::uint32_t l2Slots = 0;  ///< slots handed out so far
-    std::vector<std::uint32_t> l2FreeSlots;
-    LineData &
-    l2Data(std::uint32_t slot)
-    {
-        return l2Chunks[slot >> l2ChunkShift]
-            ->lines[slot & ((1u << l2ChunkShift) - 1)];
-    }
+    /** Payloads of the valid L2 lines (shared with the L1s). A line
+     *  installed into an invalid way takes a slot there; DmaWrite
+     *  frees the slot of the line it drops. */
+    LinePool &pool;
     CacheArray<DirEntry> dir;
     /** In-flight transaction of every blocked line. */
     LineMap<Txn *> busy;

@@ -15,6 +15,7 @@ L1Cache::L1Cache(MemNet &net_, CoreId core_, bool icache_,
                  const CoherenceProtocol &proto_)
     : net(net_), core(core_), icache(icache_), proto(proto_), p(p_),
       array(p_.sizeBytes / lineBytes / p_.ways, p_.ways),
+      pool(net_.linePool()),
       mshr(p_.mshrs),
       prefetcher(icache_ ? PrefetcherParams{.enabled = false}
                          : p_.prefetcher),
@@ -92,11 +93,12 @@ L1Cache::perform(Line &line, Addr addr, std::uint8_t size,
     if (!t.has(PAction::Hit))
         return std::nullopt;
     line.state = t.next;
+    LineData &data = pool[line.slot];
     if (is_write) {
-        line.data.writeN(lineOffset(addr), size, wdata);
+        data.writeN(lineOffset(addr), size, wdata);
         return 0;
     }
-    return line.data.readN(lineOffset(addr), size);
+    return data.readN(lineOffset(addr), size);
 }
 
 bool
@@ -194,7 +196,7 @@ L1Cache::sendRequest(const MshrEntry &e)
     // line while the upgrade is in flight.
     const bool dirty = resident && isDirty(st);
     sendToDir(MsgType::GetX, la, TrafficClass::Write, core,
-              dirty ? &resident->data : nullptr, dirty);
+              dirty ? &pool[resident->slot] : nullptr, dirty);
 }
 
 void
@@ -279,7 +281,7 @@ L1Cache::onFill(const Message &msg)
         if (msg.type == MsgType::UpdData) {
             // Update round done: the home slice applied our store
             // and pushed the line to the sharers; we stay Shared.
-            resident->data = msg.data;
+            pool[resident->slot] = msg.data;
             processTargets(la, true);
             return;
         }
@@ -288,7 +290,7 @@ L1Cache::onFill(const Message &msg)
         if (msg.type != MsgType::DataM)
             panic("L1Cache: non-upgrade fill for resident line");
         resident->state = PState::M;
-        resident->data = msg.data;
+        pool[resident->slot] = msg.data;
         processTargets(la);
         return;
     }
@@ -348,39 +350,43 @@ void
 L1Cache::installLine(Addr line_addr, PState st, const LineData &d,
                      bool prefetch_fill)
 {
-    Line nl;
-    nl.state = st;
-    nl.data = d;
-    nl.prefetched = prefetch_fill;
-    nl.used = !prefetch_fill;
-    auto evicted = array.insert(line_addr, std::move(nl));
+    const auto ins = array.insert(
+        line_addr, Line{.state = st, .prefetched = prefetch_fill,
+                        .used = !prefetch_fill});
     ++stFills;
-    if (evicted)
-        evict(evicted->first, std::move(evicted->second));
+    if (ins.evicted)
+        evict(ins.evicted->first, ins.evicted->second);
+    // The victim's data has left; its slot is the first one free.
+    ins.line->slot = pool.alloc();
+    pool[ins.line->slot] = d;
 }
 
 void
-L1Cache::evict(Addr line_addr, Line &&victim)
+L1Cache::evict(Addr line_addr, const Line &victim)
 {
     ++stEvictions;
     if (victim.prefetched && !victim.used)
         ++stWastedPrefetches;
-    if (icache)
-        return;     // untracked read-only lines vanish silently
-    const Transition &t = proto.transition(victim.state, PEvent::Replace);
-    WbEntry &wb = wbBuffer[line_addr];
-    wb.state = victim.state;
-    wb.data = victim.data;
-    ++wb.pendingPuts;
-    if (t.has(PAction::PutDirty)) {
-        ++stDirtyWritebacks;
-        sendToDir(MsgType::PutM, line_addr, TrafficClass::WbRepl, core,
-                  &victim.data, true);
-    } else {
-        sendToDir(t.has(PAction::PutClean) ? MsgType::PutE
-                                           : MsgType::PutS,
-                  line_addr, TrafficClass::WbRepl, core);
+    // Untracked read-only (icache) lines vanish silently.
+    if (!icache) {
+        const LineData &data = pool[victim.slot];
+        const Transition &t =
+            proto.transition(victim.state, PEvent::Replace);
+        WbEntry &wb = wbBuffer[line_addr];
+        wb.state = victim.state;
+        wb.data = data;
+        ++wb.pendingPuts;
+        if (t.has(PAction::PutDirty)) {
+            ++stDirtyWritebacks;
+            sendToDir(MsgType::PutM, line_addr, TrafficClass::WbRepl,
+                      core, &data, true);
+        } else {
+            sendToDir(t.has(PAction::PutClean) ? MsgType::PutE
+                                               : MsgType::PutS,
+                      line_addr, TrafficClass::WbRepl, core);
+        }
     }
+    pool.free(victim.slot);
 }
 
 bool
@@ -399,16 +405,18 @@ L1Cache::onFwd(const Message &msg)
     LineData data;
     bool dirty = false;
     if (Line *line = array.lookup(la)) {
-        data = line->data;
+        data = pool[line->slot];
         dirty = isDirty(line->state);
         const PState next =
             proto.transition(line->state, is_getx ? PEvent::FwdGetX
                                                   : PEvent::FwdGetS)
                 .next;
-        if (next == PState::I)
+        if (next == PState::I) {
+            pool.free(line->slot);
             array.invalidate(la);
-        else
+        } else {
             line->state = next;
+        }
     } else if (WbEntry *wb = wbBuffer.find(la)) {
         // Eviction raced with the forward: serve from the buffer.
         data = wb->data;
@@ -437,7 +445,8 @@ L1Cache::onInv(const Message &msg)
     bool dirty = false;
     if (auto victim = array.invalidate(la)) {
         dirty = isDirty(victim->state);
-        data = victim->data;
+        data = pool[victim->slot];
+        pool.free(victim->slot);
     } else if (WbEntry *wb = wbBuffer.find(la)) {
         dirty = isDirty(wb->state);
         data = wb->data;
@@ -456,7 +465,7 @@ L1Cache::onUpdate(const Message &msg)
         const Transition &t =
             proto.transition(line->state, PEvent::Update);
         if (t.has(PAction::Apply))
-            line->data = msg.data;
+            pool[line->slot] = msg.data;
         line->state = t.next;
     } else if (WbEntry *wb = wbBuffer.find(la)) {
         // Eviction raced with the update: patch the buffered copy so
@@ -490,7 +499,7 @@ L1Cache::onDmaFwd(const Message &msg)
     const Addr la = lineAlign(msg.addr);
     LineData data;
     if (const Line *line = array.peek(la)) {
-        data = line->data;
+        data = pool[line->slot];
     } else if (WbEntry *wb = wbBuffer.find(la)) {
         data = wb->data;
     } else {

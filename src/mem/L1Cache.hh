@@ -122,14 +122,19 @@ class L1Cache
         const Line *l = array.peek(addr);
         return l ? std::optional<PState>(l->state) : std::nullopt;
     }
+    /** Valid lines; each holds one LinePool slot (tests). */
+    std::uint64_t residentLines() const { return array.validLines(); }
+    /** Sets that have storage (tests). */
+    std::size_t setBlocks() const { return array.blocks(); }
 
   private:
+    /** A resident line; its payload is the LinePool slot @c slot. */
     struct Line
     {
         PState state = PState::S;
         bool prefetched = false;
         bool used = true;
-        LineData data{};
+        std::uint32_t slot = 0;
     };
 
     struct WbEntry
@@ -184,7 +189,8 @@ class L1Cache
                         bool first_write_done = false);
     void installLine(Addr line_addr, PState st, const LineData &d,
                      bool prefetch_fill);
-    void evict(Addr line_addr, Line &&victim);
+    /** Write @p victim back (or drop it) and free its slot. */
+    void evict(Addr line_addr, const Line &victim);
     /** Send @p t for @p requestor to the line's home slice; a
      *  non-null @p d encloses the line. */
     void sendToDir(MsgType t, Addr line_addr, TrafficClass cls,
@@ -202,6 +208,10 @@ class L1Cache
     const CoherenceProtocol &proto;
     L1Params p;
     CacheArray<Line> array;
+    /** Payloads of the resident lines (shared with the L2 slices). A
+     *  fill into an invalid way takes a slot, a fill that evicts takes
+     *  the victim's, and an invalidation frees one. */
+    LinePool &pool;
     MshrFile mshr;
     LineMap<WbEntry> wbBuffer;
     StridePrefetcher prefetcher;

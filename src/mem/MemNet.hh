@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "coherence/HomeAgent.hh"
+#include "mem/LinePool.hh"
 #include "mem/MessagePool.hh"
 #include "mem/Messages.hh"
 #include "noc/Mesh.hh"
@@ -51,7 +52,8 @@ class MemNet
     }
 
     /**
-     * Memory controller index nearest to a tile (static mapping).
+     * Memory controller index nearest to a tile (static mapping;
+     * each directory slice resolves its own once, at construction).
      * Controllers on the tile's own chip always win: every chip
      * keeps a local controller population, and a gateway-adjacent
      * tile must not adopt a remote chip's controller just because
@@ -150,6 +152,9 @@ class MemNet
      *  delivery closures. */
     MessagePool &msgPool() { return pool; }
 
+    /** Payloads of every valid L1 and L2 line of this system. */
+    LinePool &linePool() { return lines; }
+
   private:
     /**
      * Cross-chip delivery: contended on-chip legs to and from the
@@ -212,6 +217,7 @@ class MemNet
     std::array<std::vector<Handler>, 6> handlers;
     std::vector<Handler> mcHandlers;
     MessagePool pool;
+    LinePool lines;
 };
 
 } // namespace spmcoh

@@ -3,7 +3,9 @@
  * One scratchpad memory (Table 1: 32KB, 2 cycles, 64B blocks).
  *
  * SPMs are plain byte arrays with deterministic access latency: no
- * tags, no TLB, no coherence state. All cores can address any SPM;
+ * tags, no TLB, no coherence state. The bytes are kept in 4 KiB pages
+ * allocated on first write, so an SPM that is never written costs
+ * one page pointer per page. All cores can address any SPM;
  * remote accesses travel the mesh (handled by the coherence
  * controller), local ones complete in spmLatency cycles.
  */
@@ -11,7 +13,10 @@
 #ifndef SPMCOH_SPM_SPM_HH
 #define SPMCOH_SPM_SPM_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "sim/Logging.hh"
@@ -26,15 +31,15 @@ class Spm
 {
   public:
     Spm(std::uint32_t size_bytes, Tick latency_, const std::string &name)
-        : bytes(size_bytes, 0), latency(latency_), stats(name),
+        : sizeBytes(size_bytes), pages(divCeil(size_bytes, pageBytes)),
+          latency(latency_), stats(name),
           stReads(stats.counter("reads")),
           stWrites(stats.counter("writes")),
           stDmaFills(stats.counter("dmaFills")),
           stDmaDrains(stats.counter("dmaDrains"))
     {}
 
-    std::uint32_t size() const
-    { return static_cast<std::uint32_t>(bytes.size()); }
+    std::uint32_t size() const { return sizeBytes; }
     Tick accessLatency() const { return latency; }
 
     /** Read @p n bytes (1..8) at @p off; counts one access. */
@@ -43,9 +48,11 @@ class Spm
     {
         check(off, n);
         ++stReads;
+        std::uint8_t b[8];
+        copyOut(off, b, n);
         std::uint64_t v = 0;
         for (std::uint32_t i = n; i-- > 0;)
-            v = (v << 8) | bytes[off + i];
+            v = (v << 8) | b[i];
         return v;
     }
 
@@ -55,10 +62,12 @@ class Spm
     {
         check(off, n);
         ++stWrites;
+        std::uint8_t b[8];
         for (std::uint32_t i = 0; i < n; ++i) {
-            bytes[off + i] = static_cast<std::uint8_t>(v & 0xff);
+            b[i] = static_cast<std::uint8_t>(v & 0xff);
             v >>= 8;
         }
+        copyIn(off, b, n);
     }
 
     /** Bulk line copy in (DMA fill); counts one block access. */
@@ -68,8 +77,7 @@ class Spm
     {
         check(off, n);
         ++stDmaFills;
-        for (std::uint32_t i = 0; i < n; ++i)
-            bytes[off + i] = src[i];
+        copyIn(off, src, n);
     }
 
     /** Bulk line copy out (DMA drain); counts one block access. */
@@ -79,22 +87,64 @@ class Spm
     {
         check(off, n);
         ++stDmaDrains;
-        for (std::uint32_t i = 0; i < n; ++i)
-            dst[i] = bytes[off + i];
+        copyOut(off, dst, n);
     }
+
+    /** Pages written so far (tests). */
+    std::size_t pagesAllocated() const { return numPages; }
 
     StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
   private:
+    /** The bytes live in pages allocated on first write; an unwritten
+     *  page reads as zeros. */
+    static constexpr std::uint32_t pageBytes = 4096;
+
     void
     check(std::uint32_t off, std::uint32_t n) const
     {
-        if (off + n > bytes.size())
+        if (std::uint64_t{off} + n > sizeBytes)
             panic("Spm: access out of range");
     }
 
-    std::vector<std::uint8_t> bytes;
+    void
+    copyIn(std::uint32_t off, const std::uint8_t *src, std::uint32_t n)
+    {
+        while (n > 0) {
+            const std::uint32_t at = off % pageBytes;
+            const std::uint32_t k = std::min(n, pageBytes - at);
+            auto &page = pages[off / pageBytes];
+            if (!page) {
+                page = std::make_unique<std::uint8_t[]>(pageBytes);
+                ++numPages;
+            }
+            std::memcpy(page.get() + at, src, k);
+            off += k;
+            src += k;
+            n -= k;
+        }
+    }
+
+    void
+    copyOut(std::uint32_t off, std::uint8_t *dst, std::uint32_t n) const
+    {
+        while (n > 0) {
+            const std::uint32_t at = off % pageBytes;
+            const std::uint32_t k = std::min(n, pageBytes - at);
+            if (const auto &page = pages[off / pageBytes])
+                std::memcpy(dst, page.get() + at, k);
+            else
+                std::memset(dst, 0, k);
+            off += k;
+            dst += k;
+            n -= k;
+        }
+    }
+
+    std::uint32_t sizeBytes;
+    std::vector<std::unique_ptr<std::uint8_t[]>> pages;
+    std::size_t numPages = 0;
     Tick latency;
     StatGroup stats;
     /** Hot-path counters, resolved once at construction. */

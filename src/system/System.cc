@@ -186,11 +186,45 @@ System::run(std::vector<std::unique_ptr<OpSource>> sources)
     running = std::move(sources);
     for (CoreId i = 0; i < p.numCores; ++i)
         cores[i]->start(running[i].get());
-    bool ok = eq.run(p.maxTicks);
-    for (CoreId i = 0; ok && i < p.numCores; ++i)
-        ok = cores[i]->finished();
+    failed.clear();
+    for (Tick end = eq.now() + progressWindow;
+         !eq.run(std::min(end, p.maxTicks)); end += progressWindow) {
+        if (end >= p.maxTicks) {
+            failed = "the run reached maxTicks (" +
+                     std::to_string(p.maxTicks) + " ticks)";
+            break;
+        }
+        const auto progressed = [end](const auto &c) {
+            return !c->finished() &&
+                   c->lastInstructionTick() + progressWindow > end;
+        };
+        if (std::none_of(cores.begin(), cores.end(), progressed)) {
+            failed = "no core executed an instruction in ticks " +
+                     std::to_string(end - progressWindow) + ".." +
+                     std::to_string(end);
+            break;
+        }
+    }
+    if (failed.empty() &&
+        !std::all_of(cores.begin(), cores.end(),
+                     [](const auto &c) { return c->finished(); }))
+        failed = "the event queue drained at tick " +
+                 std::to_string(eq.now()) + " with cores unfinished";
+    if (!failed.empty())
+        failed += stuckCores();
     foldProbeTallies();
-    return ok;
+    return failed.empty();
+}
+
+std::string
+System::stuckCores() const
+{
+    std::string out;
+    for (CoreId i = 0; i < p.numCores; ++i)
+        if (!cores[i]->finished())
+            out += "; core " + std::to_string(i) + ": " +
+                   cores[i]->stallSummary();
+    return out;
 }
 
 void

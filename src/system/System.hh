@@ -15,6 +15,7 @@
 #define SPMCOH_SYSTEM_SYSTEM_HH
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -78,7 +79,8 @@ struct SystemParams
      */
     Tick farMemLatency = 0;
     std::uint32_t farMemBytesPerCycle = 8;
-    /** Deadlock guard for event-loop runs. */
+    /** Upper bound on a run's length (System::run also stops a run
+     *  that stops making progress, see System::progressWindow). */
     Tick maxTicks = std::uint64_t(4) << 32;
     EnergyParams energy{};
 
@@ -168,10 +170,30 @@ class System
     Barrier &barrierFor(const MicroOp &op);
 
     /**
+     * System::run drives the event queue one window of this many
+     * ticks at a time. A window in which no unfinished core executes
+     * an instruction ends the run as a livelock. The longest stall a
+     * valid configuration can see is well under one window: every
+     * one of 4096 cores draining a full 32 KiB SPM through the
+     * far-memory pool at 1 byte per cycle takes 2^27 ticks, and a
+     * full-SPM DMA at maxFarMemLatency (64 lines in flight) about
+     * 2^23.
+     */
+    static constexpr Tick progressWindow = Tick{1} << 28;
+    /** Largest far-memory latency validateExperiment accepts. */
+    static constexpr Tick maxFarMemLatency = 1'000'000;
+
+    /**
      * Run the given per-core op sources to completion.
-     * @return false if the deadlock guard tripped
+     * @return false if the queue drained with a core unfinished, a
+     *  progress window passed with no instruction executed, or the
+     *  run reached maxTicks; failure() says which, and what each
+     *  unfinished core waits on
      */
     bool run(std::vector<std::unique_ptr<OpSource>> sources);
+
+    /** Why the last run() returned false (empty after a success). */
+    const std::string &failure() const { return failed; }
 
     /** Collect counters/energy/traffic after a run. */
     RunResults results() const;
@@ -188,6 +210,8 @@ class System
     /** Fold the fabric's per-requestor broadcast tallies into every
      *  controller's spmdirProbes counter, then reset them. */
     void foldProbeTallies();
+    /** "core N: <what it waits on>" for every unfinished core. */
+    std::string stuckCores() const;
 
     SystemParams p;
     EventQueue eq;
@@ -213,6 +237,7 @@ class System
     std::unordered_map<std::uint32_t, std::unique_ptr<Barrier>>
         barriers;
     std::vector<std::unique_ptr<OpSource>> running;
+    std::string failed;
 };
 
 } // namespace spmcoh

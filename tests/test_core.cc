@@ -416,5 +416,84 @@ TEST(Core, KernelCodeWalkGeneratesIfetchTraffic)
     EXPECT_GT(sys.l1iAt(0).statGroup().value("misses"), 0u);
 }
 
+/** A Barrier op for @p parties arrivals over cores 0..3. */
+MicroOp
+barrierOf(std::uint32_t parties)
+{
+    MicroOp op;
+    op.kind = OpKind::Barrier;
+    op.count = 1;
+    op.tag = parties;
+    op.addr = Addr{3} << 32;
+    return op;
+}
+
+/** Reschedules itself every 4096 ticks, forever. */
+struct Ticker
+{
+    EventQueue *eq;
+    void operator()() const { eq->scheduleIn(4096, Ticker{eq}); }
+};
+
+TEST(Core, LivelockFailsTheRunWithinOneWindow)
+{
+    // Five parties on four cores: the barrier never releases, while
+    // the ticker keeps the queue from draining.
+    System sys(params4());
+    std::vector<std::unique_ptr<OpSource>> srcs;
+    for (CoreId c = 0; c < 4; ++c)
+        srcs.push_back(std::make_unique<ListSource>(
+            std::vector<MicroOp>{nonMem(60), barrierOf(5)}));
+    sys.events().schedule(0, Ticker{&sys.events()});
+    EXPECT_FALSE(sys.run(std::move(srcs)));
+    // The cores park by tick 10, so the second window is the first
+    // without an instruction.
+    EXPECT_EQ(sys.events().now(), 2 * System::progressWindow);
+    const std::string &why = sys.failure();
+    EXPECT_NE(why.find("no core executed an instruction"),
+              std::string::npos) << why;
+    for (CoreId c = 0; c < 4; ++c)
+        EXPECT_NE(why.find("core " + std::to_string(c) +
+                           ": at barrier 1"),
+                  std::string::npos) << why;
+}
+
+TEST(Core, LivelockNamesTheLineOfTheOldestInFlightOp)
+{
+    // Core 0's load reaches the directory, which never answers: the
+    // handler drops every request.
+    System sys(params4());
+    sys.memNet().setHandler(Endpoint::Dir, sys.memNet().homeSlice(0x2040),
+                            [](const Message &) {});
+    std::vector<std::unique_ptr<OpSource>> srcs;
+    srcs.push_back(std::make_unique<ListSource>(
+        std::vector<MicroOp>{load(0x2048), barrierOf(4)}));
+    for (CoreId c = 1; c < 4; ++c)
+        srcs.push_back(std::make_unique<ListSource>(
+            std::vector<MicroOp>{barrierOf(4)}));
+    sys.events().schedule(0, Ticker{&sys.events()});
+    EXPECT_FALSE(sys.run(std::move(srcs)));
+    EXPECT_NE(sys.failure().find("core 0: load of line 0x2040 in flight"),
+              std::string::npos) << sys.failure();
+}
+
+TEST(Core, ComputingAheadIsProgress)
+{
+    // Core 0 computes for longer than a window in one op while the
+    // others wait at the barrier: its local clock runs ahead of the
+    // queue, which is progress, not a livelock.
+    System sys(params4());
+    const auto n = static_cast<std::uint32_t>(
+        6 * (System::progressWindow + 1000));
+    std::vector<std::unique_ptr<OpSource>> srcs;
+    srcs.push_back(std::make_unique<ListSource>(
+        std::vector<MicroOp>{nonMem(n), barrierOf(4)}));
+    for (CoreId c = 1; c < 4; ++c)
+        srcs.push_back(std::make_unique<ListSource>(
+            std::vector<MicroOp>{barrierOf(4)}));
+    EXPECT_TRUE(sys.run(std::move(srcs))) << sys.failure();
+    EXPECT_GT(sys.coreAt(1).finishTick(), System::progressWindow);
+}
+
 } // namespace
 } // namespace spmcoh

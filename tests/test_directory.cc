@@ -40,6 +40,18 @@ doLoad(System &sys, CoreId c, Addr a)
     return out;
 }
 
+/** Valid lines across every L1 and L2 slice: each holds one pool
+ *  slot. */
+std::uint32_t
+heldLines(System &sys)
+{
+    std::uint64_t n = 0;
+    for (CoreId i = 0; i < sys.params().numCores; ++i)
+        n += sys.l1dAt(i).residentLines() + sys.l1iAt(i).residentLines() +
+             sys.dirAt(i).l2Lines();
+    return static_cast<std::uint32_t>(n);
+}
+
 void
 doStore(System &sys, CoreId c, Addr a, std::uint64_t v)
 {
@@ -215,12 +227,15 @@ TEST(Directory, L2DirtyVictimReachesMemory)
             doStore(sys, 0, aw, v);
             writes.push_back({aw, v});
         }
-        // The payload pool never outgrows the slice.
+        // Every valid line holds one pool slot; no slice outgrows
+        // its capacity.
+        EXPECT_EQ(sys.memNet().linePool().live(), heldLines(sys));
         for (CoreId s = 0; s < 4; ++s)
-            EXPECT_LE(sys.dirAt(s).l2PayloadSlots(), capacity);
+            EXPECT_LE(sys.dirAt(s).l2Lines(), capacity);
     }
     sys.events().run();
-    EXPECT_EQ(sys.dirAt(0).l2PayloadSlots(), capacity);
+    EXPECT_EQ(sys.dirAt(0).l2Lines(), capacity);
+    EXPECT_EQ(sys.memNet().linePool().live(), heldLines(sys));
     std::uint64_t wb = 0;
     for (CoreId i = 0; i < 4; ++i)
         wb += sys.dirAt(i).statGroup().value("l2DirtyEvictions");
@@ -242,14 +257,40 @@ TEST(Directory, L2DirtyVictimReachesMemory)
 TEST(Directory, FreshSliceHoldsNoL2Payload)
 {
     System sys(smallParams());
-    for (CoreId i = 0; i < 4; ++i)
-        EXPECT_EQ(sys.dirAt(i).l2PayloadSlots(), 0u);
-    // The first fill allocates exactly one payload, at the home slice.
+    const LinePool &pool = sys.memNet().linePool();
+    EXPECT_EQ(pool.slots(), 0u);
+    // The first fill takes two payloads: the home slice's L2 line and
+    // the requestor's L1 line.
     const Addr a = 0x560000;
     doLoad(sys, 1, a);
     const CoreId home = sys.memNet().homeSlice(a);
     for (CoreId i = 0; i < 4; ++i)
-        EXPECT_EQ(sys.dirAt(i).l2PayloadSlots(), i == home ? 1u : 0u);
+        EXPECT_EQ(sys.dirAt(i).l2Lines(), i == home ? 1u : 0u);
+    EXPECT_EQ(sys.l1dAt(1).residentLines(), 1u);
+    EXPECT_EQ(pool.slots(), 2u);
+    EXPECT_EQ(pool.live(), 2u);
+}
+
+TEST(Directory, FreshSystemAllocatesNoLineStorage)
+{
+    for (const SystemMode m :
+         {SystemMode::CacheOnly, SystemMode::HybridProto}) {
+        System sys(SystemParams::forMode(m, 16));
+        EXPECT_EQ(sys.memNet().linePool().slots(), 0u);
+        for (CoreId i = 0; i < 16; ++i) {
+            EXPECT_EQ(sys.l1dAt(i).setBlocks(), 0u);
+            EXPECT_EQ(sys.l1iAt(i).setBlocks(), 0u);
+            EXPECT_EQ(sys.dirAt(i).setBlocks(), 0u);
+            EXPECT_EQ(sys.spmAt(i).pagesAllocated(), 0u);
+        }
+    }
+    // One load fills one set of the L1D, the L2 and the directory.
+    System sys(smallParams());
+    const Addr a = 0x560000;
+    doLoad(sys, 2, a);
+    EXPECT_EQ(sys.l1dAt(2).setBlocks(), 1u);
+    EXPECT_EQ(sys.l1iAt(2).setBlocks(), 0u);
+    EXPECT_EQ(sys.dirAt(sys.memNet().homeSlice(a)).setBlocks(), 2u);
 }
 
 TEST(Directory, BlockingSerializesConflictingRequests)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "mem/StridePrefetcher.hh"
 #include "mem/Tlb.hh"
 #include "sim/LineMap.hh"
+#include "sim/PseudoLru.hh"
 #include "sim/Rng.hh"
 
 namespace spmcoh
@@ -32,7 +34,7 @@ TEST(CacheArray, InsertLookupInvalidate)
 {
     CacheArray<int> a(16, 4);
     EXPECT_EQ(a.lookup(0x1000), nullptr);
-    EXPECT_FALSE(a.insert(0x1000, 7).has_value());
+    EXPECT_FALSE(a.insert(0x1000, 7).evicted.has_value());
     ASSERT_NE(a.lookup(0x1000), nullptr);
     EXPECT_EQ(*a.lookup(0x1000), 7);
     // Same line, any offset.
@@ -48,7 +50,7 @@ TEST(CacheArray, EvictsWithinSet)
     CacheArray<int> a(1, 2);  // fully associative, 2 ways
     a.insert(0x0, 0);
     a.insert(0x40, 1);
-    auto ev = a.insert(0x80, 2);
+    auto ev = a.insert(0x80, 2).evicted;
     ASSERT_TRUE(ev.has_value());
     EXPECT_TRUE(ev->first == 0x0 || ev->first == 0x40);
     EXPECT_EQ(a.validLines(), 2u);
@@ -65,7 +67,7 @@ TEST(CacheArray, PseudoLruPrefersColdWay)
     a.lookup(0x00);
     a.lookup(0x80);
     a.lookup(0xc0);
-    auto ev = a.insert(0x100, 4);
+    auto ev = a.insert(0x100, 4).evicted;
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(ev->first, 0x40u);
 }
@@ -80,6 +82,225 @@ TEST(CacheArray, AllocWayRespectsPins)
     EXPECT_EQ(a.occupant(0x80, *w), 0x40u);
     auto none = a.allocWay(0x80, [](Addr) { return false; });
     EXPECT_FALSE(none.has_value());
+}
+
+/**
+ * The dense layout CacheArray had before sets were allocated on first
+ * fill: every set's tags, records and tree word up front. The
+ * differential test below holds the on-demand array to it.
+ */
+template <typename LineT>
+class DenseArray
+{
+  public:
+    DenseArray(std::uint32_t num_sets, std::uint32_t num_ways)
+        : sets(num_sets), ways(num_ways),
+          tags(static_cast<std::size_t>(num_sets) * num_ways, badTag),
+          lines(static_cast<std::size_t>(num_sets) * num_ways),
+          lruWays(std::bit_ceil(num_ways)), lru(num_sets, 0)
+    {}
+
+    LineT *
+    lookup(Addr a)
+    {
+        a = lineAlign(a);
+        const std::uint32_t s = setIndex(a);
+        for (std::uint32_t w = 0; w < ways; ++w)
+            if (tags[s * ways + w] == a) {
+                PseudoLru::touchWord(lru[s], lruWays, w);
+                return &lines[s * ways + w];
+            }
+        return nullptr;
+    }
+
+    const LineT *
+    peek(Addr a) const
+    {
+        a = lineAlign(a);
+        const std::uint32_t s = setIndex(a);
+        for (std::uint32_t w = 0; w < ways; ++w)
+            if (tags[s * ways + w] == a)
+                return &lines[s * ways + w];
+        return nullptr;
+    }
+
+    std::optional<std::pair<Addr, LineT>>
+    insert(Addr a, LineT line)
+    {
+        a = lineAlign(a);
+        const std::uint32_t s = setIndex(a);
+        for (std::uint32_t w = 0; w < ways; ++w)
+            if (tags[s * ways + w] == badTag) {
+                fillWay(a, w, line);
+                return std::nullopt;
+            }
+        const std::uint32_t v =
+            PseudoLru::victimWord(lru[s], lruWays, ways);
+        std::pair<Addr, LineT> out{tags[s * ways + v], lines[s * ways + v]};
+        fillWay(a, v, line);
+        return out;
+    }
+
+    std::optional<LineT>
+    invalidate(Addr a)
+    {
+        a = lineAlign(a);
+        const std::uint32_t s = setIndex(a);
+        for (std::uint32_t w = 0; w < ways; ++w)
+            if (tags[s * ways + w] == a) {
+                tags[s * ways + w] = badTag;
+                return lines[s * ways + w];
+            }
+        return std::nullopt;
+    }
+
+    template <typename Pred>
+    std::optional<std::uint32_t>
+    allocWay(Addr a, Pred &&can_evict) const
+    {
+        const std::uint32_t s = setIndex(lineAlign(a));
+        for (std::uint32_t w = 0; w < ways; ++w)
+            if (tags[s * ways + w] == badTag)
+                return w;
+        const std::uint32_t v =
+            PseudoLru::victimWord(lru[s], lruWays, ways);
+        if (can_evict(tags[s * ways + v]))
+            return v;
+        for (std::uint32_t w = 0; w < ways; ++w)
+            if (can_evict(tags[s * ways + w]))
+                return w;
+        return std::nullopt;
+    }
+
+    std::optional<Addr>
+    occupant(Addr a, std::uint32_t way) const
+    {
+        const Addr t = tags[setIndex(lineAlign(a)) * ways + way];
+        return t != badTag ? std::optional<Addr>(t) : std::nullopt;
+    }
+
+    void
+    fillWay(Addr a, std::uint32_t way, LineT line)
+    {
+        a = lineAlign(a);
+        const std::uint32_t s = setIndex(a);
+        tags[s * ways + way] = a;
+        lines[s * ways + way] = line;
+        PseudoLru::touchWord(lru[s], lruWays, way);
+    }
+
+    std::uint64_t
+    validLines() const
+    {
+        return static_cast<std::uint64_t>(std::count_if(
+            tags.begin(), tags.end(), [](Addr t) { return t != badTag; }));
+    }
+
+  private:
+    static constexpr Addr badTag = ~Addr{0};
+
+    std::uint32_t
+    setIndex(Addr a) const
+    {
+        return static_cast<std::uint32_t>((a >> lineShift) & (sets - 1));
+    }
+
+    std::uint32_t sets;
+    std::uint32_t ways;
+    std::vector<Addr> tags;
+    std::vector<LineT> lines;
+    std::uint32_t lruWays;
+    std::vector<std::uint64_t> lru;
+};
+
+TEST(CacheArray, MatchesDenseLayoutAtEveryWayCount)
+{
+    for (std::uint32_t ways = 1; ways <= 64; ++ways) {
+        const std::uint32_t sets = 8;
+        CacheArray<int> a(sets, ways);
+        DenseArray<int> d(sets, ways);
+        Rng rng(ways);
+        // Twice as many lines as ways in five of the eight sets; the
+        // other three are never touched.
+        const std::uint64_t lines = 2 * ways + 1;
+        const auto pick = [&rng, lines] {
+            const Addr set = rng.below(5);
+            return (rng.below(lines) * 8 + set) * lineBytes +
+                   rng.below(lineBytes);
+        };
+        for (int step = 0; step < 3000; ++step) {
+            const Addr addr = pick();
+            const int v = static_cast<int>(rng.below(1000));
+            switch (rng.below(6)) {
+              case 0: {
+                int *x = a.lookup(addr);
+                int *y = d.lookup(addr);
+                ASSERT_EQ(x != nullptr, y != nullptr) << ways;
+                if (x) {
+                    ASSERT_EQ(*x, *y);
+                }
+                break;
+              }
+              case 1: {
+                const int *x = a.peek(addr);
+                const int *y = d.peek(addr);
+                ASSERT_EQ(x != nullptr, y != nullptr) << ways;
+                if (x) {
+                    ASSERT_EQ(*x, *y);
+                }
+                break;
+              }
+              case 2:
+              case 3:
+                if (!d.peek(addr)) {
+                    const auto x = a.insert(addr, v);
+                    ASSERT_EQ(x.evicted, d.insert(addr, v)) << ways;
+                    ASSERT_EQ(*x.line, v);
+                }
+                break;
+              case 4:
+                ASSERT_EQ(a.invalidate(addr), d.invalidate(addr)) << ways;
+                break;
+              case 5: {
+                // Pin a third of the lines, as busy directory lines
+                // are pinned.
+                const auto can_evict = [](Addr t) {
+                    return (t >> lineShift) % 3 != 0;
+                };
+                const auto x = a.allocWay(addr, can_evict);
+                ASSERT_EQ(x, d.allocWay(addr, can_evict)) << ways;
+                if (x && !d.peek(addr)) {
+                    ASSERT_EQ(a.occupant(addr, *x), d.occupant(addr, *x));
+                    a.fillWay(addr, *x, v);
+                    d.fillWay(addr, *x, v);
+                }
+                break;
+              }
+            }
+            ASSERT_EQ(a.validLines(), d.validLines()) << ways;
+        }
+        // Only the five used sets ever got storage.
+        EXPECT_EQ(a.blocks(), 5u) << ways;
+    }
+}
+
+TEST(CacheArray, UntouchedSetsHaveNoStorage)
+{
+    CacheArray<int> a(64, 4);
+    EXPECT_EQ(a.blocks(), 0u);
+    EXPECT_EQ(a.lookup(0x40), nullptr);
+    EXPECT_EQ(a.invalidate(0x40), std::nullopt);
+    EXPECT_EQ(a.allocWay(0x40, [](Addr) { return false; }), 0u);
+    EXPECT_EQ(a.occupant(0x40, 0), std::nullopt);
+    EXPECT_EQ(a.blocks(), 0u);
+    a.insert(0x40, 1);
+    a.insert(0x40 + 64 * lineBytes, 2);  // same set
+    EXPECT_EQ(a.blocks(), 1u);
+    // An emptied set keeps its block and its replacement history.
+    a.invalidate(0x40);
+    a.invalidate(0x40 + 64 * lineBytes);
+    EXPECT_EQ(a.blocks(), 1u);
+    EXPECT_EQ(a.validLines(), 0u);
 }
 
 TEST(Mshr, MergeAndRelease)

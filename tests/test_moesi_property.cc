@@ -65,6 +65,26 @@ struct Fabric4
         }
     }
 
+    /** Valid lines across the L1s and L2 slices: each holds one
+     *  LinePool slot. */
+    std::uint64_t
+    heldLines() const
+    {
+        std::uint64_t n = 0;
+        for (CoreId i = 0; i < cores; ++i)
+            n += l1s[i]->residentLines() + dirs[i]->l2Lines();
+        return n;
+    }
+
+    /** Run the access to quiescence. One access settles in a few
+     *  hundred ticks, so a livelock fails here instead of spinning. */
+    void
+    drain()
+    {
+        EXPECT_TRUE(eq.run(eq.now() + 1'000'000))
+            << "the fabric did not drain by tick " << eq.now();
+    }
+
     std::uint64_t
     load(CoreId c, Addr a)
     {
@@ -77,7 +97,7 @@ struct Fabric4
             out = v;
             done = true;
         }));
-        eq.run();
+        drain();
         EXPECT_TRUE(done);
         return out;
     }
@@ -93,7 +113,7 @@ struct Fabric4
                                        [&](std::uint64_t) {
             done = true;
         }));
-        eq.run();
+        drain();
         EXPECT_TRUE(done);
     }
 
@@ -116,7 +136,7 @@ struct Fabric4
         m.requestor = 0;
         m.cls = TrafficClass::Dma;
         net->send(0, Endpoint::Dir, home, m, TrafficClass::Dma);
-        eq.run();
+        drain();
         EXPECT_TRUE(done);
         return out;
     }
@@ -138,7 +158,7 @@ struct Fabric4
         m.data = d;
         m.cls = TrafficClass::Dma;
         net->send(0, Endpoint::Dir, home, m, TrafficClass::Dma);
-        eq.run();
+        drain();
         EXPECT_TRUE(done);
     }
 };
@@ -231,6 +251,51 @@ TEST_P(MoesiProperty, DmaWriteInvalidatesEverywhere)
         const CoreId reader = static_cast<CoreId>(rng.below(4));
         EXPECT_EQ(f.load(reader, line + 16), round * 100 + 16u);
     }
+}
+
+TEST_P(MoesiProperty, ThrashStaysWithinLinePoolCapacity)
+{
+    // 32-line L1s, 64-line L2 slices and a 64-entry directory under
+    // 512 lines: dirty evictions, L2 writebacks and recalls all the
+    // time.
+    DirSliceParams dp;
+    dp.l2SizeBytes = 4 * 1024;
+    dp.dirEntries = 64;
+    L1Params lp;
+    lp.sizeBytes = 2 * 1024;
+    Fabric4 f(dp, lp, proto());
+    const std::uint32_t capacity =
+        Fabric4::cores * (lp.sizeBytes + dp.l2SizeBytes) / lineBytes;
+    const LinePool &pool = f.net->linePool();
+
+    Rng rng(seed() ^ 0xa5a5);
+    std::map<Addr, std::uint64_t> ref;
+    for (int step = 0; step < 3000; ++step) {
+        const CoreId c = static_cast<CoreId>(rng.below(4));
+        const Addr a =
+            0x100000 + rng.below(512) * lineBytes + rng.below(8) * 8;
+        if (rng.below(2)) {
+            const std::uint64_t v = rng.next();
+            f.store(c, a, v);
+            ref[a] = v;
+        } else {
+            ASSERT_EQ(f.load(c, a), ref.count(a) ? ref[a] : 0)
+                << "step " << step;
+        }
+        ASSERT_EQ(pool.live(), f.heldLines()) << "step " << step;
+        ASSERT_LE(pool.slots(), capacity) << "step " << step;
+    }
+    std::uint64_t dirty = 0, invals = 0;
+    for (CoreId i = 0; i < Fabric4::cores; ++i) {
+        dirty += f.l1s[i]->statGroup().value("dirtyWritebacks");
+        invals += f.l1s[i]->statGroup().value("invalidationsReceived");
+    }
+    EXPECT_GT(dirty, 0u);
+    EXPECT_GT(invals, 0u);
+    // Every value reads back intact, from any core.
+    for (const auto &[a, v] : ref)
+        EXPECT_EQ(f.load(static_cast<CoreId>(rng.below(4)), a), v);
+    EXPECT_LE(pool.slots(), capacity);
 }
 
 std::string

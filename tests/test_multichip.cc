@@ -256,6 +256,25 @@ TEST(MultiChipRun, FarMemoryPoolsBehindTheHub)
     EXPECT_GT(r.results.cycles, near.results.cycles);
 }
 
+TEST(MultiChipRun, FarMemoryLatencyIsBoundedBelowTheProgressWindow)
+{
+    // At the largest accepted latency, with the narrowest pool, every
+    // far access stalls its core for a million ticks, yet the run
+    // completes: no progress window passes without an instruction.
+    const ExperimentResult r = ExperimentBuilder()
+                                   .workload("xpipeline")
+                                   .cores(16)
+                                   .chips(2)
+                                   .farMem(System::maxFarMemLatency, 1)
+                                   .run();
+    EXPECT_GT(r.results.cycles, 10 * System::maxFarMemLatency);
+    ExperimentSpec s = r.spec;
+    s.farMemLat = System::maxFarMemLatency + 1;
+    const auto errs = validateExperiment(s, WorkloadRegistry::global());
+    ASSERT_EQ(errs.size(), 1u);
+    EXPECT_NE(errs[0].find("far-memory latency"), std::string::npos);
+}
+
 // ---------------------------------------------------- determinism
 
 TEST(MultiChipDeterminism, JsonIdenticalAcrossJobsAndRepeats)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "system/System.hh"
 
 namespace spmcoh
@@ -48,6 +51,59 @@ TEST(Spm, OutOfRangePanics)
 {
     Spm s(1024, 2, "spm");
     EXPECT_THROW(s.read(1020, 8), PanicError);
+}
+
+TEST(Spm, UnwrittenBytesReadZeroWithoutAllocating)
+{
+    Spm spm(32 * 1024, 2, "spm");
+    EXPECT_EQ(spm.read(0, 8), 0u);
+    EXPECT_EQ(spm.read(32 * 1024 - 8, 8), 0u);
+    std::uint8_t line[lineBytes];
+    std::fill(std::begin(line), std::end(line), 0xff);
+    spm.drainBlock(4096, line, lineBytes);
+    for (const std::uint8_t b : line)
+        EXPECT_EQ(b, 0u);
+    EXPECT_EQ(spm.pagesAllocated(), 0u);
+    // A write allocates its page only; its neighbours still read 0.
+    spm.write(5000, 2, 0xbeef);
+    EXPECT_EQ(spm.pagesAllocated(), 1u);
+    EXPECT_EQ(spm.read(5000, 2), 0xbeefu);
+    EXPECT_EQ(spm.read(5002, 8), 0u);
+    EXPECT_EQ(spm.read(0, 8), 0u);
+}
+
+TEST(Spm, AccessesAcrossPageEdgesRoundTrip)
+{
+    Spm spm(32 * 1024, 2, "spm");
+    // A word straddling the first page edge lands in both pages.
+    spm.write(4092, 8, 0x0102030405060708ull);
+    EXPECT_EQ(spm.pagesAllocated(), 2u);
+    EXPECT_EQ(spm.read(4092, 8), 0x0102030405060708ull);
+    EXPECT_EQ(spm.read(4092, 4), 0x05060708u);
+    EXPECT_EQ(spm.read(4096, 4), 0x01020304u);
+    // A block straddling the third edge, into a page never written.
+    std::uint8_t in[lineBytes], out[lineBytes];
+    for (std::uint32_t i = 0; i < lineBytes; ++i)
+        in[i] = static_cast<std::uint8_t>(i + 1);
+    spm.fillBlock(3 * 4096 - 32, in, lineBytes);
+    EXPECT_EQ(spm.pagesAllocated(), 4u);
+    spm.drainBlock(3 * 4096 - 32, out, lineBytes);
+    EXPECT_TRUE(std::equal(std::begin(in), std::end(in), out));
+    // The last byte of the SPM.
+    spm.write(32 * 1024 - 1, 1, 0x7f);
+    EXPECT_EQ(spm.read(32 * 1024 - 1, 1), 0x7fu);
+}
+
+TEST(Spm, RangeCheckDoesNotWrap)
+{
+    Spm spm(32 * 1024, 2, "spm");
+    // off + n wraps to 4 in 32 bits; the access is still out of range.
+    EXPECT_THROW(spm.read(0xfffffffcu, 8), PanicError);
+    EXPECT_THROW(spm.write(0xfffffffcu, 8, 1), PanicError);
+    std::uint8_t line[lineBytes] = {};
+    EXPECT_THROW(spm.fillBlock(0xffffffc0u, line, lineBytes), PanicError);
+    EXPECT_THROW(spm.read(32 * 1024 - 4, 8), PanicError);
+    EXPECT_EQ(spm.pagesAllocated(), 0u);
 }
 
 TEST(DmaGet, CopiesMemoryIntoSpm)
@@ -140,10 +196,14 @@ TEST(DmaPut, WritesMemoryAndInvalidatesCaches)
     EXPECT_EQ(sys.memory().read64(gm), 1000u);
     EXPECT_EQ(sys.memory().read64(gm + 56), 1007u);
 
-    // The put dropped the L2 copy and freed its payload slot; the
-    // reload refills the line from memory into that slot.
+    // The put dropped the L2 copy and both L1 copies and freed their
+    // payload slots; the reload refills the line from memory into two
+    // of those slots.
     const DirectorySlice &home = sys.dirAt(sys.memNet().homeSlice(gm));
-    EXPECT_EQ(home.l2PayloadSlots(), 1u);
+    const LinePool &pool = sys.memNet().linePool();
+    EXPECT_EQ(home.l2Lines(), 0u);
+    EXPECT_EQ(pool.slots(), 3u);
+    EXPECT_EQ(pool.live(), 0u);
     auto load = [&sys](Addr a) {
         std::uint64_t out = 0;
         bool done = false;
@@ -158,7 +218,9 @@ TEST(DmaPut, WritesMemoryAndInvalidatesCaches)
     };
     EXPECT_EQ(load(gm), 1000u);
     EXPECT_EQ(load(gm + 56), 1007u);
-    EXPECT_EQ(home.l2PayloadSlots(), 1u);
+    EXPECT_EQ(home.l2Lines(), 1u);
+    EXPECT_EQ(pool.slots(), 3u);
+    EXPECT_EQ(pool.live(), 2u);
 }
 
 TEST(Dmac, SyncWaitsForAllTagsInMask)
