@@ -13,9 +13,7 @@
 #ifndef SPMCOH_SPM_SPM_HH
 #define SPMCOH_SPM_SPM_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -48,11 +46,10 @@ class Spm
     {
         check(off, n);
         ++stReads;
-        std::uint8_t b[8];
-        copyOut(off, b, n);
+        const std::uint8_t *const b = readable(off, n);
         std::uint64_t v = 0;
         for (std::uint32_t i = n; i-- > 0;)
-            v = (v << 8) | b[i];
+            v = (v << 8) | (b ? b[i] : byteAt(off + i));
         return v;
     }
 
@@ -62,12 +59,12 @@ class Spm
     {
         check(off, n);
         ++stWrites;
-        std::uint8_t b[8];
+        std::uint8_t *const b = writable(off, n);
         for (std::uint32_t i = 0; i < n; ++i) {
-            b[i] = static_cast<std::uint8_t>(v & 0xff);
+            (b ? b[i] : byteRef(off + i)) =
+                static_cast<std::uint8_t>(v & 0xff);
             v >>= 8;
         }
-        copyIn(off, b, n);
     }
 
     /** Bulk line copy in (DMA fill); counts one block access. */
@@ -77,7 +74,9 @@ class Spm
     {
         check(off, n);
         ++stDmaFills;
-        copyIn(off, src, n);
+        std::uint8_t *const b = writable(off, n);
+        for (std::uint32_t i = 0; i < n; ++i)
+            (b ? b[i] : byteRef(off + i)) = src[i];
     }
 
     /** Bulk line copy out (DMA drain); counts one block access. */
@@ -87,7 +86,9 @@ class Spm
     {
         check(off, n);
         ++stDmaDrains;
-        copyOut(off, dst, n);
+        const std::uint8_t *const b = readable(off, n);
+        for (std::uint32_t i = 0; i < n; ++i)
+            dst[i] = b ? b[i] : byteAt(off + i);
     }
 
     /** Pages written so far (tests). */
@@ -108,39 +109,51 @@ class Spm
             panic("Spm: access out of range");
     }
 
-    void
-    copyIn(std::uint32_t off, const std::uint8_t *src, std::uint32_t n)
+    /** Byte @p a; 0 in a page never written. */
+    std::uint8_t
+    byteAt(std::uint32_t a) const
     {
-        while (n > 0) {
-            const std::uint32_t at = off % pageBytes;
-            const std::uint32_t k = std::min(n, pageBytes - at);
-            auto &page = pages[off / pageBytes];
-            if (!page) {
-                page = std::make_unique<std::uint8_t[]>(pageBytes);
-                ++numPages;
-            }
-            std::memcpy(page.get() + at, src, k);
-            off += k;
-            src += k;
-            n -= k;
-        }
+        const auto &page = pages[a / pageBytes];
+        return page ? page[a % pageBytes] : 0;
     }
 
-    void
-    copyOut(std::uint32_t off, std::uint8_t *dst, std::uint32_t n) const
+    /** Byte @p a, allocating (zero-filled) its page on first use. */
+    std::uint8_t &
+    byteRef(std::uint32_t a)
     {
-        while (n > 0) {
-            const std::uint32_t at = off % pageBytes;
-            const std::uint32_t k = std::min(n, pageBytes - at);
-            if (const auto &page = pages[off / pageBytes])
-                std::memcpy(dst, page.get() + at, k);
-            else
-                std::memset(dst, 0, k);
-            off += k;
-            dst += k;
-            n -= k;
+        auto &page = pages[a / pageBytes];
+        if (!page) {
+            page = std::make_unique<std::uint8_t[]>(pageBytes);
+            ++numPages;
         }
+        return page[a % pageBytes];
     }
+
+    /** The @p n bytes at @p off, or nullptr when there are none or
+     *  they straddle a page edge (the callers then go byte by byte). */
+    const std::uint8_t *
+    readable(std::uint32_t off, std::uint32_t n) const
+    {
+        if (!inOnePage(off, n))
+            return nullptr;
+        const auto &page = pages[off / pageBytes];
+        return (page ? page.get() : zeroPage) + off % pageBytes;
+    }
+
+    /** As readable(), allocating the page on first use. */
+    std::uint8_t *
+    writable(std::uint32_t off, std::uint32_t n)
+    {
+        return inOnePage(off, n) ? &byteRef(off) : nullptr;
+    }
+
+    static bool
+    inOnePage(std::uint32_t off, std::uint32_t n)
+    {
+        return n > 0 && off % pageBytes + n <= pageBytes;
+    }
+
+    static constexpr std::uint8_t zeroPage[pageBytes] = {};
 
     std::uint32_t sizeBytes;
     std::vector<std::unique_ptr<std::uint8_t[]>> pages;

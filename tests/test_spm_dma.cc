@@ -103,6 +103,9 @@ TEST(Spm, RangeCheckDoesNotWrap)
     std::uint8_t line[lineBytes] = {};
     EXPECT_THROW(spm.fillBlock(0xffffffc0u, line, lineBytes), PanicError);
     EXPECT_THROW(spm.read(32 * 1024 - 4, 8), PanicError);
+    // An empty block at the very end is in range and touches nothing.
+    spm.fillBlock(32 * 1024, line, 0);
+    spm.drainBlock(32 * 1024, line, 0);
     EXPECT_EQ(spm.pagesAllocated(), 0u);
 }
 
