@@ -458,6 +458,23 @@ TEST(Core, LivelockFailsTheRunWithinOneWindow)
                   std::string::npos) << why;
 }
 
+TEST(Core, DeadlockFailsWhenTheQueueDrains)
+{
+    // Nothing else is scheduled: the queue drains with every core
+    // parked at the barrier.
+    System sys(params4());
+    std::vector<std::unique_ptr<OpSource>> srcs;
+    for (CoreId c = 0; c < 4; ++c)
+        srcs.push_back(std::make_unique<ListSource>(
+            std::vector<MicroOp>{barrierOf(5)}));
+    EXPECT_FALSE(sys.run(std::move(srcs)));
+    EXPECT_LT(sys.events().now(), 100u);
+    EXPECT_NE(sys.failure().find("drained"), std::string::npos)
+        << sys.failure();
+    EXPECT_NE(sys.failure().find("core 3: at barrier 1"),
+              std::string::npos) << sys.failure();
+}
+
 TEST(Core, LivelockNamesTheLineOfTheOldestInFlightOp)
 {
     // Core 0's load reaches the directory, which never answers: the
