@@ -90,9 +90,6 @@ class CacheArray
             fatal("CacheArray: ways must be 1..64");
     }
 
-    CacheArray(const CacheArray &) = delete;
-    CacheArray &operator=(const CacheArray &) = delete;
-
     std::uint32_t
     setIndex(Addr line_addr) const
     {
