@@ -16,6 +16,14 @@ if grep -rn 'getenv' src; then
     echo "getenv found under src/"; exit 1
 fi
 
+echo "== statistics live in their component =="
+# A component's counters and histograms are members registered with
+# its StatGroup; a reference member into group-owned storage puts a
+# separate heap node on the hot path.
+if grep -rnE --include='*.hh' '^\s*(Counter|Histogram)\s*&\s*\w+\s*;' src; then
+    echo "Counter/Histogram reference member found under src/"; exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPMCOH_WERROR=ON

@@ -20,28 +20,7 @@ CohController::CohController(MemNet &net_, CohFabric &fab_,
                              const CoherenceProtocol &proto_)
     : net(net_), fab(fab_), amap(amap_), spm(spm_), dmac(dmac_),
       core(core_), proto(proto_), p(p_), spmDir(p_.spmDirEntries),
-      filter(p_.filterEntries), stats(name),
-      stGuardedProbes(stats.counter("guardedProbes")),
-      stSpmdirLookups(stats.counter("spmdirLookups")),
-      stFilterLookups(stats.counter("filterLookups")),
-      stSpmdirHits(stats.counter("spmdirHits")),
-      stFilterHits(stats.counter("filterHits")),
-      stFilterMisses(stats.counter("filterMisses")),
-      stSpmdirProbes(stats.counter("spmdirProbes")),
-      stFilterChecksSent(stats.counter("filterChecksSent")),
-      stRemoteSpmRequests(stats.counter("remoteSpmRequests")),
-      stFilterInserts(stats.counter("filterInserts")),
-      stFilterEvictions(stats.counter("filterEvictions")),
-      stCheckNacks(stats.counter("checkNacks")),
-      stRemoteSpmServed(stats.counter("remoteSpmServed")),
-      stFilterInvalsReceived(stats.counter("filterInvalsReceived")),
-      stMapInvalsDone(stats.counter("mapInvalsDone")),
-      stMappings(stats.counter("mappings")),
-      stConfigWrites(stats.counter("configWrites")),
-      resolveLatency(stats.histogram(
-          "resolveLatency", {8, 16, 32, 64, 128, 256, 512, 1024})),
-      pendingOccupancy(stats.histogram("pendingOccupancy",
-                                       {1, 2, 4, 8, 16, 24, 32, 48}))
+      filter(p_.filterEntries), stats(name)
 {
 }
 

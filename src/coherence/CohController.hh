@@ -115,7 +115,6 @@ class CohController
     Filter &filterRef() { return filter; }
     SpmDir &spmDirRef() { return spmDir; }
 
-    StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
   private:
@@ -151,30 +150,31 @@ class CohController
      *  slot ids that flow through message aux fields. */
     SlotTable<PendingReq> pending;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. */
-    Counter &stGuardedProbes;
-    Counter &stSpmdirLookups;
-    Counter &stFilterLookups;
-    Counter &stSpmdirHits;
-    Counter &stFilterHits;
-    Counter &stFilterMisses;
-    Counter &stSpmdirProbes;
-    Counter &stFilterChecksSent;
-    Counter &stRemoteSpmRequests;
-    Counter &stFilterInserts;
-    Counter &stFilterEvictions;
-    Counter &stCheckNacks;
-    Counter &stRemoteSpmServed;
-    Counter &stFilterInvalsReceived;
-    Counter &stMapInvalsDone;
-    Counter &stMappings;
-    Counter &stConfigWrites;
+    Counter stGuardedProbes{stats, "guardedProbes"};
+    Counter stSpmdirLookups{stats, "spmdirLookups"};
+    Counter stFilterLookups{stats, "filterLookups"};
+    Counter stSpmdirHits{stats, "spmdirHits"};
+    Counter stFilterHits{stats, "filterHits"};
+    Counter stFilterMisses{stats, "filterMisses"};
+    Counter stSpmdirProbes{stats, "spmdirProbes"};
+    Counter stFilterChecksSent{stats, "filterChecksSent"};
+    Counter stRemoteSpmRequests{stats, "remoteSpmRequests"};
+    Counter stFilterInserts{stats, "filterInserts"};
+    Counter stFilterEvictions{stats, "filterEvictions"};
+    Counter stCheckNacks{stats, "checkNacks"};
+    Counter stRemoteSpmServed{stats, "remoteSpmServed"};
+    Counter stFilterInvalsReceived{stats, "filterInvalsReceived"};
+    Counter stMapInvalsDone{stats, "mapInvalsDone"};
+    Counter stMappings{stats, "mappings"};
+    Counter stConfigWrites{stats, "configWrites"};
     /** Issue-to-resolution latency of asynchronous guarded / remote
      *  SPM requests (the Fig. 5c/5d paths). */
-    Histogram &resolveLatency;
+    Histogram resolveLatency{stats, "resolveLatency",
+                             {8, 16, 32, 64, 128, 256, 512, 1024}};
     /** Outstanding asynchronous requests, sampled on track/untrack
      *  (mirrors the L1 mshrOccupancy pattern). */
-    Histogram &pendingOccupancy;
+    Histogram pendingOccupancy{stats, "pendingOccupancy",
+                               {1, 2, 4, 8, 16, 24, 32, 48}};
 };
 
 } // namespace spmcoh

@@ -15,18 +15,7 @@ FilterDirSlice::FilterDirSlice(MemNet &net_, CohFabric &fab_,
                                const std::string &name)
     : net(net_), fab(fab_), tile(tile_), p(p_),
       fanOutLatency(net_.noc().maxLatencyFrom(tile_, ctrlPacketBytes)),
-      slots(p_.entriesPerSlice), lru(p_.entriesPerSlice), stats(name),
-      stChecks(stats.counter("checks")),
-      stCheckHits(stats.counter("checkHits")),
-      stBroadcasts(stats.counter("broadcasts")),
-      stRemoteHits(stats.counter("remoteHits")),
-      stQueuedOps(stats.counter("queuedOps")),
-      stInserts(stats.counter("inserts")),
-      stInsertRetries(stats.counter("insertRetries")),
-      stEvictions(stats.counter("evictions")),
-      stMapInvalidations(stats.counter("mapInvalidations")),
-      stSharerInvalidations(stats.counter("sharerInvalidations")),
-      stEvictNotifies(stats.counter("evictNotifies"))
+      slots(p_.entriesPerSlice), lru(p_.entriesPerSlice), stats(name)
 {
 }
 

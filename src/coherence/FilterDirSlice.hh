@@ -46,7 +46,6 @@ class FilterDirSlice
     /** MemNet delivery entry point (Endpoint::CohDir). */
     void handle(const Message &msg);
 
-    StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
     /** Test hooks. */
@@ -151,18 +150,17 @@ class FilterDirSlice
     std::vector<std::pair<Addr, std::uint64_t>> busy;
     SlotTable<Op> ops;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. */
-    Counter &stChecks;
-    Counter &stCheckHits;
-    Counter &stBroadcasts;
-    Counter &stRemoteHits;
-    Counter &stQueuedOps;
-    Counter &stInserts;
-    Counter &stInsertRetries;
-    Counter &stEvictions;
-    Counter &stMapInvalidations;
-    Counter &stSharerInvalidations;
-    Counter &stEvictNotifies;
+    Counter stChecks{stats, "checks"};
+    Counter stCheckHits{stats, "checkHits"};
+    Counter stBroadcasts{stats, "broadcasts"};
+    Counter stRemoteHits{stats, "remoteHits"};
+    Counter stQueuedOps{stats, "queuedOps"};
+    Counter stInserts{stats, "inserts"};
+    Counter stInsertRetries{stats, "insertRetries"};
+    Counter stEvictions{stats, "evictions"};
+    Counter stMapInvalidations{stats, "mapInvalidations"};
+    Counter stSharerInvalidations{stats, "sharerInvalidations"};
+    Counter stEvictNotifies{stats, "evictNotifies"};
 };
 
 } // namespace spmcoh

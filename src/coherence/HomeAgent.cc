@@ -12,19 +12,7 @@ namespace spmcoh
 
 HomeAgent::HomeAgent(const InterChipParams &p_, std::uint32_t chips_,
                      const CoherenceProtocol &proto_)
-    : p(p_), chips(chips_), proto(proto_), stats("homeagent"),
-      stCrossings(stats.counter("crossings")),
-      stEscalations(stats.counter("escalations")),
-      stForwards(stats.counter("forwards")),
-      stInvalidations(stats.counter("invalidations")),
-      stSpmCrossings(stats.counter("spmCrossings")),
-      stPoolReads(stats.counter("poolReads")),
-      stPoolWrites(stats.counter("poolWrites")),
-      stTrackedPeak(stats.counter("trackedLinesPeak")),
-      txnLatency(stats.histogram(
-          "txnLatency", {16, 32, 64, 128, 256, 512, 1024, 2048})),
-      txnOccupancy(stats.histogram("txnOccupancy",
-                                   {1, 2, 4, 8, 16, 24, 32, 48}))
+    : p(p_), chips(chips_), proto(proto_), stats("homeagent")
 {
 }
 

@@ -87,16 +87,22 @@ class HomeAgent
     std::size_t trackedPeak = 0;
 
     StatGroup stats;
-    Counter &stCrossings;      ///< every packet through the hub
-    Counter &stEscalations;    ///< requests escalated off-chip
-    Counter &stForwards;       ///< forwards / owner data across chips
-    Counter &stInvalidations;  ///< cross-chip invalidations
-    Counter &stSpmCrossings;   ///< SPM-protocol packets (remote serves)
-    Counter &stPoolReads;
-    Counter &stPoolWrites;
-    Counter &stTrackedPeak;    ///< high-water mark of tracked lines
-    Histogram &txnLatency;     ///< send -> hub-exit latency
-    Histogram &txnOccupancy;   ///< hub backlog at arrival
+    Counter stCrossings{stats, "crossings"};      ///< every hub packet
+    Counter stEscalations{stats, "escalations"};  ///< off-chip requests
+    Counter stForwards{stats, "forwards"};  ///< cross-chip owner data
+    Counter stInvalidations{stats, "invalidations"};  ///< cross-chip
+    /** SPM-protocol packets (remote serves). */
+    Counter stSpmCrossings{stats, "spmCrossings"};
+    Counter stPoolReads{stats, "poolReads"};
+    Counter stPoolWrites{stats, "poolWrites"};
+    /** High-water mark of tracked lines. */
+    Counter stTrackedPeak{stats, "trackedLinesPeak"};
+    /** Send -> hub-exit latency. */
+    Histogram txnLatency{stats, "txnLatency",
+                         {16, 32, 64, 128, 256, 512, 1024, 2048}};
+    /** Hub backlog at arrival. */
+    Histogram txnOccupancy{stats, "txnOccupancy",
+                           {1, 2, 4, 8, 16, 24, 32, 48}};
 };
 
 } // namespace spmcoh

@@ -17,23 +17,7 @@ CoreModel::CoreModel(MemNet &net_, L1Cache &l1d_, L1Cache &l1i_,
                      const CoreParams &p_, const std::string &name)
     : net(net_), l1d(l1d_), l1i(l1i_), tlb(tlb_), spm(spm_),
       dmac(dmac_), coh(coh_), amap(amap_), core(core_), mode(mode_),
-      p(p_), stats(name),
-      stInstructions(stats.counter("instructions")),
-      stMemOps(stats.counter("memOps")),
-      stRobStalls(stats.counter("robStalls")),
-      stLqStalls(stats.counter("lqStalls")),
-      stSqStalls(stats.counter("sqStalls")),
-      stStoreForwards(stats.counter("storeForwards")),
-      stSpmAccesses(stats.counter("spmAccesses")),
-      stGuardedAccesses(stats.counter("guardedAccesses")),
-      stGuardedLocalSpm(stats.counter("guardedLocalSpm")),
-      stGuardedResolves(stats.counter("guardedResolves")),
-      stGuardedRemoteSpm(stats.counter("guardedRemoteSpm")),
-      stRemoteSpmAccesses(stats.counter("remoteSpmAccesses")),
-      stDmaCommands(stats.counter("dmaCommands")),
-      stSquashes(stats.counter("squashes")),
-      stKernelCodeWalks(stats.counter("kernelCodeWalks")),
-      stCycles(stats.counter("cycles"))
+      p(p_), stats(name)
 {
     l1d.setMshrFreeCallback([this] {
         drainDeferred();
@@ -363,13 +347,14 @@ CoreModel::issueMemOp()
     const bool is_load = cur.kind == OpKind::Load;
     const std::uint64_t val = is_load ? 0 : storeValue();
     const std::uint64_t seq = nextSeq++;
+    window.push_back(WindowEntry{
+        seq, instrCount, cur.addr, val, cur.refId, cur.size, is_load,
+        false});
     // Only a GM store waiting in the L1 forwards to younger loads;
     // it is listed before the issue in case the L1 completes it
     // inline.
-    window.push_back(WindowEntry{
-        seq, instrCount, cur.addr, val, cur.refId, cur.size, is_load,
-        false,
-        !is_load && pendingFlavor == Flavor::GmMiss});
+    if (!is_load && pendingFlavor == Flavor::GmMiss)
+        fwdStores.push_back(FwdStore{seq, cur.addr, cur.size});
     std::uint32_t &pending = is_load ? pendingLoads : pendingStores;
     ++pending;
 
@@ -381,6 +366,7 @@ CoreModel::issueMemOp()
         // Roll the allocation back, seq included; we retry on MSHR
         // free.
         window.pop_back();
+        dropFwdStore(seq);
         --nextSeq;
         --pending;
         return false;
@@ -481,10 +467,12 @@ CoreModel::onMemComplete(std::uint64_t seq)
     if (e.done)
         panic("CoreModel: double completion");
     e.done = true;
-    if (e.isLoad)
+    if (e.isLoad) {
         --pendingLoads;
-    else
+    } else {
         --pendingStores;
+        dropFwdStore(seq);
+    }
     retireCompleted();
     wake();
 }
@@ -492,10 +480,17 @@ CoreModel::onMemComplete(std::uint64_t seq)
 bool
 CoreModel::forwardLoad(Addr a, std::uint8_t sz) const
 {
-    for (const WindowEntry &e : window)
-        if (e.fwdStore && !e.done && e.addr == a && e.size == sz)
+    for (const FwdStore &f : fwdStores)
+        if (f.addr == a && f.size == sz)
             return true;
     return false;
+}
+
+void
+CoreModel::dropFwdStore(std::uint64_t seq)
+{
+    std::erase_if(fwdStores,
+                  [seq](const FwdStore &f) { return f.seq == seq; });
 }
 
 void

@@ -128,7 +128,6 @@ class CoreModel
         return phaseCyc[static_cast<std::size_t>(ph)];
     }
 
-    StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
   private:
@@ -147,7 +146,15 @@ class CoreModel
         std::uint8_t size;
         bool isLoad;
         bool done;
-        bool fwdStore;          ///< GM store younger loads forward from
+    };
+
+    /** An outstanding GM store waiting in the L1; younger loads of
+     *  the same address and size forward from it. */
+    struct FwdStore
+    {
+        std::uint64_t seq;
+        Addr addr;
+        std::uint8_t size;
     };
 
     /** An L1 access waiting for an MSHR; seq 0 is a write-through. */
@@ -204,6 +211,8 @@ class CoreModel
     void onGuardedResolved(std::uint64_t seq, bool by_spm);
     void onMemComplete(std::uint64_t seq);
     bool forwardLoad(Addr a, std::uint8_t sz) const;
+    /** Drop @p seq from fwdStores, if it is there. */
+    void dropFwdStore(std::uint64_t seq);
 
     void recordDivert(Addr spm_addr, bool is_write);
     void checkSquash(Addr spm_addr, bool is_write);
@@ -243,6 +252,9 @@ class CoreModel
     Tick finishedAt = 0;
 
     std::deque<WindowEntry> window;
+    /** The window's incomplete GM stores (at most sqEntries), so a
+     *  load's forwarding check scans the store queue, not the ROB. */
+    std::vector<FwdStore> fwdStores;
     std::uint32_t pendingLoads = 0;
     std::uint32_t pendingStores = 0;
     std::uint64_t nextSeq = 1;
@@ -270,24 +282,23 @@ class CoreModel
     std::function<void(const MicroOp &, std::function<void()>)>
         barrierArrive;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. The
-     *  per-phase counters in finish() stay string-keyed (cold). */
-    Counter &stInstructions;
-    Counter &stMemOps;
-    Counter &stRobStalls;
-    Counter &stLqStalls;
-    Counter &stSqStalls;
-    Counter &stStoreForwards;
-    Counter &stSpmAccesses;
-    Counter &stGuardedAccesses;
-    Counter &stGuardedLocalSpm;
-    Counter &stGuardedResolves;
-    Counter &stGuardedRemoteSpm;
-    Counter &stRemoteSpmAccesses;
-    Counter &stDmaCommands;
-    Counter &stSquashes;
-    Counter &stKernelCodeWalks;
-    Counter &stCycles;
+    // The per-phase counters are created by name in finish().
+    Counter stInstructions{stats, "instructions"};
+    Counter stMemOps{stats, "memOps"};
+    Counter stRobStalls{stats, "robStalls"};
+    Counter stLqStalls{stats, "lqStalls"};
+    Counter stSqStalls{stats, "sqStalls"};
+    Counter stStoreForwards{stats, "storeForwards"};
+    Counter stSpmAccesses{stats, "spmAccesses"};
+    Counter stGuardedAccesses{stats, "guardedAccesses"};
+    Counter stGuardedLocalSpm{stats, "guardedLocalSpm"};
+    Counter stGuardedResolves{stats, "guardedResolves"};
+    Counter stGuardedRemoteSpm{stats, "guardedRemoteSpm"};
+    Counter stRemoteSpmAccesses{stats, "remoteSpmAccesses"};
+    Counter stDmaCommands{stats, "dmaCommands"};
+    Counter stSquashes{stats, "squashes"};
+    Counter stKernelCodeWalks{stats, "kernelCodeWalks"};
+    Counter stCycles{stats, "cycles"};
 };
 
 } // namespace spmcoh

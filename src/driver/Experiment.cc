@@ -6,6 +6,7 @@
 
 #include "driver/Experiment.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -84,12 +85,14 @@ class SnapshotVisitor final : public StatVisitor
     histogram(const std::string &key, const Histogram &h) override
     {
         HistogramSnapshot &hs = cur->histograms[key];
+        const auto edges = h.bucketEdges();
+        const auto buckets = h.bucketCounts();
         if (hs.buckets.empty()) {
-            hs.edges = h.bucketEdges();
-            hs.buckets = h.bucketCounts();
-        } else if (hs.edges == h.bucketEdges()) {
+            hs.edges.assign(edges.begin(), edges.end());
+            hs.buckets.assign(buckets.begin(), buckets.end());
+        } else if (std::ranges::equal(hs.edges, edges)) {
             for (std::size_t i = 0; i < hs.buckets.size(); ++i)
-                hs.buckets[i] += h.bucketCounts()[i];
+                hs.buckets[i] += buckets[i];
         } else {
             // Same key, different edges across instances: keep the
             // snapshot internally consistent by skipping the whole

@@ -21,33 +21,7 @@ DirectorySlice::DirectorySlice(MemNet &net_, CoreId tile_,
       pool(net_.linePool()),
       dir(p_.dirEntries / p_.dirWays, p_.dirWays,
           lineShift + log2i(net_.cores())),
-      stats(name),
-      stGetS(stats.counter("getS")),
-      stGetX(stats.counter("getX")),
-      stUpdX(stats.counter("updX")),
-      stPutM(stats.counter("putM")),
-      stPutS(stats.counter("putS")),
-      stPutE(stats.counter("putE")),
-      stIfetch(stats.counter("ifetch")),
-      stDmaRead(stats.counter("dmaRead")),
-      stDmaWrite(stats.counter("dmaWrite")),
-      stQueuedRequests(stats.counter("queuedRequests")),
-      stFwdGetS(stats.counter("fwdGetS")),
-      stFwdGetX(stats.counter("fwdGetX")),
-      stInvalidationsSent(stats.counter("invalidationsSent")),
-      stUpdatesSent(stats.counter("updatesSent")),
-      stL2Hits(stats.counter("l2Hits")),
-      stL2Misses(stats.counter("l2Misses")),
-      stL2DirtyEvictions(stats.counter("l2DirtyEvictions")),
-      stMemWbForwards(stats.counter("memWbForwards")),
-      stMemWriteAcks(stats.counter("memWriteAcks")),
-      stAllocRetries(stats.counter("allocRetries")),
-      stRecalls(stats.counter("recalls")),
-      stStalePuts(stats.counter("stalePuts")),
-      txnLatency(stats.histogram(
-          "txnLatency", {16, 32, 64, 128, 256, 512, 1024, 2048})),
-      txnOccupancy(stats.histogram("txnOccupancy",
-                                   {1, 2, 4, 8, 16, 24, 32, 48}))
+      stats(name)
 {
 }
 

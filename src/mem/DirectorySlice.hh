@@ -69,7 +69,6 @@ class DirectorySlice
     /** MemNet delivery entry point. */
     void handle(const Message &msg);
 
-    StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
     /** Test hooks. */
@@ -231,35 +230,35 @@ class DirectorySlice
      *  reads are served from this buffer instead. */
     LineMap<MemWb> memWb;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction (the
-     *  string-keyed map is registration/export only). */
-    Counter &stGetS;
-    Counter &stGetX;
-    Counter &stUpdX;
-    Counter &stPutM;
-    Counter &stPutS;
-    Counter &stPutE;
-    Counter &stIfetch;
-    Counter &stDmaRead;
-    Counter &stDmaWrite;
-    Counter &stQueuedRequests;
-    Counter &stFwdGetS;
-    Counter &stFwdGetX;
-    Counter &stInvalidationsSent;
-    Counter &stUpdatesSent;
-    Counter &stL2Hits;
-    Counter &stL2Misses;
-    Counter &stL2DirtyEvictions;
-    Counter &stMemWbForwards;
-    Counter &stMemWriteAcks;
-    Counter &stAllocRetries;
-    Counter &stRecalls;
-    Counter &stStalePuts;
+    Counter stGetS{stats, "getS"};
+    Counter stGetX{stats, "getX"};
+    Counter stUpdX{stats, "updX"};
+    Counter stPutM{stats, "putM"};
+    Counter stPutS{stats, "putS"};
+    Counter stPutE{stats, "putE"};
+    Counter stIfetch{stats, "ifetch"};
+    Counter stDmaRead{stats, "dmaRead"};
+    Counter stDmaWrite{stats, "dmaWrite"};
+    Counter stQueuedRequests{stats, "queuedRequests"};
+    Counter stFwdGetS{stats, "fwdGetS"};
+    Counter stFwdGetX{stats, "fwdGetX"};
+    Counter stInvalidationsSent{stats, "invalidationsSent"};
+    Counter stUpdatesSent{stats, "updatesSent"};
+    Counter stL2Hits{stats, "l2Hits"};
+    Counter stL2Misses{stats, "l2Misses"};
+    Counter stL2DirtyEvictions{stats, "l2DirtyEvictions"};
+    Counter stMemWbForwards{stats, "memWbForwards"};
+    Counter stMemWriteAcks{stats, "memWriteAcks"};
+    Counter stAllocRetries{stats, "allocRetries"};
+    Counter stRecalls{stats, "recalls"};
+    Counter stStalePuts{stats, "stalePuts"};
     /** Start-to-finish latency of every directory transaction. */
-    Histogram &txnLatency;
+    Histogram txnLatency{stats, "txnLatency",
+                         {16, 32, 64, 128, 256, 512, 1024, 2048}};
     /** Concurrent blocked-line transactions, sampled on txn
      *  start/finish (mirrors the L1 mshrOccupancy pattern). */
-    Histogram &txnOccupancy;
+    Histogram txnOccupancy{stats, "txnOccupancy",
+                           {1, 2, 4, 8, 16, 24, 32, 48}};
     void sampleTxnOccupancy()
     { txnOccupancy.sample(busy.size()); }
 };

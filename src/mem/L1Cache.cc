@@ -19,28 +19,7 @@ L1Cache::L1Cache(MemNet &net_, CoreId core_, bool icache_,
       mshr(p_.mshrs),
       prefetcher(icache_ ? PrefetcherParams{.enabled = false}
                          : p_.prefetcher),
-      stats(name),
-      stAccesses(stats.counter("accesses")),
-      stHits(stats.counter("hits")),
-      stMisses(stats.counter("misses")),
-      stFills(stats.counter("fills")),
-      stEvictions(stats.counter("evictions")),
-      stDirtyWritebacks(stats.counter("dirtyWritebacks")),
-      stMshrMerges(stats.counter("mshrMerges")),
-      stMshrFullRejects(stats.counter("mshrFullRejects")),
-      stUpgrades(stats.counter("upgrades")),
-      stPrefetchesIssued(stats.counter("prefetchesIssued")),
-      stUsefulPrefetches(stats.counter("usefulPrefetches")),
-      stWastedPrefetches(stats.counter("wastedPrefetches")),
-      stStalePutAcks(stats.counter("stalePutAcks")),
-      stForwardsServiced(stats.counter("forwardsServiced")),
-      stForwardsFromWbBuffer(stats.counter("forwardsFromWbBuffer")),
-      stInvalidationsReceived(stats.counter("invalidationsReceived")),
-      stUpdatesReceived(stats.counter("updatesReceived")),
-      stStaleUpdates(stats.counter("staleUpdates")),
-      stUpdXSent(stats.counter("updXSent")),
-      mshrOccupancy(stats.histogram("mshrOccupancy",
-                                    {1, 2, 4, 8, 16, 24, 32, 48}))
+      stats(name)
 {
 }
 

@@ -111,7 +111,6 @@ class L1Cache
     bool mshrFull() const { return mshr.full(); }
     Tick hitLatency() const { return p.hitLatency; }
 
-    StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
     /** Peek for tests: is the line valid, and in which state? A
@@ -220,31 +219,31 @@ class L1Cache
     std::uint32_t prefetchesInFlight = 0;
     std::function<void()> mshrFreeCb;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. */
-    Counter &stAccesses;
-    Counter &stHits;
-    Counter &stMisses;
-    Counter &stFills;
-    Counter &stEvictions;
-    Counter &stDirtyWritebacks;
-    Counter &stMshrMerges;
-    Counter &stMshrFullRejects;
-    Counter &stUpgrades;
-    Counter &stPrefetchesIssued;
-    Counter &stUsefulPrefetches;
-    Counter &stWastedPrefetches;
-    Counter &stStalePutAcks;
-    Counter &stForwardsServiced;
-    Counter &stForwardsFromWbBuffer;
-    Counter &stInvalidationsReceived;
-    Counter &stUpdatesReceived;
-    Counter &stStaleUpdates;
-    Counter &stUpdXSent;
+    Counter stAccesses{stats, "accesses"};
+    Counter stHits{stats, "hits"};
+    Counter stMisses{stats, "misses"};
+    Counter stFills{stats, "fills"};
+    Counter stEvictions{stats, "evictions"};
+    Counter stDirtyWritebacks{stats, "dirtyWritebacks"};
+    Counter stMshrMerges{stats, "mshrMerges"};
+    Counter stMshrFullRejects{stats, "mshrFullRejects"};
+    Counter stUpgrades{stats, "upgrades"};
+    Counter stPrefetchesIssued{stats, "prefetchesIssued"};
+    Counter stUsefulPrefetches{stats, "usefulPrefetches"};
+    Counter stWastedPrefetches{stats, "wastedPrefetches"};
+    Counter stStalePutAcks{stats, "stalePutAcks"};
+    Counter stForwardsServiced{stats, "forwardsServiced"};
+    Counter stForwardsFromWbBuffer{stats, "forwardsFromWbBuffer"};
+    Counter stInvalidationsReceived{stats, "invalidationsReceived"};
+    Counter stUpdatesReceived{stats, "updatesReceived"};
+    Counter stStaleUpdates{stats, "staleUpdates"};
+    Counter stUpdXSent{stats, "updXSent"};
     /**
      * MSHR file occupancy distribution, sampled after every
      * allocate and release (ROADMAP histogram-coverage item).
      */
-    Histogram &mshrOccupancy;
+    Histogram mshrOccupancy{stats, "mshrOccupancy",
+                            {1, 2, 4, 8, 16, 24, 32, 48}};
 };
 
 } // namespace spmcoh

@@ -136,11 +136,7 @@ class PooledMemory
 {
   public:
     explicit PooledMemory(const PooledMemoryParams &p_)
-        : p(p_), stats("farmem"),
-          stReads(stats.counter("reads")),
-          stWrites(stats.counter("writes")),
-          queueDelay(stats.histogram(
-              "queueDelay", {1, 2, 4, 8, 16, 32, 64, 128, 256}))
+        : p(p_), stats("farmem")
     {}
 
     /** Chip whose local DRAM backs a line (static interleave). */
@@ -174,9 +170,10 @@ class PooledMemory
     PooledMemoryParams p;
     Tick nextFree = 0;
     StatGroup stats;
-    Counter &stReads;
-    Counter &stWrites;
-    Histogram &queueDelay;
+    Counter stReads{stats, "reads"};
+    Counter stWrites{stats, "writes"};
+    Histogram queueDelay{stats, "queueDelay",
+                         {1, 2, 4, 8, 16, 32, 64, 128, 256}};
 };
 
 class MemNet;
@@ -193,9 +190,7 @@ class MemCtrl
             PooledMemory *pool_ = nullptr, std::uint32_t chip_ = 0)
         : eq(eq_), net(net_), mem(mem_), id(id_), tile(tile_), p(p_),
           pool(pool_), myChip(chip_),
-          stats("memctrl" + std::to_string(id_)),
-          stReads(stats.counter("reads")),
-          stWrites(stats.counter("writes"))
+          stats("memctrl" + std::to_string(id_))
     {}
 
     void handle(const Message &msg);
@@ -225,9 +220,8 @@ class MemCtrl
     std::uint32_t myChip;  ///< chip this controller sits on
     Tick nextFree = 0;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. */
-    Counter &stReads;
-    Counter &stWrites;
+    Counter stReads{stats, "reads"};
+    Counter stWrites{stats, "writes"};
 };
 
 } // namespace spmcoh

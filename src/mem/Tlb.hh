@@ -37,10 +37,8 @@ class Tlb
 {
   public:
     explicit Tlb(const TlbParams &p_, std::string name = "tlb")
-        : p(p_), tags(p_.entries, 0), valid(p_.entries, false),
-          lru(p_.entries), stats(std::move(name)),
-          stAccesses(stats.counter("accesses")),
-          stMisses(stats.counter("misses"))
+        : p(p_), tags(p_.entries, badTag), lru(p_.entries),
+          stats(std::move(name))
     {}
 
     /**
@@ -53,7 +51,7 @@ class Tlb
         const Addr vpn = vaddr / p.pageBytes;
         ++stAccesses;
         for (std::uint32_t i = 0; i < p.entries; ++i) {
-            if (valid[i] && tags[i] == vpn) {
+            if (tags[i] == vpn) {
                 lru.touch(i);
                 return 0;
             }
@@ -62,31 +60,31 @@ class Tlb
         // Install the translation over the pLRU victim.
         std::uint32_t victim = p.entries;
         for (std::uint32_t i = 0; i < p.entries; ++i) {
-            if (!valid[i]) {
+            if (tags[i] == badTag) {
                 victim = i;
                 break;
             }
         }
         if (victim == p.entries)
             victim = lru.victim();
-        valid[victim] = true;
         tags[victim] = vpn;
         lru.touch(victim);
         return p.missPenalty;
     }
 
     const StatGroup &statGroup() const { return stats; }
-    StatGroup &statGroup() { return stats; }
 
   private:
+    /// Invalid-entry sentinel; no page number of pages larger than
+    /// one byte reaches ~0.
+    static constexpr Addr badTag = ~Addr{0};
+
     TlbParams p;
     std::vector<Addr> tags;
-    std::vector<bool> valid;
     PseudoLru lru;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. */
-    Counter &stAccesses;
-    Counter &stMisses;
+    Counter stAccesses{stats, "accesses"};
+    Counter stMisses{stats, "misses"};
 };
 
 } // namespace spmcoh

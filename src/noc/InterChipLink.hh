@@ -50,13 +50,7 @@ class InterChipLink
 {
   public:
     InterChipLink(std::uint32_t chip, const InterChipParams &p_)
-        : p(p_), stats("iclink" + std::to_string(chip)),
-          stUpPackets(stats.counter("upPackets")),
-          stUpBytes(stats.counter("upBytes")),
-          stDownPackets(stats.counter("downPackets")),
-          stDownBytes(stats.counter("downBytes")),
-          queueDelay(stats.histogram(
-              "queueDelay", {1, 2, 4, 8, 16, 32, 64, 128, 256}))
+        : p(p_), stats("iclink" + std::to_string(chip))
     {}
 
     /** Chip -> hub; returns the tick the packet reaches the hub. */
@@ -107,11 +101,12 @@ class InterChipLink
     Tick upNextFree = 0;
     Tick downNextFree = 0;
     StatGroup stats;
-    Counter &stUpPackets;
-    Counter &stUpBytes;
-    Counter &stDownPackets;
-    Counter &stDownBytes;
-    Histogram &queueDelay;
+    Counter stUpPackets{stats, "upPackets"};
+    Counter stUpBytes{stats, "upBytes"};
+    Counter stDownPackets{stats, "downPackets"};
+    Counter stDownBytes{stats, "downBytes"};
+    Histogram queueDelay{stats, "queueDelay",
+                         {1, 2, 4, 8, 16, 32, 64, 128, 256}};
 };
 
 } // namespace spmcoh

@@ -61,11 +61,7 @@ class OsSpmManager
           runningPid(num_cores, invalidPid),
           spmOwnerPid(num_cores, invalidPid),
           spmPoweredOn(num_cores, false),
-          stats("os"),
-          stContextSwitches(stats.counter("contextSwitches")),
-          stLazySaves(stats.counter("lazySaves")),
-          stLazyRestores(stats.counter("lazyRestores")),
-          stSpmPowerDowns(stats.counter("spmPowerDowns"))
+          stats("os")
     {}
 
     static constexpr std::uint32_t invalidPid = 0xffffffff;
@@ -167,7 +163,7 @@ class OsSpmManager
     const ProcessContext &process(std::uint32_t pid) const
     { return processes.at(pid); }
 
-    StatGroup &statGroup() { return stats; }
+    const StatGroup &statGroup() const { return stats; }
 
   private:
     std::uint32_t numCores;
@@ -179,11 +175,10 @@ class OsSpmManager
     std::vector<std::uint32_t> spmOwnerPid;
     std::vector<bool> spmPoweredOn;
     StatGroup stats;
-    /** Counters resolved once at construction. */
-    Counter &stContextSwitches;
-    Counter &stLazySaves;
-    Counter &stLazyRestores;
-    Counter &stSpmPowerDowns;
+    Counter stContextSwitches{stats, "contextSwitches"};
+    Counter stLazySaves{stats, "lazySaves"};
+    Counter stLazyRestores{stats, "lazyRestores"};
+    Counter stSpmPowerDowns{stats, "spmPowerDowns"};
 };
 
 } // namespace spmcoh

@@ -11,15 +11,7 @@ namespace spmcoh
 Dmac::Dmac(MemNet &net_, Spm &spm_, const AddressMap &amap_,
            CoreId core_, const DmacParams &p_, const std::string &name)
     : net(net_), spm(spm_), amap(amap_), core(core_), p(p_),
-      tagPending(numTags, 0), stats(name),
-      stGetCommands(stats.counter("getCommands")),
-      stPutCommands(stats.counter("putCommands")),
-      stGetLines(stats.counter("getLines")),
-      stPutLines(stats.counter("putLines")),
-      stSyncs(stats.counter("syncs")),
-      stCmdQueueFull(stats.counter("cmdQueueFull")),
-      lineLatency(stats.histogram("lineLatency",
-                                  {16, 32, 64, 128, 256, 512, 1024}))
+      tagPending(numTags, 0), stats(name)
 {
 }
 

@@ -89,7 +89,6 @@ class Dmac
     /** MemNet delivery entry point (DmaReadResp / DmaWriteAck). */
     void handle(const Message &msg);
 
-    StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
   private:
@@ -129,14 +128,15 @@ class Dmac
     SlotTable<Req> reqs;
     std::function<void()> cmdSlotCb;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. */
-    Counter &stGetCommands;
-    Counter &stPutCommands;
-    Counter &stGetLines;
-    Counter &stPutLines;
-    Counter &stSyncs;
-    Counter &stCmdQueueFull;
-    Histogram &lineLatency;  ///< response-time histogram in stats
+    Counter stGetCommands{stats, "getCommands"};
+    Counter stPutCommands{stats, "putCommands"};
+    Counter stGetLines{stats, "getLines"};
+    Counter stPutLines{stats, "putLines"};
+    Counter stSyncs{stats, "syncs"};
+    Counter stCmdQueueFull{stats, "cmdQueueFull"};
+    /** Per-line response time. */
+    Histogram lineLatency{stats, "lineLatency",
+                          {16, 32, 64, 128, 256, 512, 1024}};
 };
 
 } // namespace spmcoh

@@ -30,11 +30,7 @@ class Spm
   public:
     Spm(std::uint32_t size_bytes, Tick latency_, const std::string &name)
         : sizeBytes(size_bytes), pages(divCeil(size_bytes, pageBytes)),
-          latency(latency_), stats(name),
-          stReads(stats.counter("reads")),
-          stWrites(stats.counter("writes")),
-          stDmaFills(stats.counter("dmaFills")),
-          stDmaDrains(stats.counter("dmaDrains"))
+          latency(latency_), stats(name)
     {}
 
     std::uint32_t size() const { return sizeBytes; }
@@ -94,7 +90,6 @@ class Spm
     /** Pages written so far (tests). */
     std::size_t pagesAllocated() const { return numPages; }
 
-    StatGroup &statGroup() { return stats; }
     const StatGroup &statGroup() const { return stats; }
 
   private:
@@ -160,11 +155,10 @@ class Spm
     std::size_t numPages = 0;
     Tick latency;
     StatGroup stats;
-    /** Hot-path counters, resolved once at construction. */
-    Counter &stReads;
-    Counter &stWrites;
-    Counter &stDmaFills;
-    Counter &stDmaDrains;
+    Counter stReads{stats, "reads"};
+    Counter stWrites{stats, "writes"};
+    Counter stDmaFills{stats, "dmaFills"};
+    Counter stDmaDrains{stats, "dmaDrains"};
 };
 
 } // namespace spmcoh

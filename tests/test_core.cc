@@ -192,6 +192,67 @@ TEST(Core, LoadDoesNotForwardFromACompletedStore)
     EXPECT_EQ(sys.l1dAt(0).statGroup().value("hits"), 1u);
 }
 
+TEST(Core, StoreRolledBackOnFullMshrsNeverForwards)
+{
+    // Two load misses fill both MSHRs, so the store's first issue is
+    // rolled back and retried. Once the retried store completes, only
+    // the L1 may serve the later load: no trace of the rolled-back
+    // issue may forward to it.
+    SystemParams p = params4(SystemMode::CacheOnly);
+    p.l1d.mshrs = 2;
+    System sys(p);
+    const Addr target = 0x500000;
+    std::vector<MicroOp> ops;
+    ops.push_back(load(0x600000));
+    ops.push_back(load(0x700000));
+    ops.push_back(store(target, 42));
+    ops.push_back(nonMem(3000));
+    MicroOp late = load(target);
+    late.refId = 3;
+    ops.push_back(late);
+    runOps(sys, std::move(ops));
+    EXPECT_GE(sys.l1dAt(0).statGroup().value("mshrFullRejects"), 1u);
+    EXPECT_EQ(sys.coreAt(0).statGroup().value("storeForwards"), 0u);
+    EXPECT_EQ(sys.l1dAt(0).statGroup().value("hits"), 1u);
+}
+
+TEST(Core, LoadForwardsFromYoungerStoreAfterOlderCompletes)
+{
+    // Under Dragon, two stores to a line both cores share merge into
+    // one MSHR; the first completes with the update round, the second
+    // needs a round of its own. The load sits exactly one ROB past
+    // the older store, so it issues when that store retires and must
+    // still forward from the younger one. The barrier holds the
+    // stores until both cores hold the line.
+    SystemParams p = params4(SystemMode::CacheOnly);
+    p.protocol = "dragon";
+    System sys(p);
+    const Addr target = 0x400000;
+    MicroOp bar;
+    bar.kind = OpKind::Barrier;
+    bar.tag = 2;                 // parties
+    bar.addr = 0 | 1ull << 32;   // member span: cores 0..1
+    std::vector<MicroOp> ops;
+    ops.push_back(load(target));
+    ops.push_back(nonMem(2000));
+    ops.push_back(bar);
+    ops.push_back(store(target, 1));
+    ops.push_back(store(target, 2));
+    ops.push_back(nonMem(CoreParams{}.robEntries - 1));
+    MicroOp late = load(target);
+    late.refId = 3;
+    ops.push_back(late);
+    std::vector<std::unique_ptr<OpSource>> others;
+    others.push_back(std::make_unique<ListSource>(
+        std::vector<MicroOp>{load(target), nonMem(2000), bar}));
+    runOps(sys, std::move(ops), &others);
+    const StatGroup &l1 = sys.l1dAt(0).statGroup();
+    EXPECT_EQ(l1.value("updXSent"), 2u);
+    EXPECT_EQ(l1.value("upgrades"), 1u);
+    EXPECT_GE(sys.coreAt(0).statGroup().value("robStalls"), 1u);
+    EXPECT_EQ(sys.coreAt(0).statGroup().value("storeForwards"), 1u);
+}
+
 TEST(Core, SpmAccessesBypassCachesAndTlb)
 {
     System sys(params4());

@@ -452,8 +452,12 @@ TEST(Tlb, CapacityEviction)
     TlbParams p;
     p.entries = 4;
     Tlb t(p);
+    // Every page misses cold, page 0 included: an empty entry's
+    // sentinel tag matches no page.
     for (Addr pg = 0; pg < 5; ++pg)
-        t.access(pg * 4096);
+        EXPECT_GT(t.access(pg * 4096), 0u) << "page " << pg;
+    // The first four filled the empty entries, so page 1 still hits.
+    EXPECT_EQ(t.access(4096), 0u);
     // First page was evicted by the fifth.
     EXPECT_GT(t.access(0), 0u);
 }

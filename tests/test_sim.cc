@@ -8,7 +8,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/EventQueue.hh"
@@ -270,6 +273,119 @@ TEST(Stats, VisitorWalksCountersAndHistograms)
     EXPECT_EQ(c.group, "grp");
     EXPECT_EQ(c.scalars.at("a"), 7u);
     EXPECT_EQ(c.histSamples.at("lat"), 2u);
+}
+
+/** Records every statistic a group exports, in visit order. */
+struct OrderCollector final : StatVisitor
+{
+    std::vector<std::pair<std::string, std::uint64_t>> scalars;
+    std::vector<std::string> hists;
+    void
+    scalar(const std::string &k, std::uint64_t v) override
+    {
+        scalars.emplace_back(k, v);
+    }
+    void
+    histogram(const std::string &k, const Histogram &) override
+    {
+        hists.push_back(k);
+    }
+};
+
+/** A component whose statistics are members, declared unsorted. */
+struct MemberStats
+{
+    StatGroup stats{"comp"};
+    Counter zeta{stats, "zeta"};
+    Counter alpha{stats, "alpha"};
+    Histogram lat{stats, "lat", {10, 20}};
+    Counter mid{stats, "mid"};
+    Histogram depth{stats, "depth", {1}};
+};
+
+TEST(Stats, MemberCountersExportInKeyOrder)
+{
+    MemberStats m;
+    ++m.zeta;
+    m.alpha += 3;
+    m.mid += 2;
+    m.lat.sample(15);
+    OrderCollector c;
+    m.stats.accept(c);
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"alpha", 3}, {"mid", 2}, {"zeta", 1}};
+    EXPECT_EQ(c.scalars, want);
+    EXPECT_EQ(c.hists, (std::vector<std::string>{"depth", "lat"}));
+    EXPECT_EQ(m.stats.value("alpha"), 3u);
+    EXPECT_EQ(m.stats.histogram("lat").samples(), 1u);
+}
+
+TEST(Stats, ByNameAndMemberCountersShareAGroup)
+{
+    MemberStats m;
+    m.mid += 5;
+    m.stats.counter("beta") += 4;
+    // By name, a member counter is the member itself.
+    ++m.stats.counter("mid");
+    EXPECT_EQ(m.mid.value(), 6u);
+    EXPECT_EQ(&m.stats.counter("beta"), &m.stats.counter("beta"));
+    OrderCollector c;
+    m.stats.accept(c);
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"alpha", 0}, {"beta", 4}, {"mid", 6}, {"zeta", 0}};
+    EXPECT_EQ(c.scalars, want);
+}
+
+TEST(Stats, DuplicateNamePanics)
+{
+    StatGroup g("grp");
+    Counter a(g, "a");
+    EXPECT_THROW(Counter(g, "a"), PanicError);
+    // Counters and histograms share one namespace per group.
+    EXPECT_THROW(Histogram(g, "a", {1}), PanicError);
+    Histogram h(g, "h", {1});
+    EXPECT_THROW(Counter(g, "h"), PanicError);
+    EXPECT_THROW(g.counter("h"), PanicError);
+}
+
+TEST(Stats, HistogramAtEdgeCapacity)
+{
+    std::vector<std::uint64_t> edges;
+    for (std::uint64_t i = 1; i <= Histogram::maxEdges; ++i)
+        edges.push_back(i * 10);
+    Histogram h(edges);
+    ASSERT_EQ(h.bucketEdges().size(), Histogram::maxEdges);
+    ASSERT_EQ(h.bucketCounts().size(), Histogram::maxEdges + 1);
+    for (std::uint64_t v = 0; v <= (Histogram::maxEdges + 1) * 10; ++v)
+        h.sample(v);
+    // Bucket 0 holds 0..10, bucket i holds (10i, 10(i+1)], and the
+    // overflow bucket the ten values past the last edge.
+    EXPECT_EQ(h.bucketCounts()[0], 11u);
+    for (std::size_t i = 1; i < Histogram::maxEdges; ++i)
+        EXPECT_EQ(h.bucketCounts()[i], 10u) << "bucket " << i;
+    EXPECT_EQ(h.bucketCounts()[Histogram::maxEdges], 10u);
+
+    edges.push_back((Histogram::maxEdges + 1) * 10);
+    EXPECT_THROW(Histogram{edges}, PanicError);
+    StatGroup g("grp");
+    EXPECT_THROW(g.histogram("big", edges), PanicError);
+}
+
+TEST(Stats, ResetClearsMemberAndByNameStatistics)
+{
+    MemberStats m;
+    m.alpha += 2;
+    m.lat.sample(100);
+    m.stats.counter("byName") += 9;
+    m.stats.histogram("byNameLat", {5}).sample(1);
+    m.stats.reset();
+    EXPECT_EQ(m.alpha.value(), 0u);
+    EXPECT_EQ(m.stats.value("byName"), 0u);
+    EXPECT_EQ(m.lat.samples(), 0u);
+    EXPECT_EQ(m.lat.maxValue(), 0u);
+    EXPECT_EQ(m.lat.bucketCounts()[2], 0u);
+    EXPECT_EQ(m.stats.histogram("byNameLat").samples(), 0u);
+    EXPECT_EQ(m.stats.histogram("byNameLat").bucketCounts()[0], 0u);
 }
 
 TEST(Types, LineHelpers)
