@@ -4,7 +4,7 @@
  * virtualization. A legacy process runs with the SPM mapping
  * disabled; two SPM-enabled processes time-share one core with lazy
  * SPM content switching; the permission bitmask blocks accesses to
- * SPMs a process does not own; idle SPMs get powered down.
+ * SPMs a process does not own. SPM power gating is not modelled.
  *
  * Run: ./compat_mode
  */
@@ -56,12 +56,6 @@ main()
                 "(expect 0xB0B)\n",
                 static_cast<unsigned long long>(spm0.read(0, 8)));
 
-    // 4. Idle SPM power gating.
-    const std::uint32_t gated = os.powerDownIdleSpms();
-    std::printf("idle SPMs powered down: %u (cores 1-3 never ran an "
-                "SPM process)\n",
-                gated);
-
     std::printf("context switches: %llu, lazy saves: %llu, lazy "
                 "restores: %llu\n",
                 static_cast<unsigned long long>(
@@ -71,7 +65,7 @@ main()
                 static_cast<unsigned long long>(
                     os.statGroup().value("lazyRestores")));
 
-    // 5. Whole-system view of backwards compatibility: the same
+    // 4. Whole-system view of backwards compatibility: the same
     //    workload runs unmodified on the cache-based configuration
     //    (what a legacy process sees) and on the hybrid system,
     //    through the experiment builder.

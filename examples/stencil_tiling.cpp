@@ -68,9 +68,7 @@ main(int argc, char **argv)
             return 0;
         }
 
-        ThreadPoolExecutor pool(opt.jobs);
-        SweepRunner runner(WorkloadRegistry::global(),
-                           opt.jobs != 1 ? &pool : nullptr);
+        SweepRunner runner(WorkloadRegistry::global(), opt.jobs);
         const auto sink = opt.format != ResultFormat::Table
             ? makeResultSink(opt.format, std::cout, opt.withStats)
             : nullptr;

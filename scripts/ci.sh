@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build with warnings-as-errors, run the
 # full ctest suite, then smoke-test the spmcoh_run CLI (exercising
-# the thread-pool executor and JSON export on every push), then rerun
-# the suite under ASan+UBSan and the --jobs executor under TSan.
+# the --jobs worker pool and JSON export on every push), then rerun
+# the suite under ASan+UBSan and the --jobs workers under TSan.
 # Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
 
@@ -159,6 +159,18 @@ cmp "$BUILD_DIR"/gather8_aliased_full.json \
     echo "gather aliased full-stats output diverged from the golden"
     exit 1; }
 
+echo "== full-stats regression check (filter x prefetcher variants vs golden) =="
+# The only golden on the ablation axes: CG at 8 cores, two filter
+# sizes by prefetcher on/off on both modes. The labels, the variant
+# key and the filterEntries/prefetcherEnabled params come from the
+# spec's two knobs, and must match byte for byte.
+"$BUILD_DIR"/spmcoh_run --workload=CG --cores=8 --mode=cache,hybrid-proto \
+    --filter-entries=4,48 --prefetcher=on,off --jobs=2 --format=json \
+    > "$BUILD_DIR"/variants8_full.json
+cmp "$BUILD_DIR"/variants8_full.json tests/golden/variants8_full.json || {
+    echo "variant-axis full-stats output diverged from the golden"
+    exit 1; }
+
 echo "== full-stats regression check (stencil 8-core cache vs golden) =="
 # Long strided streams fill every prefetch slot, so this one covers the
 # L1's maxPrefetchInFlight throttle.
@@ -281,9 +293,9 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 GTEST_FILTER='-ExperimentTopology.LargeMeshJsonByteIdenticalAcrossWorkers' \
     ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== ThreadSanitizer build + --jobs executor =="
+echo "== ThreadSanitizer build + --jobs workers =="
 # The only threads left are the --jobs sweep workers: TSan runs the
-# executor tests and the jobs=4 determinism sweep.
+# worker-pool tests and the jobs=4 determinism sweep.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

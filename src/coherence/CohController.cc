@@ -16,10 +16,9 @@ CohController::CohController(MemNet &net_, CohFabric &fab_,
                              const AddressMap &amap_, Spm &spm_,
                              Dmac &dmac_, CoreId core_,
                              const CohParams &p_,
-                             const std::string &name,
-                             const CoherenceProtocol &proto_)
+                             const std::string &name)
     : net(net_), fab(fab_), amap(amap_), spm(spm_), dmac(dmac_),
-      core(core_), proto(proto_), p(p_), spmDir(p_.spmDirEntries),
+      core(core_), p(p_), spmDir(p_.spmDirEntries),
       filter(p_.filterEntries), stats(name)
 {
 }
@@ -116,34 +115,25 @@ CohController::probeGuarded(Addr addr)
         return GuardProbe{GuardProbe::Kind::Pending};
     }
 
-    // Parallel CAM lookups in the SPMDir and the filter (Fig. 5);
-    // the outcome routes through the protocol's guard table.
-    using GuardEvent = CoherenceProtocol::GuardEvent;
+    // Parallel CAM lookups in the SPMDir and the filter (Fig. 5).
     ++stSpmdirLookups;
     ++stFilterLookups;
-    GuardEvent ev = GuardEvent::BothMiss;
-    Addr spm_addr = 0;
     if (auto idx = spmDir.lookup(base)) {
+        // Fig. 5b: serve from the local SPM.
         ++stSpmdirHits;
-        ev = GuardEvent::SpmDirHit;
-        spm_addr = amap.localSpmBase(core) +
-            *idx * fab.config.bytes() + fab.config.offset(addr);
-    } else if (filter.lookup(base)) {
+        return GuardProbe{GuardProbe::Kind::LocalSpm,
+                          amap.localSpmBase(core) +
+                              *idx * fab.config.bytes() +
+                              fab.config.offset(addr)};
+    }
+    if (filter.lookup(base)) {
+        // Fig. 5a, filter hit: the lookup overlaps the TLB access, so
+        // the cache path proceeds without extra latency (Sec. 3).
         ++stFilterHits;
-        ev = GuardEvent::FilterHit;
-    } else {
-        ++stFilterMisses;
-    }
-    switch (proto.guardAction(ev)) {
-      case CoherenceProtocol::GuardAction::DivertLocalSpm:
-        return GuardProbe{GuardProbe::Kind::LocalSpm, spm_addr};
-      case CoherenceProtocol::GuardAction::UseCacheHierarchy:
-        // Filter hit: the lookup overlaps the TLB access, so the
-        // cache path proceeds without extra latency (Sec. 3).
         return GuardProbe{GuardProbe::Kind::UseCache};
-      case CoherenceProtocol::GuardAction::ConsultDirectory:
-        break;
     }
+    // Fig. 5c/5d: both missed, so the home FilterDir is consulted.
+    ++stFilterMisses;
     return GuardProbe{GuardProbe::Kind::Pending};
 }
 

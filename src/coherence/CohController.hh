@@ -20,7 +20,6 @@
 #include "coherence/Filter.hh"
 #include "coherence/SpmDir.hh"
 #include "mem/MemNet.hh"
-#include "protocols/ProtocolFactory.hh"
 #include "spm/AddressMap.hh"
 #include "spm/Dmac.hh"
 #include "spm/Spm.hh"
@@ -58,13 +57,9 @@ class CohController
     /** (served_by_spm, loaded_value) */
     using ResolveCb = SmallFunction<void(bool, std::uint64_t)>;
 
-    /** @param proto_ protocol whose Fig. 5 guard table routes the
-     *  guarded-access dispatch (default: the default protocol). */
     CohController(MemNet &net_, CohFabric &fab_, const AddressMap &amap_,
                   Spm &spm_, Dmac &dmac_, CoreId core_,
-                  const CohParams &p_, const std::string &name,
-                  const CoherenceProtocol &proto_ =
-                      ProtocolFactory::defaultProtocol());
+                  const CohParams &p_, const std::string &name);
 
     /** Program the chip-wide buffer decomposition registers. */
     void setBufferConfig(std::uint32_t log2_bytes);
@@ -142,7 +137,6 @@ class CohController
     Spm &spm;
     Dmac &dmac;
     CoreId core;
-    const CoherenceProtocol &proto;
     CohParams p;
     SpmDir spmDir;
     Filter filter;

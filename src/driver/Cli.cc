@@ -209,8 +209,6 @@ parseCli(const std::vector<std::string> &given,
                            "title; drop '" + arg + "'");
     }
 
-    std::vector<std::uint32_t> filterEntries;
-    std::vector<bool> prefetcher;
     std::vector<std::pair<std::string, std::vector<double>>>
         wparamAxes;
     bool sawWorkload = false;
@@ -351,19 +349,20 @@ parseCli(const std::vector<std::string> &given,
         } else if ((v = flagValue(arg, "--filter-entries"))) {
             for (const std::string &f : splitList(*v)) {
                 const auto n = parseUint(f);
-                if (!n || *n == 0)
+                if (!n || *n == 0 ||
+                    *n > std::numeric_limits<std::uint32_t>::max())
                     errs.push_back("bad filter entry count '" + f +
                                    "'");
                 else
-                    filterEntries.push_back(
+                    opt.sweep.filterEntries.push_back(
                         static_cast<std::uint32_t>(*n));
             }
         } else if ((v = flagValue(arg, "--prefetcher"))) {
             for (const std::string &p : splitList(*v)) {
                 if (p == "on")
-                    prefetcher.push_back(true);
+                    opt.sweep.prefetcher.push_back(true);
                 else if (p == "off")
-                    prefetcher.push_back(false);
+                    opt.sweep.prefetcher.push_back(false);
                 else
                     errs.push_back("bad prefetcher setting '" + p +
                                    "' (expected on or off)");
@@ -373,7 +372,8 @@ parseCli(const std::vector<std::string> &given,
                 opt.jobs = 0;
             } else {
                 const auto n = parseUint(*v);
-                if (!n || *n == 0)
+                if (!n || *n == 0 ||
+                    *n > std::numeric_limits<std::uint32_t>::max())
                     errs.push_back("bad job count '" + *v +
                                    "' (expected a positive integer "
                                    "or 'auto')");
@@ -431,49 +431,6 @@ parseCli(const std::vector<std::string> &given,
         opt.sweep.scales.push_back(1.0);
     if (!wparamAxes.empty())
         opt.sweep.paramPoints = expandParamAxes(wparamAxes);
-
-    // The variant axes combine cartesianly, mirroring the ablation
-    // harnesses' variant naming (filterN, pf-on/pf-off).
-    if (!filterEntries.empty() || !prefetcher.empty()) {
-        struct Axis { std::string name; bool pf; bool hasPf;
-                      std::uint32_t fe; bool hasFe; };
-        std::vector<Axis> axes{{"", false, false, 0, false}};
-        if (!filterEntries.empty()) {
-            std::vector<Axis> next;
-            for (const Axis &a : axes)
-                for (std::uint32_t n : filterEntries) {
-                    Axis b = a;
-                    b.fe = n;
-                    b.hasFe = true;
-                    b.name += (b.name.empty() ? "" : "+");
-                    b.name += "filter" + std::to_string(n);
-                    next.push_back(b);
-                }
-            axes = std::move(next);
-        }
-        if (!prefetcher.empty()) {
-            std::vector<Axis> next;
-            for (const Axis &a : axes)
-                for (bool on : prefetcher) {
-                    Axis b = a;
-                    b.pf = on;
-                    b.hasPf = true;
-                    b.name += (b.name.empty() ? "" : "+");
-                    b.name += on ? "pf-on" : "pf-off";
-                    next.push_back(b);
-                }
-            axes = std::move(next);
-        }
-        for (const Axis &a : axes) {
-            opt.sweep.variants.push_back(SweepVariant{
-                a.name, [a](SystemParams &p) {
-                    if (a.hasFe)
-                        p.coh.filterEntries = a.fe;
-                    if (a.hasPf)
-                        p.l1d.prefetcher.enabled = a.pf;
-                }});
-        }
-    }
 
     if (!errs.empty()) {
         std::string msg = "invalid spmcoh_run invocation:";

@@ -11,7 +11,6 @@
 #include "driver/Experiment.hh"
 #include "driver/ResultSink.hh"
 #include "driver/SweepRunner.hh"
-#include "driver/ThreadPool.hh"
 #include "driver/WorkloadRegistry.hh"
 #include "protocols/ProtocolFactory.hh"
 

@@ -127,25 +127,30 @@ snapshotStats(const System &sys)
 SystemParams
 ExperimentSpec::resolvedParams() const
 {
-    if (!paramsOverride) {
-        SystemParams p = SystemParams::forMode(mode, cores, chips);
-        p.protocol = protocol;
-        if (farMemLat > 0) {
-            p.farMemLatency = farMemLat;
-            if (farMemBw > 0)
-                p.farMemBytesPerCycle = farMemBw;
-        }
-        return p;
-    }
-    // The mode and protocol axes are always authoritative; the core
-    // count is NOT stamped onto an override, because the override's
-    // mesh and memory controller placement were derived for its own
-    // core count — validateExperiment rejects a mismatch instead of
-    // constructing a mis-shaped system.
-    SystemParams p = *paramsOverride;
-    p.mode = mode;
+    SystemParams p = SystemParams::forMode(mode, cores, chips);
     p.protocol = protocol;
+    if (farMemLat > 0) {
+        p.farMemLatency = farMemLat;
+        if (farMemBw > 0)
+            p.farMemBytesPerCycle = farMemBw;
+    }
+    if (filterEntries)
+        p.coh.filterEntries = *filterEntries;
+    if (prefetcher)
+        p.l1d.prefetcher.enabled = *prefetcher;
     return p;
+}
+
+std::string
+ExperimentSpec::variant() const
+{
+    std::string v;
+    if (filterEntries)
+        v = "filter" + std::to_string(*filterEntries);
+    if (prefetcher)
+        v += std::string(v.empty() ? "" : "+") +
+             (*prefetcher ? "pf-on" : "pf-off");
+    return v;
 }
 
 std::string
@@ -175,8 +180,8 @@ ExperimentSpec::label() const
     }
     if (!wparams.empty())
         out += "{" + wparams.render() + "}";
-    if (!variant.empty())
-        out += "+" + variant;
+    if (const std::string v = variant(); !v.empty())
+        out += "+" + v;
     return out;
 }
 
@@ -199,62 +204,31 @@ validateExperiment(const ExperimentSpec &spec,
         errs.push_back("unknown protocol '" + spec.protocol +
                        "'; known protocols: " +
                        ProtocolFactory::global().namesJoined());
-    const auto cores_err = Topology::checkCores(spec.cores);
-    const auto sys_err =
-        Topology::checkSystem(spec.cores, spec.chips);
-    if (sys_err && !spec.paramsOverride)
-        errs.push_back(*sys_err);
+    if (const auto err = Topology::checkSystem(spec.cores, spec.chips))
+        errs.push_back(*err);
     if (spec.farMemLat > 0 && spec.chips < 2)
         errs.push_back("the pooled far-memory tier needs a "
                        "multi-chip fabric (chips >= 2)");
-    const Tick far_lat = spec.paramsOverride
-        ? spec.paramsOverride->farMemLatency : spec.farMemLat;
-    if (far_lat > System::maxFarMemLatency)
-        errs.push_back("far-memory latency " + std::to_string(far_lat) +
+    if (spec.farMemLat > System::maxFarMemLatency)
+        errs.push_back("far-memory latency " +
+                       std::to_string(spec.farMemLat) +
                        " exceeds the limit of " +
                        std::to_string(System::maxFarMemLatency) +
                        " ticks");
     if (!(spec.scale > 0.0) || !std::isfinite(spec.scale))
         errs.push_back("workload scale must be positive and finite");
-
-    if (spec.paramsOverride) {
-        // An override carries its own topology; it must have been
-        // built for exactly this core count (resolvedParams no
-        // longer stamps numCores — see the comment there).
-        const SystemParams &p = *spec.paramsOverride;
-        if (spec.cores == 0 || spec.cores > Topology::maxCores)
-            errs.push_back(*cores_err);
-        else if (p.numCores != spec.cores)
-            errs.push_back(
-                "params override was built for " +
-                std::to_string(p.numCores) + " cores but the spec "
-                "says " + std::to_string(spec.cores) +
-                "; rebuild it with SystemParams::forMode(mode, " +
-                std::to_string(spec.cores) + ")");
-        if (p.mesh.chips != spec.chips)
-            errs.push_back(
-                "params override was built for " +
-                std::to_string(p.mesh.chips) + " chip(s) but the "
-                "spec says " + std::to_string(spec.chips));
-        const std::uint64_t tiles =
-            std::uint64_t(p.mesh.width) * p.mesh.height *
-            (p.mesh.chips ? p.mesh.chips : 1);
-        if (tiles < p.numCores)
-            errs.push_back(
-                "mesh " + std::to_string(p.mesh.width) + "x" +
-                std::to_string(p.mesh.height) + " is smaller than " +
-                std::to_string(p.numCores) + " cores");
-        if (p.spmBytes == 0 || !isPow2(p.spmBytes))
-            errs.push_back("spmBytes must be a non-zero power of "
-                           "two, got " + std::to_string(p.spmBytes));
-        if (p.mcTiles.empty())
-            errs.push_back("at least one memory controller tile is "
-                           "required");
-        for (CoreId t : p.mcTiles)
-            if (t >= tiles)
-                errs.push_back("memory controller tile " +
-                               std::to_string(t) +
-                               " is outside the mesh");
+    if (spec.filterEntries) {
+        // One FilterDir slice per core; a filter entry caches a base
+        // the FilterDir tracks, so no filter can hold more.
+        const std::uint64_t cap =
+            std::uint64_t(FilterDirParams{}.entriesPerSlice) *
+            spec.cores;
+        if (*spec.filterEntries == 0 || *spec.filterEntries > cap)
+            errs.push_back("filter entries must be in [1, " +
+                           std::to_string(cap) +
+                           "] (the chip-wide FilterDir capacity), "
+                           "got " +
+                           std::to_string(*spec.filterEntries));
     }
     return errs;
 }
@@ -296,36 +270,18 @@ runExperiment(const ExperimentSpec &spec, const WorkloadRegistry &reg,
     return out;
 }
 
-ExperimentBuilder &
-ExperimentBuilder::tweak(std::function<void(SystemParams &)> fn)
-{
-    if (!fn)
-        fatal("ExperimentBuilder: null tweak function");
-    tweaks.push_back(std::move(fn));
-    return *this;
-}
-
 ExperimentSpec
 ExperimentBuilder::spec() const
 {
-    ExperimentSpec out = s;
-    // Validate before resolving: resolvedParams derives a topology,
-    // which is only defined for tileable core counts.
-    std::vector<std::string> errs = validateExperiment(out, *reg);
-    if (errs.empty() && !tweaks.empty()) {
-        SystemParams p = out.resolvedParams();
-        for (const auto &fn : tweaks)
-            fn(p);
-        out.paramsOverride = p;
-        errs = validateExperiment(out, *reg);
-    }
+    const std::vector<std::string> errs =
+        validateExperiment(s, *reg);
     if (!errs.empty()) {
         std::string msg = "invalid experiment spec:";
         for (const std::string &e : errs)
             msg += "\n  - " + e;
         fatal(msg);
     }
-    return out;
+    return s;
 }
 
 } // namespace spmcoh

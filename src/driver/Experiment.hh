@@ -1,7 +1,7 @@
 /**
  * @file
  * The experiment API: declare a run (workload, system mode, core
- * count, workload scale, parameter overrides) through a validated
+ * count, workload scale, the two ablation knobs) through a validated
  * fluent builder, execute it, and get structured results back —
  * the RunResults aggregates plus a per-component statistics
  * snapshot ready for serialization.
@@ -14,7 +14,6 @@
 #define SPMCOH_DRIVER_EXPERIMENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -95,24 +94,27 @@ struct ExperimentSpec
      * entries take the spec's defaults.
      */
     WorkloadParams wparams;
-    /** Label for a parameter variant in sweeps ("" = baseline). */
-    std::string variant;
     /**
-     * Replaces the derived defaults when set. The mode is always
-     * taken from the spec field above; the override must have been
-     * built for exactly `cores` cores (its mesh and memory
-     * controller placement are geometry-dependent), or
-     * validateExperiment rejects the spec.
+     * Coherence filter entries per core (Sec. 5.4 filter-size
+     * ablation); unset = the Table 1 default. At most the chip-wide
+     * FilterDir capacity, since every filter entry is a base the
+     * FilterDir tracks.
      */
-    std::optional<SystemParams> paramsOverride;
+    std::optional<std::uint32_t> filterEntries;
+    /** L1D stride prefetcher on/off; unset = the mode's default. */
+    std::optional<bool> prefetcher;
 
     /**
-     * The SystemParams this spec resolves to. Without an override
-     * this derives the topology for `cores`, which is fatal for
-     * untileable counts — validate first (validateExperiment wraps
-     * Topology::checkCores).
+     * SystemParams::forMode for this mode, core and chip count, with
+     * the protocol, far-memory and ablation fields applied. Fatal
+     * for untileable core counts — validate first
+     * (validateExperiment wraps Topology::checkCores).
      */
     SystemParams resolvedParams() const;
+
+    /** "filter16+pf-off" from the knobs that are set; "" when
+     *  neither is. */
+    std::string variant() const;
 
     /** "CG/hybrid-proto[/protocol]/64c[/2chip]/x1.00[/fm200[b8]]
      *  [{params}][+variant]" label; the protocol, chips and far-mem
@@ -228,29 +230,8 @@ class ExperimentBuilder
         return *this;
     }
 
-    ExperimentBuilder &
-    variant(const std::string &name)
-    {
-        s.variant = name;
-        return *this;
-    }
-
-    /** Replace the Table 1 defaults entirely. */
-    ExperimentBuilder &
-    params(const SystemParams &p)
-    {
-        s.paramsOverride = p;
-        return *this;
-    }
-
-    /** Mutate the resolved parameters (applied in call order). */
-    ExperimentBuilder &tweak(std::function<void(SystemParams &)> fn);
-
     /** Validated spec; fatal with all problems when invalid. */
     ExperimentSpec spec() const;
-
-    /** The resolved, validated SystemParams of this spec. */
-    SystemParams systemParams() const { return spec().resolvedParams(); }
 
     /** Validate and run. */
     ExperimentResult
@@ -262,7 +243,6 @@ class ExperimentBuilder
   private:
     const WorkloadRegistry *reg;
     ExperimentSpec s;
-    std::vector<std::function<void(SystemParams &)>> tweaks;
 };
 
 } // namespace spmcoh

@@ -128,7 +128,7 @@ class CsvSink final : public ResultSink
            << r.spec.protocol << ','
            << r.spec.cores << ',' << r.spec.chips << ','
            << r.spec.farMemLat << ',' << r.spec.scale << ','
-           << wp << ',' << r.spec.variant << ',' << rr.cycles << ','
+           << wp << ',' << r.spec.variant() << ',' << rr.cycles << ','
            << rr.phaseCycles[0] << ',' << rr.phaseCycles[1] << ','
            << rr.phaseCycles[2];
         for (std::size_t c = 0; c < numTrafficClasses; ++c)
@@ -202,7 +202,7 @@ class JsonSink final : public ResultSink
         for (const auto &kv : r.spec.wparams.all())
             w.key(kv.first).value(kv.second);
         w.endObject();
-        w.key("variant").value(r.spec.variant);
+        w.key("variant").value(r.spec.variant());
         // Emitted only off the default so pre-protocol goldens stay
         // byte-identical.
         if (r.spec.protocol != ProtocolFactory::defaultName())

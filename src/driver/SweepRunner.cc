@@ -5,7 +5,13 @@
 
 #include "driver/SweepRunner.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <mutex>
+#include <optional>
+#include <thread>
 
 #include "sim/Logging.hh"
 
@@ -41,6 +47,61 @@ expandParamAxes(
     return points;
 }
 
+void
+runJobs(std::size_t count, std::uint32_t workers,
+        const std::function<void(std::size_t)> &job)
+{
+    if (workers == 0) {
+        const unsigned hw = std::thread::hardware_concurrency();
+        workers = hw ? hw : 1;
+    }
+    if (workers == 1 || count <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            job(i);
+        return;
+    }
+
+    // The shared queue is an atomic cursor over the job indices;
+    // each worker claims the next index until the queue drains or a
+    // job fails.
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex errMutex;
+    std::size_t errIndex = count;
+    std::exception_ptr errPtr;
+
+    auto worker = [&] {
+        while (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
+                return;
+            try {
+                job(i);
+            } catch (...) {
+                failed.store(true, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(errMutex);
+                // Keep the lowest-indexed failure: it is the one a
+                // serial loop would have thrown.
+                if (i < errIndex) {
+                    errIndex = i;
+                    errPtr = std::current_exception();
+                }
+            }
+        }
+    };
+
+    std::vector<std::thread> threads(
+        std::min<std::size_t>(workers, count));
+    for (std::thread &t : threads)
+        t = std::thread(worker);
+    for (std::thread &t : threads)
+        t.join();
+
+    if (errPtr)
+        std::rethrow_exception(errPtr);
+}
+
 std::vector<ExperimentSpec>
 SweepRunner::expand(const SweepSpec &sweep) const
 {
@@ -50,9 +111,15 @@ SweepRunner::expand(const SweepSpec &sweep) const
         sweep.chipCounts.empty() || sweep.scales.empty())
         fatal("SweepRunner: sweep axes must not be empty");
 
-    std::vector<SweepVariant> variants = sweep.variants;
-    if (variants.empty())
-        variants.push_back(SweepVariant{"", nullptr});
+    // An empty knob axis is one point with the knob unset.
+    std::vector<std::optional<std::uint32_t>> filters(
+        sweep.filterEntries.begin(), sweep.filterEntries.end());
+    if (filters.empty())
+        filters.emplace_back();
+    std::vector<std::optional<bool>> pfs(sweep.prefetcher.begin(),
+                                         sweep.prefetcher.end());
+    if (pfs.empty())
+        pfs.emplace_back();
     std::vector<WorkloadParams> ppoints = sweep.paramPoints;
     if (ppoints.empty())
         ppoints.push_back(WorkloadParams{});
@@ -69,7 +136,8 @@ SweepRunner::expand(const SweepSpec &sweep) const
               for (std::uint32_t ch : sweep.chipCounts) {
                 for (double s : sweep.scales) {
                   for (const WorkloadParams &wp : ppoints) {
-                    for (const SweepVariant &v : variants) {
+                    for (const auto &fe : filters) {
+                      for (const auto &pf : pfs) {
                         ExperimentSpec e;
                         e.workload = w;
                         e.mode = m;
@@ -84,22 +152,13 @@ SweepRunner::expand(const SweepSpec &sweep) const
                         e.farMemBw = ch > 1 ? sweep.farMemBw : 0;
                         e.scale = s;
                         e.wparams = wp;
-                        e.variant = v.name;
-                        // Validate before resolving: the tweak
-                        // needs resolvedParams, which derives a
-                        // topology only defined for tileable core
-                        // counts.
-                        std::vector<std::string> point_errs =
-                            validateExperiment(e, *reg);
-                        if (point_errs.empty() && v.tweak) {
-                            SystemParams p = e.resolvedParams();
-                            v.tweak(p);
-                            e.paramsOverride = p;
-                            point_errs = validateExperiment(e, *reg);
-                        }
-                        for (const std::string &err : point_errs)
+                        e.filterEntries = fe;
+                        e.prefetcher = pf;
+                        for (const std::string &err :
+                             validateExperiment(e, *reg))
                             errs.push_back(e.label() + ": " + err);
                         specs.push_back(std::move(e));
+                      }
                     }
                   }
                 }
@@ -143,10 +202,12 @@ SweepRunner::prepared(const ExperimentSpec &spec)
 }
 
 std::vector<ExperimentResult>
-SweepRunner::runSpecs(const std::vector<ExperimentSpec> &specs,
-                      ResultSink *sink, const std::string &title)
+SweepRunner::run(const SweepSpec &sweep, ResultSink *sink,
+                 const std::string &title)
 {
-    // Compile phase: serial, so executor jobs share read-only
+    const std::vector<ExperimentSpec> specs = expand(sweep);
+
+    // Compile phase: serial, so the point jobs share read-only
     // PreparedPrograms and stay independent of each other.
     std::vector<const PreparedProgram *> programs;
     programs.reserve(specs.size());
@@ -154,15 +215,9 @@ SweepRunner::runSpecs(const std::vector<ExperimentSpec> &specs,
         programs.push_back(&prepared(s));
 
     std::vector<ExperimentResult> results(specs.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        jobs.push_back([this, &specs, &programs, &results, i] {
-            results[i] =
-                runExperiment(specs[i], *reg, programs[i]);
-        });
-    }
-    (ex ? *ex : serial).run(std::move(jobs));
+    runJobs(specs.size(), jobs, [&](std::size_t i) {
+        results[i] = runExperiment(specs[i], *reg, programs[i]);
+    });
 
     if (sink) {
         sink->begin(title);
@@ -173,13 +228,6 @@ SweepRunner::runSpecs(const std::vector<ExperimentSpec> &specs,
     return results;
 }
 
-std::vector<ExperimentResult>
-SweepRunner::run(const SweepSpec &sweep, ResultSink *sink,
-                 const std::string &title)
-{
-    return runSpecs(expand(sweep), sink, title);
-}
-
 const ExperimentResult &
 findResult(const std::vector<ExperimentResult> &results,
            const std::string &workload, SystemMode mode,
@@ -187,7 +235,7 @@ findResult(const std::vector<ExperimentResult> &results,
 {
     for (const ExperimentResult &r : results)
         if (r.spec.workload == workload && r.spec.mode == mode &&
-            r.spec.variant == variant)
+            r.spec.variant() == variant)
             return r;
     fatal("findResult: no result for " + workload + "/" +
           systemModeName(mode) +

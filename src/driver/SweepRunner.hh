@@ -1,16 +1,17 @@
 /**
  * @file
  * Cartesian parameter sweeps over the experiment API: workloads x
- * modes x core counts x workload scales x named parameter variants.
- * PreparedPrograms are compiled once and shared across every sweep
- * point with the same (workload, cores, scale, spmBytes); points run
- * through a pluggable executor so a thread-pool backend can slot in
- * without touching the sweep logic.
+ * modes x core counts x workload scales x the two ablation axes
+ * (filter capacity, L1D prefetcher on/off). PreparedPrograms are
+ * compiled once and shared across every sweep point with the same
+ * (workload, cores, scale, spmBytes); points run on a fixed number
+ * of worker threads.
  */
 
 #ifndef SPMCOH_DRIVER_SWEEPRUNNER_HH
 #define SPMCOH_DRIVER_SWEEPRUNNER_HH
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,19 +25,11 @@
 namespace spmcoh
 {
 
-/** One named point on the parameter-variant axis. */
-struct SweepVariant
-{
-    std::string name;
-    /** Applied to the resolved SystemParams of each point. */
-    std::function<void(SystemParams &)> tweak;
-};
-
 /**
  * Axes of a cartesian sweep. workloads must be non-empty; so must
  * modes/coreCounts/scales (they start with one default point).
- * Empty paramPoints/variants axes default to a single baseline
- * point (spec-default parameters / no tweak).
+ * Empty paramPoints/filterEntries/prefetcher axes default to a
+ * single baseline point (spec-default parameters, unset knobs).
  */
 struct SweepSpec
 {
@@ -50,8 +43,10 @@ struct SweepSpec
     std::vector<double> scales{1.0};
     /** Workload-parameter points; empty = spec defaults only. */
     std::vector<WorkloadParams> paramPoints;
-    /** Empty = single un-tweaked baseline point. */
-    std::vector<SweepVariant> variants;
+    /** Filter-capacity axis (ExperimentSpec::filterEntries). */
+    std::vector<std::uint32_t> filterEntries;
+    /** L1D prefetcher on/off axis (ExperimentSpec::prefetcher). */
+    std::vector<bool> prefetcher;
     /**
      * Pooled far-memory tier, stamped onto every expanded spec
      * (ExperimentSpec::farMemLat/farMemBw); meaningful only with a
@@ -73,52 +68,25 @@ std::vector<WorkloadParams> expandParamAxes(
         &axes);
 
 /**
- * Runs batches of independent jobs.
+ * Run @p job(0) .. @p job(@p count - 1) on @p workers threads
+ * (0 = the hardware thread count).
  *
- * Contract between SweepRunner and Executor implementations:
+ * - **Independence.** Jobs may run concurrently in any order, so
+ *   each must touch only its own result slot (indexed by its
+ *   argument) and read-only shared state. SweepRunner's jobs each
+ *   build their own System from a PreparedProgram compiled before
+ *   the batch starts.
+ * - **Completion.** Returns only after every claimed job finished.
+ * - **Exceptions.** After a job throws, no further job is started;
+ *   the exception of the lowest-indexed failed job is rethrown on
+ *   the calling thread, the one a serial loop would have surfaced.
+ *   Jobs already running still run to completion.
  *
- * - **Job independence.** Every job submitted by SweepRunner is
- *   thread-safe against every other job in the same batch: each job
- *   builds its own System, draws from its own deterministic Rngs,
- *   and writes only its own pre-allocated result slot. Shared
- *   inputs (the WorkloadRegistry and the PreparedProgram cache) are
- *   read-only during execution — compilation is hoisted into a
- *   serial phase before the batch is submitted. Implementations may
- *   therefore run jobs concurrently without any locking.
- * - **Completion.** run() must not return before every claimed job
- *   has finished; results are read immediately after it returns.
- * - **Ordering.** Jobs may execute in any order on any thread.
- *   Result ordering is the caller's responsibility (per-job result
- *   slots), so output is identical whatever the execution order.
- * - **Exceptions.** Jobs may throw (FatalError/PanicError from a
- *   misconfigured or deadlocked point). An implementation must stop
- *   dispatching further jobs and propagate the failure of the
- *   lowest-indexed failed job to the caller of run(), matching what
- *   SerialExecutor would have thrown.
- *
- * SerialExecutor runs jobs in order on the calling thread;
- * ThreadPoolExecutor (ThreadPool.hh) drains the batch with a fixed
- * worker pool.
+ * With one worker (or one job) the jobs run in order on the calling
+ * thread and no thread is spawned.
  */
-class Executor
-{
-  public:
-    virtual ~Executor() = default;
-    /** Run every job; must not return before all complete. */
-    virtual void run(std::vector<std::function<void()>> jobs) = 0;
-};
-
-/** In-order, same-thread executor. */
-class SerialExecutor final : public Executor
-{
-  public:
-    void
-    run(std::vector<std::function<void()>> jobs) override
-    {
-        for (auto &j : jobs)
-            j();
-    }
-};
+void runJobs(std::size_t count, std::uint32_t workers,
+             const std::function<void(std::size_t)> &job);
 
 /** Expands and executes sweeps, caching compiled programs. */
 class SweepRunner
@@ -130,18 +98,20 @@ class SweepRunner
         std::size_t hits = 0;      ///< points served from the cache
     };
 
+    /** @param jobs_ worker threads for the sweep points; 1 runs them
+     *  on the calling thread, 0 uses the hardware thread count. */
     explicit SweepRunner(
         const WorkloadRegistry &reg_ = WorkloadRegistry::global(),
-        Executor *ex_ = nullptr)
-        : reg(&reg_), ex(ex_)
+        std::uint32_t jobs_ = 1)
+        : reg(&reg_), jobs(jobs_)
     {}
 
     /**
      * Expand the cartesian product of @p sweep into validated
      * specs, ordered workload-major (modes, protocols, cores,
-     * chips, scales, workload parameters, variants vary fastest, in
-     * that nesting order). Fatal listing every validation problem
-     * when any point is invalid.
+     * chips, scales, workload parameters, filter entries, prefetcher
+     * vary fastest, in that nesting order). Fatal listing every
+     * validation problem when any point is invalid.
      */
     std::vector<ExperimentSpec> expand(const SweepSpec &sweep) const;
 
@@ -154,34 +124,21 @@ class SweepRunner
     run(const SweepSpec &sweep, ResultSink *sink = nullptr,
         const std::string &title = "");
 
-    /** Run pre-expanded specs (cache + executor still apply). */
-    std::vector<ExperimentResult>
-    runSpecs(const std::vector<ExperimentSpec> &specs,
-             ResultSink *sink = nullptr,
-             const std::string &title = "");
-
     const CacheStats &cacheStats() const { return cstats; }
-    const WorkloadRegistry &registry() const { return *reg; }
-
-    /**
-     * Replace the executor (null = built-in serial). The executor
-     * must outlive the runner; the runner does not take ownership.
-     */
-    void setExecutor(Executor *ex_) { ex = ex_; }
 
   private:
     const PreparedProgram &prepared(const ExperimentSpec &spec);
 
     const WorkloadRegistry *reg;
-    SerialExecutor serial;
-    /** Null = use the built-in serial executor. Kept as a pointer
-     *  resolved at run time so implicit copies/moves stay safe. */
-    Executor *ex;
+    std::uint32_t jobs;
     std::map<std::string, std::unique_ptr<PreparedProgram>> cache;
     CacheStats cstats;
 };
 
-/** Find the first result matching workload and mode; fatal if none. */
+/**
+ * Find the first result matching workload, mode and variant name
+ * (ExperimentSpec::variant(), "" = both knobs unset); fatal if none.
+ */
 const ExperimentResult &
 findResult(const std::vector<ExperimentResult> &results,
            const std::string &workload, SystemMode mode,

@@ -1,8 +1,7 @@
 /**
  * @file
- * Workload registry implementation: parameter validation, the
- * legacy-factory adapter, and pre-registration of the NAS models
- * and kernel workloads.
+ * Workload registry implementation: parameter validation and
+ * pre-registration of the NAS models and kernel workloads.
  */
 
 #include "driver/WorkloadRegistry.hh"

@@ -8,11 +8,11 @@
  * (unknown keys, out-of-range values, non-integral values for
  * integer parameters are all rejected with the legal surface named).
  *
- * The six NAS models of Table 2 and the kernel workloads (stencil,
- * gather, pchase, reduction, transpose) come pre-registered in the
- * global registry; examples and tests register their own programs.
- * The old bare `(cores, scale)` factory signature is kept as a thin
- * adapter that registers a parameterless spec.
+ * The six NAS models of Table 2 and the kernel workloads
+ * (registerKernelWorkloads: stencil, gather, pchase, reduction,
+ * transpose, the pipeline/contend/graphwalk phase graphs and the
+ * cross-chip xpipeline) come pre-registered in the global registry;
+ * examples and tests register their own specs with add().
  */
 
 #ifndef SPMCOH_DRIVER_WORKLOADREGISTRY_HH

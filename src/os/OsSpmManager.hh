@@ -8,8 +8,8 @@
  * SPM-enabled application is scheduled, the registers are restored
  * from the process structure and SPM contents are switched lazily, in
  * the style of the Linux FPU register handling. Accessing an SPM
- * whose permission bit is clear raises an exception. Idle SPMs can be
- * powered down.
+ * whose permission bit is clear raises an exception. SPM power
+ * gating is not modelled.
  */
 
 #ifndef SPMCOH_OS_OSSPMMANAGER_HH
@@ -60,7 +60,6 @@ class OsSpmManager
           amap(num_cores, spm_bytes),
           runningPid(num_cores, invalidPid),
           spmOwnerPid(num_cores, invalidPid),
-          spmPoweredOn(num_cores, false),
           stats("os")
     {}
 
@@ -123,7 +122,6 @@ class OsSpmManager
             }
             spmOwnerPid[core] = pid;
         }
-        spmPoweredOn[core] = true;
     }
 
     /**
@@ -144,22 +142,6 @@ class OsSpmManager
         return SpmFault::None;
     }
 
-    /** Power down SPMs owned by nobody (energy hook, Sec. 4.1). */
-    std::uint32_t
-    powerDownIdleSpms()
-    {
-        std::uint32_t n = 0;
-        for (CoreId c = 0; c < numCores; ++c) {
-            if (spmOwnerPid[c] == invalidPid && spmPoweredOn[c]) {
-                spmPoweredOn[c] = false;
-                ++n;
-            }
-        }
-        stSpmPowerDowns += n;
-        return n;
-    }
-
-    bool spmPowered(CoreId c) const { return spmPoweredOn.at(c); }
     const ProcessContext &process(std::uint32_t pid) const
     { return processes.at(pid); }
 
@@ -173,12 +155,10 @@ class OsSpmManager
     std::uint32_t nextPid = 1;
     std::vector<std::uint32_t> runningPid;
     std::vector<std::uint32_t> spmOwnerPid;
-    std::vector<bool> spmPoweredOn;
     StatGroup stats;
     Counter stContextSwitches{stats, "contextSwitches"};
     Counter stLazySaves{stats, "lazySaves"};
     Counter stLazyRestores{stats, "lazyRestores"};
-    Counter stSpmPowerDowns{stats, "spmPowerDowns"};
 };
 
 } // namespace spmcoh

@@ -145,36 +145,7 @@ class CoherenceProtocol
         return t.legal && t.has(PAction::IssueUpdX);
     }
 
-    // ------------------------- SPM guarded-access dispatch (Fig. 5)
-
-    /** Outcome of the parallel SPMDir + filter CAM lookup. */
-    enum class GuardEvent : std::uint8_t
-    {
-        SpmDirHit,  ///< chunk mapped in the local SPM
-        FilterHit,  ///< chunk known unmapped chip-wide
-        BothMiss,   ///< unknown: the FilterDir must be consulted
-    };
-
-    /** Where the guarded access proceeds. */
-    enum class GuardAction : std::uint8_t
-    {
-        DivertLocalSpm,    ///< Fig. 5b: serve from the local SPM
-        UseCacheHierarchy, ///< Fig. 5a: plain cache access
-        ConsultDirectory,  ///< Fig. 5c/5d: ask the home FilterDir
-    };
-
-    GuardAction
-    guardAction(GuardEvent e) const
-    {
-        return guard[static_cast<std::size_t>(e)];
-    }
-
   private:
-    /** Fig. 5 dispatch shared by every registered protocol today. */
-    GuardAction guard[3] = {GuardAction::DivertLocalSpm,
-                            GuardAction::UseCacheHierarchy,
-                            GuardAction::ConsultDirectory};
-
     const Transition &
     edge(PState s, PEvent e) const
     {

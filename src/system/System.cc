@@ -84,7 +84,7 @@ System::System(const SystemParams &p_)
 
         cohs.push_back(std::make_unique<CohController>(
             *net, fabric, amap, *spms.back(), *dmacs.back(), i, p.coh,
-            "coh" + id, proto));
+            "coh" + id));
         CohController *coh = cohs.back().get();
         net->setHandler(Endpoint::Coh, i,
                         [coh](const Message &m) { coh->handle(m); });

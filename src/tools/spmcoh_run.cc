@@ -100,9 +100,7 @@ main(int argc, char **argv)
             ? static_cast<std::ostream &>(file)
             : std::cout;
 
-        ThreadPoolExecutor pool(opt.jobs);
-        SweepRunner runner(WorkloadRegistry::global(),
-                           opt.jobs != 1 ? &pool : nullptr);
+        SweepRunner runner(WorkloadRegistry::global(), opt.jobs);
         if (opt.figure && opt.format == ResultFormat::Table) {
             const std::vector<ExperimentResult> results =
                 opt.figure->args.empty()

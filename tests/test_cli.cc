@@ -40,7 +40,8 @@ TEST(Cli, DefaultsMirrorTheEvaluationSetup)
     EXPECT_EQ(opt.sweep.modes[0], SystemMode::HybridProto);
     EXPECT_EQ(opt.sweep.coreCounts, (std::vector<std::uint32_t>{64}));
     EXPECT_EQ(opt.sweep.scales, (std::vector<double>{1.0}));
-    EXPECT_TRUE(opt.sweep.variants.empty());
+    EXPECT_TRUE(opt.sweep.filterEntries.empty());
+    EXPECT_TRUE(opt.sweep.prefetcher.empty());
     EXPECT_EQ(opt.format, ResultFormat::Table);
     EXPECT_EQ(opt.jobs, 1u);
     EXPECT_TRUE(opt.outFile.empty());
@@ -94,12 +95,13 @@ TEST(Cli, FilterEntriesBecomeNamedVariants)
 {
     const CliOptions opt =
         parseCli({"--workload=CG", "--filter-entries=4,48"});
-    ASSERT_EQ(opt.sweep.variants.size(), 2u);
-    EXPECT_EQ(opt.sweep.variants[0].name, "filter4");
-    EXPECT_EQ(opt.sweep.variants[1].name, "filter48");
-    SystemParams p;
-    opt.sweep.variants[1].tweak(p);
-    EXPECT_EQ(p.coh.filterEntries, 48u);
+    EXPECT_EQ(opt.sweep.filterEntries,
+              (std::vector<std::uint32_t>{4, 48}));
+    const auto specs = SweepRunner().expand(opt.sweep);
+    ASSERT_EQ(specs.size(), 2u);
+    EXPECT_EQ(specs[0].variant(), "filter4");
+    EXPECT_EQ(specs[1].variant(), "filter48");
+    EXPECT_EQ(specs[1].resolvedParams().coh.filterEntries, 48u);
 }
 
 TEST(Cli, PrefetcherVariantsCombineWithFilterEntries)
@@ -107,13 +109,37 @@ TEST(Cli, PrefetcherVariantsCombineWithFilterEntries)
     const CliOptions opt = parseCli({
         "--workload=CG", "--filter-entries=4,16",
         "--prefetcher=on,off"});
-    ASSERT_EQ(opt.sweep.variants.size(), 4u);
-    EXPECT_EQ(opt.sweep.variants[0].name, "filter4+pf-on");
-    EXPECT_EQ(opt.sweep.variants[3].name, "filter16+pf-off");
-    SystemParams p;
-    opt.sweep.variants[3].tweak(p);
+    EXPECT_EQ(opt.sweep.prefetcher, (std::vector<bool>{true, false}));
+    const auto specs = SweepRunner().expand(opt.sweep);
+    ASSERT_EQ(specs.size(), 4u);
+    EXPECT_EQ(specs[0].variant(), "filter4+pf-on");
+    EXPECT_EQ(specs[3].variant(), "filter16+pf-off");
+    const SystemParams p = specs[3].resolvedParams();
     EXPECT_EQ(p.coh.filterEntries, 16u);
     EXPECT_FALSE(p.l1d.prefetcher.enabled);
+}
+
+TEST(Cli, RejectsCountsPast32Bits)
+{
+    // 2^32 + 48 must not wrap to a 48-entry filter labelled
+    // filter48, nor 2^32 + 2 to two workers.
+    try {
+        parseCli({"--workload=CG", "--filter-entries=4294967344",
+                  "--jobs=4294967298"});
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("bad filter entry count '4294967344'"),
+                  std::string::npos);
+        EXPECT_NE(msg.find("bad job count '4294967298'"),
+                  std::string::npos);
+    }
+    const CliOptions opt = parseCli(
+        {"--workload=CG", "--filter-entries=4294967295"});
+    EXPECT_EQ(opt.sweep.filterEntries,
+              (std::vector<std::uint32_t>{4294967295u}));
+    EXPECT_EQ(parseCli({"--workload=CG", "--jobs=4294967295"}).jobs,
+              4294967295u);
 }
 
 TEST(Cli, HelpAndListWorkloadsSkipValidation)
@@ -195,8 +221,7 @@ TEST(Cli, ParsedSweepRunsThroughTheDriver)
     const CliOptions opt = parseCli(
         {"--workload=CG", "--cores=4", "--scale=0.25",
          "--jobs=2"});
-    ThreadPoolExecutor pool(opt.jobs);
-    SweepRunner runner(WorkloadRegistry::global(), &pool);
+    SweepRunner runner(WorkloadRegistry::global(), opt.jobs);
     const auto results = runner.run(opt.sweep);
     ASSERT_EQ(results.size(), 1u);
 
@@ -250,21 +275,13 @@ harnessSweeps()
     SweepSpec filter;
     filter.workloads = {"CG", "IS"};
     filter.modes = {SystemMode::HybridProto};
-    for (std::uint32_t n : {4u, 16u, 48u, 128u})
-        filter.variants.push_back(SweepVariant{
-            "filter" + std::to_string(n),
-            [n](SystemParams &p) { p.coh.filterEntries = n; }});
+    filter.filterEntries = {4, 16, 48, 128};
     out["ablation-filter"] = filter;
 
     SweepSpec pf;
     pf.workloads = {"FT", "MG", "SP"};
     pf.modes = {SystemMode::CacheOnly};
-    pf.variants = {
-        SweepVariant{"pf-on", nullptr},
-        SweepVariant{"pf-off", [](SystemParams &p) {
-                         p.l1d.prefetcher.enabled = false;
-                     }},
-    };
+    pf.prefetcher = {true, false};
     out["ablation-prefetcher"] = pf;
 
     SweepSpec scaling;

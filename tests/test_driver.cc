@@ -120,25 +120,23 @@ TEST(ExperimentBuilder, RejectsBadCoreCountsAndScale)
         FatalError);
 }
 
-TEST(ExperimentBuilder, RejectsInconsistentParamOverrides)
+TEST(ExperimentSpec, BoundsFilterEntriesByTheFilterDir)
 {
-    // A 2x2 mesh cannot host 16 cores.
-    SystemParams p = SystemParams::forMode(SystemMode::HybridProto, 4);
-    EXPECT_THROW(ExperimentBuilder()
-                     .workload("CG")
-                     .cores(16)
-                     .params(p)
-                     .spec(),
-                 FatalError);
-    // SPM capacity must be a power of two.
-    EXPECT_THROW(ExperimentBuilder()
-                     .workload("CG")
-                     .cores(4)
-                     .tweak([](SystemParams &sp) {
-                         sp.spmBytes = 3000;
-                     })
-                     .spec(),
-                 FatalError);
+    // Four cores own four 64-entry FilterDir slices: 256 bases.
+    ExperimentSpec s;
+    s.workload = "CG";
+    s.cores = 4;
+    s.filterEntries = 256;
+    EXPECT_TRUE(validateExperiment(s, WorkloadRegistry::global()).empty());
+    for (std::uint32_t bad : {0u, 257u, 4294967295u}) {
+        s.filterEntries = bad;
+        const auto errs =
+            validateExperiment(s, WorkloadRegistry::global());
+        ASSERT_EQ(errs.size(), 1u) << bad;
+        EXPECT_NE(errs[0].find("filter entries must be in [1, 256]"),
+                  std::string::npos)
+            << errs[0];
+    }
 }
 
 TEST(ExperimentBuilder, ResolvesModeAndCoresIntoParams)
@@ -157,17 +155,25 @@ TEST(ExperimentBuilder, ResolvesModeAndCoresIntoParams)
     EXPECT_EQ(spec.label(), "CG/cache/4c/x0.25");
 }
 
-TEST(ExperimentBuilder, TweaksApplyInOrder)
+TEST(ExperimentSpec, AblationKnobsApplyOnTopOfTheMode)
 {
-    const ExperimentSpec spec =
-        ExperimentBuilder()
-            .workload("CG")
-            .cores(4)
-            .tweak([](SystemParams &p) { p.coh.filterEntries = 8; })
-            .tweak([](SystemParams &p) { p.coh.filterEntries *= 2; })
-            .spec();
-    ASSERT_TRUE(spec.paramsOverride.has_value());
-    EXPECT_EQ(spec.paramsOverride->coh.filterEntries, 16u);
+    ExperimentSpec spec;
+    spec.workload = "CG";
+    spec.cores = 4;
+    EXPECT_EQ(spec.variant(), "");
+    const SystemParams base = spec.resolvedParams();
+    spec.filterEntries = 16;
+    spec.prefetcher = false;
+    const SystemParams p = spec.resolvedParams();
+    EXPECT_EQ(p.coh.filterEntries, 16u);
+    EXPECT_FALSE(p.l1d.prefetcher.enabled);
+    EXPECT_EQ(spec.variant(), "filter16+pf-off");
+    EXPECT_EQ(spec.label(), "CG/hybrid-proto/4c/x1.00+filter16+pf-off");
+    // Everything else is the mode's Table 1 machine.
+    EXPECT_TRUE(base.l1d.prefetcher.enabled);
+    EXPECT_EQ(p.l1d.sizeBytes, base.l1d.sizeBytes);
+    EXPECT_EQ(p.spmBytes, base.spmBytes);
+    EXPECT_EQ(p.coh.spmDirEntries, base.coh.spmDirEntries);
 }
 
 // ------------------------------------------------------------- sweep
@@ -179,21 +185,19 @@ TEST(SweepRunner, ExpandsCartesianProduct)
     sweep.modes = {SystemMode::CacheOnly, SystemMode::HybridProto};
     sweep.coreCounts = {4, 16};
     sweep.scales = {0.25};
-    sweep.variants = {
-        SweepVariant{"a", nullptr},
-        SweepVariant{"b",
-                     [](SystemParams &p) { p.coh.filterEntries = 8; }},
-        SweepVariant{"c", nullptr},
-    };
+    sweep.filterEntries = {4, 8, 16};
+    sweep.prefetcher = {true, false};
     SweepRunner runner;
     const auto specs = runner.expand(sweep);
-    EXPECT_EQ(specs.size(), 2u * 2u * 2u * 1u * 3u);
-    // Workload-major order, variants fastest.
+    EXPECT_EQ(specs.size(), 2u * 2u * 2u * 1u * 3u * 2u);
+    // Workload-major order; filter entries, then the prefetcher,
+    // vary fastest.
     EXPECT_EQ(specs[0].workload, "CG");
-    EXPECT_EQ(specs[0].variant, "a");
-    EXPECT_EQ(specs[1].variant, "b");
-    EXPECT_TRUE(specs[1].paramsOverride.has_value());
-    EXPECT_EQ(specs[1].paramsOverride->coh.filterEntries, 8u);
+    EXPECT_EQ(specs[0].variant(), "filter4+pf-on");
+    EXPECT_EQ(specs[1].variant(), "filter4+pf-off");
+    EXPECT_EQ(specs[2].variant(), "filter8+pf-on");
+    EXPECT_EQ(specs[2].resolvedParams().coh.filterEntries, 8u);
+    EXPECT_TRUE(specs[2].resolvedParams().l1d.prefetcher.enabled);
     EXPECT_EQ(specs.back().workload, "IS");
     EXPECT_EQ(specs.back().cores, 16u);
 }
@@ -243,32 +247,6 @@ TEST(SweepRunner, CachesPreparedProgramsAcrossModes)
     EXPECT_EQ(direct.results.cycles, swept.results.cycles);
     EXPECT_EQ(direct.results.traffic.totalPackets(),
               swept.results.traffic.totalPackets());
-}
-
-TEST(SweepRunner, CustomExecutorReceivesAllJobs)
-{
-    struct CountingExecutor final : Executor
-    {
-        std::size_t jobsRun = 0;
-        void
-        run(std::vector<std::function<void()>> jobs) override
-        {
-            for (auto &j : jobs) {
-                j();
-                ++jobsRun;
-            }
-        }
-    };
-    CountingExecutor ex;
-    SweepRunner runner(WorkloadRegistry::global(), &ex);
-    SweepSpec sweep;
-    sweep.workloads = {"EP"};
-    sweep.modes = {SystemMode::CacheOnly, SystemMode::HybridProto};
-    sweep.coreCounts = {4};
-    sweep.scales = {0.25};
-    const auto results = runner.run(sweep);
-    EXPECT_EQ(ex.jobsRun, 2u);
-    EXPECT_EQ(results.size(), 2u);
 }
 
 // ------------------------------------------------- JSON round-trip

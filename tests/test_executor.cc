@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the thread-pool executor: the Executor contract
+ * Tests for the sweep worker pool: the runJobs contract
  * (completion, per-slot writes, exception propagation) on synthetic
  * jobs, and end-to-end determinism of concurrent sweeps — results
- * and serialized JSON byte-identical to the serial executor across
- * worker counts and repeated runs.
+ * and serialized JSON byte-identical to a serial run across worker
+ * counts and repeated runs.
  */
 
 #include <gtest/gtest.h>
@@ -21,49 +21,34 @@ namespace
 
 // ------------------------------------------------ synthetic jobs
 
-TEST(ThreadPoolExecutor, RunsEveryJobExactlyOnce)
+TEST(RunJobs, RunsEveryJobExactlyOnce)
 {
-    for (std::uint32_t workers : {1u, 2u, 7u, 32u}) {
-        ThreadPoolExecutor ex(workers);
-        EXPECT_EQ(ex.workers(), workers);
+    // 0 = the hardware thread count.
+    for (std::uint32_t workers : {0u, 1u, 2u, 7u, 32u}) {
         constexpr std::size_t n = 64;
         std::vector<std::atomic<int>> hits(n);
-        std::vector<std::function<void()>> jobs;
+        runJobs(n, workers, [&hits](std::size_t i) { ++hits[i]; });
         for (std::size_t i = 0; i < n; ++i)
-            jobs.push_back([&hits, i] { ++hits[i]; });
-        ex.run(std::move(jobs));
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "job " << i;
+            EXPECT_EQ(hits[i].load(), 1)
+                << "workers=" << workers << " job " << i;
     }
 }
 
-TEST(ThreadPoolExecutor, ZeroWorkersMeansHardwareParallelism)
+TEST(RunJobs, EmptyBatchIsANoOp)
 {
-    ThreadPoolExecutor ex(0);
-    EXPECT_EQ(ex.workers(), hardwareParallelism());
-    EXPECT_GE(ex.workers(), 1u);
+    runJobs(0, 4, [](std::size_t) { FAIL() << "no job to run"; });
 }
 
-TEST(ThreadPoolExecutor, EmptyBatchIsANoOp)
-{
-    ThreadPoolExecutor ex(4);
-    ex.run({});
-}
-
-TEST(ThreadPoolExecutor, PropagatesLowestIndexedFailure)
+TEST(RunJobs, PropagatesLowestIndexedFailure)
 {
     // Jobs 3 and 9 fail; the pool must surface job 3's exception,
-    // exactly as SerialExecutor would.
+    // exactly as a serial loop would.
     for (std::uint32_t workers : {1u, 4u}) {
-        ThreadPoolExecutor ex(workers);
-        std::vector<std::function<void()>> jobs;
-        for (std::size_t i = 0; i < 12; ++i)
-            jobs.push_back([i] {
+        try {
+            runJobs(12, workers, [](std::size_t i) {
                 if (i == 3 || i == 9)
                     fatal("job " + std::to_string(i) + " failed");
             });
-        try {
-            ex.run(std::move(jobs));
             FAIL() << "expected FatalError";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find("job 3 failed"),
@@ -73,25 +58,25 @@ TEST(ThreadPoolExecutor, PropagatesLowestIndexedFailure)
     }
 }
 
-TEST(ThreadPoolExecutor, PropagatesPanicToo)
+TEST(RunJobs, PropagatesPanicToo)
 {
-    ThreadPoolExecutor ex(4);
-    std::vector<std::function<void()>> jobs;
-    jobs.push_back([] { panic("invariant broke"); });
-    EXPECT_THROW(ex.run(std::move(jobs)), PanicError);
+    EXPECT_THROW(runJobs(2, 4,
+                         [](std::size_t) { panic("invariant broke"); }),
+                 PanicError);
 }
 
-TEST(ThreadPoolExecutor, StopsDispatchingAfterAFailure)
+TEST(RunJobs, StopsDispatchingAfterAFailure)
 {
     // With one worker the queue drains in order, so nothing past
     // the failing job may run.
-    ThreadPoolExecutor ex(1);
     std::atomic<int> ran{0};
-    std::vector<std::function<void()>> jobs;
-    jobs.push_back([&ran] { ++ran; });
-    jobs.push_back([] { fatal("boom"); });
-    jobs.push_back([&ran] { ++ran; });
-    EXPECT_THROW(ex.run(std::move(jobs)), FatalError);
+    EXPECT_THROW(runJobs(3, 1,
+                         [&ran](std::size_t i) {
+                             if (i == 1)
+                                 fatal("boom");
+                             ++ran;
+                         }),
+                 FatalError);
     EXPECT_EQ(ran.load(), 1);
 }
 
@@ -108,7 +93,7 @@ smallSweep()
     return sweep;
 }
 
-/** Fields that must match bit-for-bit across executors. */
+/** Fields that must match bit-for-bit across worker counts. */
 void
 expectSameResults(const std::vector<ExperimentResult> &a,
                   const std::vector<ExperimentResult> &b)
@@ -125,13 +110,12 @@ expectSameResults(const std::vector<ExperimentResult> &a,
     }
 }
 
-TEST(ThreadPoolExecutor, SweepMatchesSerialExecutor)
+TEST(SweepWorkers, FourWorkersMatchSerial)
 {
     SweepRunner serial;
     const auto expect = serial.run(smallSweep());
 
-    ThreadPoolExecutor pool(4);
-    SweepRunner concurrent(WorkloadRegistry::global(), &pool);
+    SweepRunner concurrent(WorkloadRegistry::global(), 4);
     const auto got = concurrent.run(smallSweep());
     expectSameResults(expect, got);
 
@@ -140,58 +124,19 @@ TEST(ThreadPoolExecutor, SweepMatchesSerialExecutor)
     expectSameResults(expect, again);
 }
 
-TEST(ThreadPoolExecutor, OneWorkerMatchesSerialExecutor)
+TEST(SweepWorkers, JsonExportByteIdenticalAcrossWorkerCounts)
 {
-    SweepRunner serial;
-    const auto expect = serial.run(smallSweep());
-
-    ThreadPoolExecutor pool(1);
-    SweepRunner one(WorkloadRegistry::global(), &pool);
-    expectSameResults(expect, one.run(smallSweep()));
-}
-
-TEST(ThreadPoolExecutor, JsonExportByteIdenticalAcrossWorkerCounts)
-{
-    auto render = [](Executor *ex) {
-        SweepRunner runner(WorkloadRegistry::global(), ex);
+    auto render = [](std::uint32_t jobs) {
+        SweepRunner runner(WorkloadRegistry::global(), jobs);
         std::ostringstream os;
         const auto sink = makeResultSink(ResultFormat::Json, os);
         runner.run(smallSweep(), sink.get(), "determinism");
         return os.str();
     };
-    const std::string serial = render(nullptr);
-    ThreadPoolExecutor pool4(4);
-    EXPECT_EQ(serial, render(&pool4));
-    ThreadPoolExecutor pool2(2);
-    EXPECT_EQ(serial, render(&pool2));
+    const std::string serial = render(1);
+    EXPECT_EQ(serial, render(4));
+    EXPECT_EQ(serial, render(2));
     EXPECT_FALSE(serial.empty());
-}
-
-TEST(SweepRunner, SetExecutorSwapsBackend)
-{
-    struct CountingExecutor final : Executor
-    {
-        std::size_t batches = 0;
-        void
-        run(std::vector<std::function<void()>> jobs) override
-        {
-            ++batches;
-            for (auto &j : jobs)
-                j();
-        }
-    };
-    CountingExecutor ex;
-    SweepRunner runner;
-    runner.setExecutor(&ex);
-    SweepSpec sweep;
-    sweep.workloads = {"EP"};
-    sweep.coreCounts = {4};
-    sweep.scales = {0.25};
-    runner.run(sweep);
-    EXPECT_EQ(ex.batches, 1u);
-    runner.setExecutor(nullptr);  // back to built-in serial
-    runner.run(sweep);
-    EXPECT_EQ(ex.batches, 1u);
 }
 
 } // namespace

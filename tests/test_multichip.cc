@@ -281,25 +281,24 @@ TEST(MultiChipDeterminism, JsonIdenticalAcrossJobsAndRepeats)
 {
     // A sweep with a {1, 2}-chip axis must serialize byte-identically
     // whether the points run serially or on 4 workers.
-    auto render = [](Executor *ex) {
+    auto render = [](std::uint32_t jobs) {
         SweepSpec sweep;
         sweep.workloads = {"xpipeline", "contend"};
         sweep.coreCounts = {16};
         sweep.chipCounts = {1, 2};
         sweep.scales = {0.5};
-        SweepRunner runner(WorkloadRegistry::global(), ex);
+        SweepRunner runner(WorkloadRegistry::global(), jobs);
         std::ostringstream os;
         const auto sink = makeResultSink(ResultFormat::Json, os);
         runner.run(sweep, sink.get(), "multichip determinism");
         return os.str();
     };
-    const std::string serial = render(nullptr);
+    const std::string serial = render(1);
     EXPECT_FALSE(serial.empty());
     // The chip axis must actually be in the document.
     EXPECT_NE(serial.find("\"chips\":2"), std::string::npos);
-    ThreadPoolExecutor pool(4);
-    EXPECT_EQ(serial, render(&pool));
-    EXPECT_EQ(serial, render(&pool));
+    EXPECT_EQ(serial, render(4));
+    EXPECT_EQ(serial, render(4));
 }
 
 } // namespace

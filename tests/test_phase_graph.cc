@@ -370,17 +370,17 @@ TEST(PipelineWorkload, PerPhaseStatsExported)
         0u);
 }
 
-/** JSON sweep output for @p ex, flat (CG) and phase-graph
+/** JSON sweep output on @p jobs workers, flat (CG) and phase-graph
  *  (pipeline) workloads together. */
 std::string
-runSweepJson(Executor *ex)
+runSweepJson(std::uint32_t jobs)
 {
     SweepSpec sweep;
     sweep.workloads = {"CG", "pipeline"};
     sweep.modes = {SystemMode::CacheOnly, SystemMode::HybridProto};
     sweep.coreCounts = {8};
     sweep.scales = {0.5};
-    SweepRunner runner(WorkloadRegistry::global(), ex);
+    SweepRunner runner(WorkloadRegistry::global(), jobs);
     std::ostringstream os;
     const auto sink = makeResultSink(ResultFormat::Json, os, false);
     runner.run(sweep, sink.get(), "phase-graph determinism");
@@ -389,9 +389,8 @@ runSweepJson(Executor *ex)
 
 TEST(PhaseGraphExecution, JsonByteIdenticalAcrossWorkers)
 {
-    const std::string serial = runSweepJson(nullptr);
-    ThreadPoolExecutor pool(4);
-    const std::string threaded = runSweepJson(&pool);
+    const std::string serial = runSweepJson(1);
+    const std::string threaded = runSweepJson(4);
     EXPECT_EQ(serial, threaded);
     EXPECT_NE(serial.find("\"workload\":\"pipeline\""),
               std::string::npos);

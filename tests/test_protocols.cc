@@ -166,22 +166,6 @@ TEST(ProtocolTables, OwnedStateOnlyInMoesiFamilies)
         FatalError);
 }
 
-TEST(ProtocolTables, GuardDispatchMatchesFig5)
-{
-    // All registered protocols share the paper's guarded-access
-    // dispatch today (the table exists so variants can diverge).
-    for (const std::string &n : ProtocolFactory::global().names()) {
-        const CoherenceProtocol &p = ProtocolFactory::global().get(n);
-        using GE = CoherenceProtocol::GuardEvent;
-        using GA = CoherenceProtocol::GuardAction;
-        EXPECT_EQ(p.guardAction(GE::SpmDirHit), GA::DivertLocalSpm);
-        EXPECT_EQ(p.guardAction(GE::FilterHit),
-                  GA::UseCacheHierarchy);
-        EXPECT_EQ(p.guardAction(GE::BothMiss),
-                  GA::ConsultDirectory);
-    }
-}
-
 // ------------------------------------------- experiment threading
 
 TEST(ProtocolSpec, ValidationRejectsUnknownProtocol)

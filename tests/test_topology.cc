@@ -163,30 +163,13 @@ TEST(SystemGuards, FatalWhenMcTileOutsideMesh)
 
 // -------------------------------------------- experiment wiring
 
-TEST(ExperimentTopology, OverrideCoresMismatchErrors)
-{
-    const SystemParams four =
-        SystemParams::forMode(SystemMode::HybridProto, 4);
-    try {
-        ExperimentBuilder()
-            .workload("CG")
-            .cores(16)
-            .params(four)
-            .spec();
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("built for 4 cores"), std::string::npos);
-        EXPECT_NE(msg.find("16"), std::string::npos);
-    }
-}
-
 TEST(ExperimentTopology, ResolvedParamsDeriveTopologyPerCount)
 {
     const SystemParams p = ExperimentBuilder()
                                .workload("CG")
                                .cores(128)
-                               .systemParams();
+                               .spec()
+                               .resolvedParams();
     EXPECT_EQ(p.mesh.width, 16u);
     EXPECT_EQ(p.mesh.height, 8u);
     EXPECT_EQ(p.mcTiles.size(), 4u);
@@ -211,14 +194,14 @@ TEST(ExperimentTopology, UntileableCoreCountIsACollectedError)
 // ------------------------------- 128-core export determinism
 
 std::string
-runSweepJson(Executor *ex)
+runSweepJson(std::uint32_t jobs)
 {
     SweepSpec sweep;
     sweep.workloads = {"CG"};
     sweep.modes = {SystemMode::CacheOnly, SystemMode::HybridProto};
     sweep.coreCounts = {128};
     sweep.scales = {0.1};
-    SweepRunner runner(WorkloadRegistry::global(), ex);
+    SweepRunner runner(WorkloadRegistry::global(), jobs);
     std::ostringstream os;
     const auto sink = makeResultSink(ResultFormat::Json, os, false);
     runner.run(sweep, sink.get(), "128-core determinism");
@@ -227,9 +210,8 @@ runSweepJson(Executor *ex)
 
 TEST(ExperimentTopology, LargeMeshJsonByteIdenticalAcrossWorkers)
 {
-    const std::string serial = runSweepJson(nullptr);
-    ThreadPoolExecutor pool(4);
-    const std::string threaded = runSweepJson(&pool);
+    const std::string serial = runSweepJson(1);
+    const std::string threaded = runSweepJson(4);
     EXPECT_EQ(serial, threaded);
     EXPECT_NE(serial.find("\"cores\":128"), std::string::npos);
     EXPECT_NE(serial.find("\"meshWidth\":16"), std::string::npos);

@@ -333,7 +333,7 @@ TEST(ExperimentWithParams, LabelCarriesSortedParams)
     s.wparams.set("sectionKB", 8).set("grids", 5);
     EXPECT_EQ(s.label(),
               "stencil/hybrid-proto/8c/x1.00{grids=5,sectionKB=8}");
-    s.variant = "filter8";
+    s.filterEntries = 8;
     EXPECT_EQ(
         s.label(),
         "stencil/hybrid-proto/8c/x1.00{grids=5,sectionKB=8}+filter8");
