@@ -47,14 +47,20 @@ expandParamAxes(
     return points;
 }
 
+std::uint32_t
+resolveWorkers(std::uint32_t workers)
+{
+    if (workers != 0)
+        return workers;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
+
 void
 runJobs(std::size_t count, std::uint32_t workers,
         const std::function<void(std::size_t)> &job)
 {
-    if (workers == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        workers = hw ? hw : 1;
-    }
+    workers = resolveWorkers(workers);
     if (workers == 1 || count <= 1) {
         for (std::size_t i = 0; i < count; ++i)
             job(i);

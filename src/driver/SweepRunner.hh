@@ -68,8 +68,15 @@ std::vector<WorkloadParams> expandParamAxes(
         &axes);
 
 /**
- * Run @p job(0) .. @p job(@p count - 1) on @p workers threads
- * (0 = the hardware thread count).
+ * The worker count runJobs uses for @p workers: @p workers itself,
+ * or for 0 the hardware thread count (1 when the platform cannot
+ * report it).
+ */
+std::uint32_t resolveWorkers(std::uint32_t workers);
+
+/**
+ * Run @p job(0) .. @p job(@p count - 1) on resolveWorkers(@p workers)
+ * threads (0 = the hardware thread count).
  *
  * - **Independence.** Jobs may run concurrently in any order, so
  *   each must touch only its own result slot (indexed by its

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
+#include <thread>
 
 #include "driver/Driver.hh"
 
@@ -23,7 +25,6 @@ namespace
 
 TEST(RunJobs, RunsEveryJobExactlyOnce)
 {
-    // 0 = the hardware thread count.
     for (std::uint32_t workers : {0u, 1u, 2u, 7u, 32u}) {
         constexpr std::size_t n = 64;
         std::vector<std::atomic<int>> hits(n);
@@ -32,6 +33,35 @@ TEST(RunJobs, RunsEveryJobExactlyOnce)
             EXPECT_EQ(hits[i].load(), 1)
                 << "workers=" << workers << " job " << i;
     }
+}
+
+TEST(RunJobs, ZeroWorkersMeansHardwareParallelism)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_EQ(resolveWorkers(0), hw ? hw : 1u);
+    EXPECT_EQ(resolveWorkers(1), 1u);
+    EXPECT_EQ(resolveWorkers(7), 7u);
+}
+
+TEST(RunJobs, ZeroWorkersRunsJobsConcurrently)
+{
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "needs at least 2 hardware threads";
+    // Each job waits until both have started; a serial run would see
+    // only itself and time out.
+    std::atomic<int> started{0};
+    std::atomic<int> metPeer{0};
+    runJobs(2, 0, [&](std::size_t) {
+        ++started;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        if (started.load() == 2)
+            ++metPeer;
+    });
+    EXPECT_EQ(metPeer.load(), 2);
 }
 
 TEST(RunJobs, EmptyBatchIsANoOp)
