@@ -292,6 +292,15 @@ cmake -B "$ASAN_DIR" -S . \
 cmake --build "$ASAN_DIR" -j "$(nproc)"
 GTEST_FILTER='-ExperimentTopology.LargeMeshJsonByteIdenticalAcrossWorkers' \
     ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$(nproc)"
+# FilterDir requests stay parked as pooled messages across the events
+# of a broadcast, its re-entry and its lookup; this run parks checks
+# 437,870 times. No golden parks a map-invalidation; the FilterDirQueue
+# tests above do.
+"$ASAN_DIR"/spmcoh_run --workload=pipeline --cores=64 --jobs=1 \
+    --format=json > "$ASAN_DIR"/pipeline64_smoke.json
+cmp "$ASAN_DIR"/pipeline64_smoke.json tests/golden/pipeline64_smoke.json || {
+    echo "pipeline64_smoke under ASan+UBSan diverged from the golden"
+    exit 1; }
 
 echo "== ThreadSanitizer build + --jobs workers =="
 # The only threads left are the --jobs sweep workers: TSan runs the

@@ -63,8 +63,14 @@ void
 FilterDirSlice::handle(const Message &msg)
 {
     switch (msg.type) {
-      case MsgType::FilterCheck:      onFilterCheck(msg); break;
-      case MsgType::FilterInval:      onFilterInval(msg); break;
+      case MsgType::FilterCheck:
+      case MsgType::FilterInval: {
+        Pending r{0, net.msgPool().acquire(msg)};
+        if (enter(r))
+            net.events().scheduleIn(p.lookupLatency,
+                                    [this, r] { lookup(r); });
+        break;
+      }
       case MsgType::FilterEvictNotify: onEvictNotify(msg); break;
       case MsgType::FilterInvalFwdAck: onFwdAck(msg); break;
       default:
@@ -72,17 +78,95 @@ FilterDirSlice::handle(const Message &msg)
     }
 }
 
-bool
-FilterDirSlice::enqueueIfBusy(Addr base, const Message &msg)
+FilterDirSlice::Op *
+FilterDirSlice::busyOp(Addr base)
 {
-    for (const auto &[b, id] : busy) {
-        if (b == base) {
-            ops.find(id)->waiting.push_back(net.msgPool().acquire(msg));
-            ++stQueuedOps;
-            return true;
-        }
+    for (const auto &[b, id] : busy)
+        if (b == base)
+            return ops.find(id);
+    return nullptr;
+}
+
+void
+FilterDirSlice::park(Op &op, const Pending &r)
+{
+    op.waiting.push_back(r);
+    ++stQueuedOps;
+}
+
+FilterDirSlice::Batch
+FilterDirSlice::takeBatch()
+{
+    if (spareBatches.empty())
+        return {};
+    Batch batch = std::move(spareBatches.back());
+    spareBatches.pop_back();
+    return batch;
+}
+
+void
+FilterDirSlice::recycle(Batch &batch)
+{
+    batch.clear();
+    spareBatches.push_back(std::move(batch));
+}
+
+bool
+FilterDirSlice::enter(Pending &r)
+{
+    const Message &req = *r.msg;
+    if (req.type == MsgType::FilterCheck) {
+        ++stChecks;
+        r.base = fab.config.base(req.addr);
+    } else {
+        ++stMapInvalidations;
+        r.base = req.addr;
     }
-    return false;
+    if (Op *op = busyOp(r.base)) {
+        park(*op, r);
+        return false;
+    }
+    return true;
+}
+
+void
+FilterDirSlice::reenter(Batch &batch)
+{
+    // Nothing here starts a broadcast, so the busy list is fixed for
+    // the whole loop.
+    std::size_t kept = 0;
+    for (Pending r : batch)
+        if (enter(r))
+            batch[kept++] = r;
+    batch.resize(kept);
+    if (batch.empty()) {
+        recycle(batch);
+        return;
+    }
+    net.events().scheduleIn(p.lookupLatency,
+            [this, batch = std::move(batch)]() mutable {
+        for (const Pending &r : batch)
+            lookup(r);
+        recycle(batch);
+    });
+}
+
+void
+FilterDirSlice::lookup(const Pending &r)
+{
+    if (r.msg->type == MsgType::FilterInval) {
+        // A map-invalidation that found its base free on entry goes
+        // ahead; only checks look at the busy list again.
+        invalStep(r.base, *r.msg);
+    } else if (Op *op = busyOp(r.base)) {
+        // A broadcast for the base started after the check entered,
+        // maybe for a request ahead of it in the same batch.
+        park(*op, r);
+        return;
+    } else {
+        checkStep(r.base, *r.msg);
+    }
+    net.msgPool().release(r.msg);
 }
 
 FilterDirSlice::Op &
@@ -129,43 +213,30 @@ FilterDirSlice::run(std::uint64_t id)
 }
 
 void
-FilterDirSlice::onFilterCheck(const Message &msg)
+FilterDirSlice::checkStep(Addr base, const Message &req)
 {
-    ++stChecks;
-    const Addr base = fab.config.base(msg.addr);
-    if (enqueueIfBusy(base, msg))
+    if (const std::int32_t i = findSlot(base, SlotState::Valid); i >= 0) {
+        // Known unmapped: add the sharer and ACK (Fig. 6b step 2).
+        ++stCheckHits;
+        Slot &s = slots[static_cast<std::size_t>(i)];
+        s.sharers |= coreBit(req.requestor);
+        lru.touch(static_cast<std::uint32_t>(i));
+        sendToCore(req.requestor, MsgType::FilterCheckAck, req.addr,
+                   req.aux);
         return;
-    Message *pm = net.msgPool().acquire(msg);
-    net.events().scheduleIn(p.lookupLatency, [this, pm, base] {
-        const Message &req = *pm;
-        if (enqueueIfBusy(base, req)) {
-            // A broadcast started while we looked up.
-        } else if (const std::int32_t i = findSlot(base, SlotState::Valid);
-                   i >= 0) {
-            // Known unmapped: add the sharer and ACK (Fig. 6b step 2).
-            ++stCheckHits;
-            Slot &s = slots[static_cast<std::size_t>(i)];
-            s.sharers |= coreBit(req.requestor);
-            lru.touch(static_cast<std::uint32_t>(i));
-            sendToCore(req.requestor, MsgType::FilterCheckAck,
-                       req.addr, req.aux);
-        } else {
-            // No information: broadcast. Account every probe and
-            // response packet in one tally; simulate the exchange as
-            // one aggregate event at the worst-case probe arrival.
-            ++stBroadcasts;
-            Op &op = openOp(Step::Probe, base, req.requestor, req.aux);
-            op.addr = req.addr;
-            op.isWrite = req.isWrite;
-            op.wdata = req.data.read64(0);
-            busy.emplace_back(base, op.id);
-            net.noc().accountBroadcast(tile, req.requestor, net.cores(),
-                                       TrafficClass::CohProt,
-                                       ctrlPacketBytes);
-            arm(op, Step::Probe, fanOutLatency + p.probeLatency);
-        }
-        net.msgPool().release(pm);
-    });
+    }
+    // No information: broadcast. Account every probe and response
+    // packet in one tally; simulate the exchange as one aggregate
+    // event at the worst-case probe arrival.
+    ++stBroadcasts;
+    Op &op = openOp(Step::Probe, base, req.requestor, req.aux);
+    op.addr = req.addr;
+    op.isWrite = req.isWrite;
+    op.wdata = req.data.read64(0);
+    busy.emplace_back(base, op.id);
+    net.noc().accountBroadcast(tile, req.requestor, net.cores(),
+                               TrafficClass::CohProt, ctrlPacketBytes);
+    arm(op, Step::Probe, fanOutLatency + p.probeLatency);
 }
 
 void
@@ -262,18 +333,16 @@ FilterDirSlice::invalidateSharers(Op &op, Addr base,
 void
 FilterDirSlice::conclude(Op &op, MsgType reply, Addr addr)
 {
-    // The reply goes out before the re-injections: a local delivery
-    // can tie with them.
+    // The reply goes out before the re-entry: a local delivery can
+    // tie with it.
     sendToCore(op.requestor, reply, addr, op.aux);
-    // Re-inject queued operations in arrival order. Scheduling runs
-    // no handler, so the queue cannot change under the loop.
-    for (Message *pm : op.waiting) {
-        net.events().scheduleIn(1, [this, pm] {
-            handle(*pm);
-            net.msgPool().release(pm);
-        });
+    // The parked requests re-enter together, in arrival order, one
+    // cycle later; the op keeps a recycled batch's capacity.
+    if (!op.waiting.empty()) {
+        net.events().scheduleIn(1,
+                [this, parked = std::exchange(op.waiting, takeBatch())]()
+                    mutable { reenter(parked); });
     }
-    op.waiting.clear();
     for (auto &b : busy) {
         if (b.second == op.id) {
             b = busy.back();
@@ -285,32 +354,25 @@ FilterDirSlice::conclude(Op &op, MsgType reply, Addr addr)
 }
 
 void
-FilterDirSlice::onFilterInval(const Message &msg)
+FilterDirSlice::invalStep(Addr base, const Message &req)
 {
-    ++stMapInvalidations;
-    if (enqueueIfBusy(msg.addr, msg))
+    std::uint64_t sharers = 0;
+    for (Slot &s : slots) {
+        if (s.base == base && (s.st == SlotState::Valid ||
+                               s.st == SlotState::Draining)) {
+            sharers |= s.sharers;
+            if (s.st == SlotState::Valid)
+                s = Slot{};  // entry removed (Fig. 6a)
+        }
+    }
+    if (sharers == 0) {
+        sendToCore(req.requestor, MsgType::FilterInvalDone, base,
+                   req.aux);
         return;
-    net.events().scheduleIn(p.lookupLatency,
-            [this, base = msg.addr, requestor = msg.requestor,
-             aux = msg.aux] {
-        std::uint64_t sharers = 0;
-        for (Slot &s : slots) {
-            if (s.base == base && (s.st == SlotState::Valid ||
-                                   s.st == SlotState::Draining)) {
-                sharers |= s.sharers;
-                if (s.st == SlotState::Valid)
-                    s = Slot{};  // entry removed (Fig. 6a)
-            }
-        }
-        if (sharers == 0) {
-            sendToCore(requestor, MsgType::FilterInvalDone, base,
-                       aux);
-            return;
-        }
-        ++stSharerInvalidations;
-        invalidateSharers(openOp(Step::Inval, base, requestor, aux),
-                          base, sharers);
-    });
+    }
+    ++stSharerInvalidations;
+    invalidateSharers(openOp(Step::Inval, base, req.requestor, req.aux),
+                      base, sharers);
 }
 
 void

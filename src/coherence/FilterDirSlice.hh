@@ -74,6 +74,17 @@ class FilterDirSlice
         Inval,    ///< wait for the mapped base's sharers to drop it
     };
 
+    /** A request waiting for its lookup or for its base to be
+     *  released: the base it maps to and a pooled copy of it. */
+    struct Pending
+    {
+        Addr base = 0;
+        Message *msg = nullptr;
+    };
+    /** Requests in arrival order. Batches move between events and
+     *  are recycled, so their capacity is kept. */
+    using Batch = std::vector<Pending>;
+
     /**
      * One multi-step operation: a check that missed the CAM and
      * broadcasts (Probe, then Nack or Install, maybe Drain), or a
@@ -93,16 +104,33 @@ class FilterDirSlice
         std::uint64_t wdata = 0;      ///< the check's store word
         std::uint32_t victim = 0;     ///< Drain: slot being recycled
         std::uint32_t pendingAcks = 0;
-        /** Requests for the base parked behind the broadcast (pooled
-         *  copies, arrival order). A recycled record keeps the
-         *  queue's capacity. */
-        std::vector<Message *> waiting;
+        /** Requests for the base parked behind the broadcast, in
+         *  arrival order. A recycled record keeps the queue's
+         *  capacity. */
+        Batch waiting;
     };
 
-    void onFilterCheck(const Message &msg);
-    void onFilterInval(const Message &msg);
-    /** Per-base serialization: true if queued behind a broadcast. */
-    bool enqueueIfBusy(Addr base, const Message &msg);
+    /** Every request entering the slice, delivered or re-entered:
+     *  count it and take its base; park it if the base is busy.
+     *  @return true if it goes on to its lookup. */
+    bool enter(Pending &r);
+    /** Enter the requests parked on a concluded op again, in order;
+     *  the ones not parked share one lookup event. */
+    void reenter(Batch &batch);
+    /** A request's lookup, one lookupLatency after it entered. */
+    void lookup(const Pending &r);
+    /** A check's lookup: ACK on a CAM hit, else start a broadcast. */
+    void checkStep(Addr base, const Message &req);
+    /** A map-invalidation's lookup: drop the base, invalidate its
+     *  sharers (Fig. 6a). */
+    void invalStep(Addr base, const Message &req);
+    /** Per-base serialization: the op broadcasting for @p base, or
+     *  nullptr. */
+    Op *busyOp(Addr base);
+    void park(Op &op, const Pending &r);
+    /** An empty batch, reusing a recycled one's capacity. */
+    Batch takeBatch();
+    void recycle(Batch &batch);
     void onEvictNotify(const Message &msg);
     void onFwdAck(const Message &msg);
 
@@ -120,8 +148,8 @@ class FilterDirSlice
     void finishInstall(Op &op, std::uint32_t slot);
     /** Send each of @p sharers a FilterInvalFwd that @p op awaits. */
     void invalidateSharers(Op &op, Addr base, std::uint64_t sharers);
-    /** Reply to the requestor, then re-inject the requests queued on
-     *  the base and release it and @p op. */
+    /** Reply to the requestor, release the base and @p op, and
+     *  re-enter the requests parked on the base as one batch. */
     void conclude(Op &op, MsgType reply, Addr addr);
 
     void sendToCore(CoreId c, MsgType t, Addr addr, std::uint64_t aux);
@@ -149,6 +177,8 @@ class FilterDirSlice
      */
     std::vector<std::pair<Addr, std::uint64_t>> busy;
     SlotTable<Op> ops;
+    /** Empty batches kept for reuse. */
+    std::vector<Batch> spareBatches;
     StatGroup stats;
     Counter stChecks{stats, "checks"};
     Counter stCheckHits{stats, "checkHits"};

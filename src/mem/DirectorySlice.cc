@@ -61,7 +61,7 @@ DirectorySlice::handle(const Message &msg)
       case MsgType::DmaRead:
       case MsgType::DmaWrite:
         if (Txn **t = busy.find(la)) {
-            (*t)->queued.push_back(msg);
+            enqueue(**t, msg);
             ++stQueuedRequests;
         } else {
             startTxn(acquireTxn(), msg);
@@ -653,13 +653,35 @@ DirectorySlice::finishTxn(Txn &t)
     busy.erase(t.la);
     txnLatency.sample(net.events().now() - t.startedAt);
     sampleTxnOccupancy();
-    if (t.queued.empty()) {
+    if (t.queuedCount == 0) {
         txnFree.push_back(&t);
         return;
     }
-    const Message next = std::move(t.queued.front());
-    t.queued.erase(t.queued.begin());
+    // startTxn copies the request and queues nothing, so the entry
+    // stays put while it runs.
+    const Message &next = t.queued[t.queuedHead];
+    if (++t.queuedHead == t.queuedCap)
+        t.queuedHead = 0;
+    --t.queuedCount;
     startTxn(t, next);
+}
+
+void
+DirectorySlice::enqueue(Txn &t, const Message &msg)
+{
+    if (t.queuedCount == t.queuedCap) {
+        // Unroll the full ring, oldest first, into one twice the size;
+        // a recycled Txn keeps the larger ring.
+        const std::uint32_t cap = t.queuedCap == 0 ? 1 : 2 * t.queuedCap;
+        auto grown = std::make_unique<Message[]>(cap);
+        for (std::uint32_t i = 0; i < t.queuedCap; ++i)
+            grown[i] = t.queued[(t.queuedHead + i) % t.queuedCap];
+        t.queued = std::move(grown);
+        t.queuedCap = cap;
+        t.queuedHead = 0;
+    }
+    t.queued[(t.queuedHead + t.queuedCount) % t.queuedCap] = msg;
+    ++t.queuedCount;
 }
 
 } // namespace spmcoh

@@ -118,7 +118,13 @@ class DirectorySlice
         Addr la = 0;         ///< the blocked line
         Tick startedAt = 0;  ///< for the txnLatency histogram
         Message req;
-        std::vector<Message> queued;
+        /** Requests waiting for the line: a ring of queuedCap slots
+         *  holding queuedCount entries from queuedHead, oldest first.
+         *  Bare indices keep the Txn no larger than a vector did. */
+        std::unique_ptr<Message[]> queued;
+        std::uint32_t queuedCap = 0;
+        std::uint32_t queuedHead = 0;
+        std::uint32_t queuedCount = 0;
         std::uint32_t pendingAcks = 0;
         bool wantData = false;
         bool haveData = false;
@@ -147,6 +153,8 @@ class DirectorySlice
     /** Run @p t's completion step once its acks and data are in. */
     void checkDone(Txn &t);
     void complete(Txn &t, Done step);
+    /** Queue @p msg behind @p t, doubling the ring when it is full. */
+    void enqueue(Txn &t, const Message &msg);
     /** Unblock the line; the next queued request reuses the slot. */
     void finishTxn(Txn &t);
     void onUnblock(const Message &msg);

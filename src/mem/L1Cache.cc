@@ -5,6 +5,8 @@
 
 #include "mem/L1Cache.hh"
 
+#include <algorithm>
+#include <array>
 #include <string>
 
 namespace spmcoh
@@ -203,8 +205,20 @@ L1Cache::trainPrefetcher(std::uint32_t ref_id, Addr addr, Tick at)
         return;
     EventQueue &eq = net.events();
     const Tick when = at > eq.now() ? at : eq.now();
-    for (Addr a : prefetchCands)
-        eq.schedule(when, [this, a] { issuePrefetch(a); });
+    // The candidates issue in order from one event (several only if
+    // there are more than fit in its inline capture).
+    constexpr std::size_t perEvent = 4;
+    for (std::size_t i = 0; i < prefetchCands.size(); i += perEvent) {
+        const std::size_t n =
+            std::min(perEvent, prefetchCands.size() - i);
+        std::array<Addr, perEvent> lines{};
+        std::copy_n(prefetchCands.begin() + static_cast<std::ptrdiff_t>(i),
+                    n, lines.begin());
+        eq.schedule(when, [this, lines, n = static_cast<std::uint32_t>(n)] {
+            for (std::uint32_t k = 0; k < n; ++k)
+                issuePrefetch(lines[k]);
+        });
+    }
 }
 
 void

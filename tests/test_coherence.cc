@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "sim/Rng.hh"
 #include "system/System.hh"
@@ -469,6 +471,131 @@ TEST(FilterDirEviction, InstallRetriesWhileTheOnlySlotDrains)
     EXPECT_TRUE(slice.tracks(a + 2 * stride));
     EXPECT_FALSE(slice.tracks(a + stride));
     EXPECT_EQ(slice.validEntries(), 1u);
+}
+
+/**
+ * K cores resolve a guarded load of one base that another core maps.
+ * A remote SPM serves every request and the base is never installed,
+ * so each broadcast's conclusion re-enters the requests still parked
+ * and all but one of them park again: K broadcasts, and the i-th
+ * round enters K - i + 1 checks and parks K - i of them. Each round
+ * re-enters in one event and looks up in one more.
+ */
+TEST(FilterDirQueue, ParkedChecksReenterAsOneBatchPerBroadcast)
+{
+    constexpr std::uint32_t cores = 16;
+    constexpr CoreId owner = 5;
+    constexpr std::uint64_t k = cores - 1;
+    const Addr gm_base = 0xb00000;
+
+    System sys(SystemParams::forMode(SystemMode::HybridProto, cores));
+    for (CoreId c = 0; c < cores; ++c)
+        sys.cohAt(c).setBufferConfig(bufLog2);
+    sys.cohAt(owner).mapBuffer(0, gm_base, 0);
+    sys.events().run();
+    for (CoreId c = 0; c < cores; ++c)
+        sys.spmAt(owner).write(8 * c, 8, 1000 + c);
+
+    // Every other core loads gm_base + 8c in the same tick.
+    const std::uint64_t before = sys.events().executed();
+    std::vector<std::uint64_t> got(cores, 0);
+    for (CoreId c = 0; c < cores; ++c) {
+        if (c == owner)
+            continue;
+        sys.cohAt(c).resolveGuarded(gm_base + 8 * c, 8, false, 0,
+                                    [&got, c](bool s, std::uint64_t v) {
+            EXPECT_TRUE(s);
+            EXPECT_EQ(got[c], 0u) << "core " << c << " served twice";
+            got[c] = v;
+        });
+    }
+    sys.events().run();
+    const std::uint64_t events = sys.events().executed() - before;
+    for (CoreId c = 0; c < cores; ++c)
+        EXPECT_EQ(got[c], c == owner ? 0u : 1000u + c) << "core " << c;
+
+    const StatGroup &st =
+        sys.filterDirAt(sys.cohFabric().homeFor(gm_base)).statGroup();
+    EXPECT_EQ(st.value("broadcasts"), k);
+    EXPECT_EQ(st.value("remoteHits"), k);
+    EXPECT_EQ(st.value("checkHits"), 0u);
+    EXPECT_EQ(st.value("checks"), k * (k + 1) / 2);
+    EXPECT_EQ(st.value("queuedOps"), k * (k - 1) / 2);
+    // At most seven events per request: the check's delivery, its
+    // first lookup, Probe, Nack, serveSpm and the data and NACK
+    // deliveries; plus two per re-entered round. A re-entry and a
+    // lookup event per parked request would take 303.
+    EXPECT_LE(events, 7 * k + 2 * (k - 1));
+}
+
+/**
+ * A map-invalidation parks among checks behind a broadcast that
+ * installs the base, and they re-enter as one batch in arrival order:
+ * the check before it hits the freshly installed entry, the
+ * invalidation then drops the entry and invalidates both filters, and
+ * the check after it misses, broadcasts and is served by the newly
+ * mapped SPM.
+ */
+TEST(FilterDirQueue, ParkedInvalRunsInPlaceAmongChecks)
+{
+    constexpr std::uint32_t cores = 16;
+    System sys(SystemParams::forMode(SystemMode::HybridProto, cores));
+    for (CoreId c = 0; c < cores; ++c)
+        sys.cohAt(c).setBufferConfig(bufLog2);
+    // Home on tile 5 (x 1, y 1 of the 4x4 mesh); X, M and Y are its
+    // one-hop neighbours, so their messages arrive in issue order.
+    Addr b = 0xc00000;
+    while (sys.cohFabric().homeFor(b) != 5)
+        b += bufBytes;
+    constexpr CoreId a = 10, x = 4, m = 6, y = 1;
+    const StatGroup &st = sys.filterDirAt(5).statGroup();
+    const StatGroup &mst = sys.cohAt(m).statGroup();
+
+    std::vector<std::string> order;
+    auto expectServed = [&](const char *who, bool by_spm,
+                            std::uint64_t invals_done) {
+        return [&, who, by_spm, invals_done](bool s, std::uint64_t) {
+            order.push_back(who);
+            EXPECT_EQ(s, by_spm) << who;
+            EXPECT_EQ(mst.value("mapInvalsDone"), invals_done) << who;
+        };
+    };
+    sys.cohAt(a).resolveGuarded(b, 8, false, 0,
+                                expectServed("a", false, 0));
+    while (st.value("broadcasts") == 0)
+        ASSERT_TRUE(sys.events().step());
+    sys.cohAt(x).resolveGuarded(b + 8, 8, false, 0,
+                                expectServed("x", false, 0));
+    // M maps the base once the probe has found no owner, a fan-out
+    // latency before a's broadcast installs it.
+    while (sys.cohFabric().broadcastsBy[a] == 0)
+        ASSERT_TRUE(sys.events().step());
+    sys.cohAt(m).mapBuffer(0, b, 3);
+    sys.spmAt(m).write(0x10, 8, 4242);
+    sys.events().run(sys.events().now() + 2);
+    std::uint64_t y_val = 0;
+    sys.cohAt(y).resolveGuarded(b + 0x10, 8, false, 0,
+                                [&](bool s, std::uint64_t v) {
+        expectServed("y", true, 1)(s, v);
+        y_val = v;
+    });
+    sys.events().run();
+
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "x", "y"}));
+    EXPECT_EQ(y_val, 4242u);
+    EXPECT_EQ(mst.value("mapInvalsDone"), 1u);
+    EXPECT_FALSE(sys.cohAt(a).filterRef().contains(b));
+    EXPECT_FALSE(sys.cohAt(x).filterRef().contains(b));
+    EXPECT_FALSE(sys.filterDirAt(5).tracks(b));
+    // Each parked request is counted again when it re-enters.
+    EXPECT_EQ(st.value("queuedOps"), 3u);
+    EXPECT_EQ(st.value("checks"), 5u);
+    EXPECT_EQ(st.value("mapInvalidations"), 2u);
+    EXPECT_EQ(st.value("broadcasts"), 2u);
+    EXPECT_EQ(st.value("inserts"), 1u);
+    EXPECT_EQ(st.value("checkHits"), 1u);
+    EXPECT_EQ(st.value("sharerInvalidations"), 1u);
+    EXPECT_EQ(st.value("remoteHits"), 1u);
 }
 
 /** Ideal coherence: zero protocol traffic, oracle-driven diversion. */

@@ -771,6 +771,87 @@ TEST(Moesi, DemandMergedIntoPrefetchReleasesItsSlot)
     EXPECT_EQ(l1.statGroup().value("mshrMerges"), rounds);
 }
 
+/**
+ * A training that yields two candidates issues both prefetches from
+ * one event at the training's tick, in candidate order.
+ */
+TEST(Moesi, OneTrainingIssuesItsCandidatesFromOneEvent)
+{
+    MiniFabric f;
+    L1Cache &l1 = *f.l1s[0];
+    ASSERT_EQ(PrefetcherParams{}.degree, 2u);
+    // Four misses with a one-line stride reach the confidence
+    // threshold on the fourth; tryLoad trains without issuing them.
+    const Addr a = 0x80000;
+    Tick lat = 0;
+    for (Addr i = 0; i < 3; ++i)
+        EXPECT_FALSE(l1.tryLoad(a + i * lineBytes, 8, 0, 7, lat));
+    EXPECT_EQ(f.eq.pending(), 0u);
+    EXPECT_FALSE(l1.tryLoad(a + 3 * lineBytes, 8, 0, 7, lat));
+    EXPECT_EQ(f.eq.pending(), 1u);
+
+    const std::uint64_t before = f.eq.executed();
+    ASSERT_TRUE(f.eq.step());
+    EXPECT_EQ(f.eq.executed(), before + 1);
+    EXPECT_EQ(l1.statGroup().value("prefetchesIssued"), 2u);
+    f.eq.run();
+    // Both lines are resident: 12 and 13 lines past the demand.
+    for (Addr d : {Addr{15}, Addr{16}})
+        EXPECT_TRUE(l1.peekState(a + d * lineBytes).has_value()) << d;
+}
+
+/**
+ * Requests that find their line busy at the directory queue behind
+ * its transaction and replay one at a time, in arrival order. 64
+ * DMA reads of one line arrive in one tick: the first runs and 63
+ * queue. 40 more arrive once 20 are served, so the queue wraps and
+ * then grows with its oldest entry mid-ring.
+ */
+TEST(DirectoryQueue, SixtyThreeQueuedRequestsReplayInArrivalOrder)
+{
+    MiniFabric f;
+    std::vector<std::uint64_t> served;
+    f.net->setHandler(Endpoint::Dmac, 0, [&](const Message &m) {
+        EXPECT_EQ(m.type, MsgType::DmaReadResp);
+        EXPECT_EQ(m.data.read64(0), 0x5eedu);
+        served.push_back(m.aux);
+    });
+    const Addr la = 0x20000;
+    f.mem.write64(la, 0x5eed);
+    DirectorySlice &dir = *f.dirs[1];
+    auto read = [&](std::uint64_t id) {
+        Message m;
+        m.type = MsgType::DmaRead;
+        m.addr = la;
+        m.requestor = 0;
+        m.aux = id;
+        m.cls = TrafficClass::Dma;
+        dir.handle(m);
+    };
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        read(i);
+        expected.push_back(i);
+    }
+    EXPECT_EQ(dir.statGroup().value("queuedRequests"), 63u);
+    while (served.size() < 20)
+        ASSERT_TRUE(f.eq.step());
+    for (std::uint64_t i = 64; i < 104; ++i) {
+        read(i);
+        expected.push_back(i);
+    }
+    f.eq.run();
+    EXPECT_EQ(served, expected);
+    EXPECT_EQ(dir.statGroup().value("queuedRequests"), 103u);
+
+    // The drained line takes the next request at once.
+    read(104);
+    f.eq.run();
+    EXPECT_EQ(served.size(), 105u);
+    EXPECT_EQ(served.back(), 104u);
+    EXPECT_EQ(dir.statGroup().value("queuedRequests"), 103u);
+}
+
 TEST(Moesi, WritebackReachesL2ThenMemoryPath)
 {
     MiniFabric f;
